@@ -10,6 +10,11 @@ sensitive encodings the protocol promises to hide:
 * source-chain view: every record emitted on a given deposit's source
   chain.
 
+A deposit's destination chain id is also the public source chain id of
+every deposit event emitted on the destination chain, so the oracle view
+is scanned for it outside those events only; the source-chain view is
+scanned for it everywhere.
+
 Revert scenarios legitimately reveal the commitment on the source chain;
 the analyzer reports that linkage as expected leakage rather than a
 violation.
@@ -47,26 +52,38 @@ def analyze_linkability(records: list, deposit_secrets: list) -> dict:
     leakage from revert flows.
     """
     oracle_blob = _record_bytes(oracle_view(records))
+    src_blobs = {c: _record_bytes(source_view(records, c))
+                 for c in {sec["source_chain"] for sec in deposit_secrets}}
+    # deposit events per destination chain; their hits on the destination
+    # chain id are taken off the oracle view's count (a hex word never
+    # spans the newline between two records)
+    dest_event_blobs = {
+        c: _record_bytes([r for r in records
+                          if r.get("op") == "deposit_event" and r.get("chain") == c])
+        for c in {int(sec["dest_chain_id"], 16) for sec in deposit_secrets}
+    }
+    # the deposit event itself contains the commitment by design; the
+    # linkage that matters is its reappearance in revert records
+    revert_blob = _record_bytes(
+        [r for r in records if "revert" in str(r.get("op", ""))]
+    )
     report = {
         "deposits": [],
         "violations": 0,
         "expected_leakage": [],
     }
     for sec in deposit_secrets:
-        src_blob = _record_bytes(source_view(records, sec["source_chain"]))
+        src_blob = src_blobs[sec["source_chain"]]
         entry = {"label": sec["label"], "oracle_view": {}, "source_view": {}}
         for name in _HIDDEN_FIELDS:
             enc = sec[name].encode()
             hits_oracle = oracle_blob.count(enc)
+            if name == "dest_chain_id":
+                hits_oracle -= dest_event_blobs[int(sec[name], 16)].count(enc)
             hits_source = src_blob.count(enc)
             entry["oracle_view"][name] = hits_oracle
             entry["source_view"][name] = hits_source
             report["violations"] += hits_oracle + hits_source
-        # the deposit event itself contains the commitment by design; the
-        # linkage that matters is its reappearance in revert records
-        revert_blob = _record_bytes(
-            [r for r in records if "revert" in str(r.get("op", ""))]
-        )
         commitment_hits = revert_blob.count(sec["commitment"].encode())
         if commitment_hits:
             report["expected_leakage"].append(

@@ -37,19 +37,15 @@ DOMAIN_COMMIT = reduce_bytes(keccak256(b"anonbridge/commit"))
 DOMAIN_NULLIFIER = reduce_bytes(keccak256(b"anonbridge/nullifier"))
 
 
-def _permute_raw(x_left: int, x_right: int) -> tuple:
+def permute(x_left: int, x_right: int) -> tuple:
+    """One full Feistel permutation of the two-lane state. Cost: 1 unit."""
+    ops.charge_permutation()
     for i in range(N_PERM_ROUNDS - 1):
         t = pow((x_left + _C[i]) % P, 5, P)
         x_left, x_right = (x_right + t) % P, x_left
     t = pow((x_left + _C[N_PERM_ROUNDS - 1]) % P, 5, P)
     x_right = (x_right + t) % P
     return x_left, x_right
-
-
-def permute(x_left: int, x_right: int) -> tuple:
-    """One full Feistel permutation of the two-lane state. Cost: 1 unit."""
-    ops.charge_permutation()
-    return _permute_raw(x_left, x_right)
 
 
 def mimc_hash2(left: int, right: int) -> int:

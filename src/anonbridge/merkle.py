@@ -1,9 +1,9 @@
 """Fixed-depth incremental Merkle tree with a bounded root history.
 
-Tornado-style construction: per-level filled-subtree cache, empty
-positions padded with precomputed zero nodes, exactly ``depth`` hash
-calls per insert. Paths are recomputed from the append-only leaf list
-on demand; the simulator is not performance-critical at desk scale.
+Tornado-style construction: empty positions padded with precomputed zero
+nodes, exactly ``depth`` hash calls per insert. Every node an insert
+hashes is kept in one list per level, so a path is read from the stored
+level nodes and costs no hashing.
 """
 
 from dataclasses import dataclass
@@ -35,13 +35,15 @@ class MerkleTree:
             raise DepthOutOfRange(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
         self.depth = depth
         self.next_index = 0
-        self.leaves: list = []
+        # levels[l] holds the nodes of level l computed so far, leftmost
+        # first; the rightmost one is zero-padded until its sibling arrives.
+        self.levels: list = [[] for _ in range(depth)]
+        self.leaves: list = self.levels[0]
         # zero node per level: zeros[0] = empty leaf, zeros[i+1] = H(z, z).
         # Charged once here, `depth` permutations.
         self.zeros = [ZERO]
         for _ in range(depth):
             self.zeros.append(mimc_hash2(self.zeros[-1], self.zeros[-1]))
-        self.filled_subtrees = list(self.zeros[:depth])
         self.root_history_size = root_history
         self.root_history: list = [self.zeros[depth]]
 
@@ -60,14 +62,18 @@ class MerkleTree:
         index = self.next_index
         current = leaf
         idx = index
-        for level in range(self.depth):
+        for level, nodes in enumerate(self.levels):
+            # hash before storing, so a leaf outside the field leaves no trace
             if idx % 2 == 0:
-                self.filled_subtrees[level] = current
-                current = mimc_hash2(current, self.zeros[level])
+                parent = mimc_hash2(current, self.zeros[level])
             else:
-                current = mimc_hash2(self.filled_subtrees[level], current)
+                parent = mimc_hash2(nodes[idx - 1], current)
+            if idx == len(nodes):
+                nodes.append(current)
+            else:
+                nodes[idx] = current
+            current = parent
             idx //= 2
-        self.leaves.append(leaf)
         self.next_index += 1
         self.root_history.append(current)
         if len(self.root_history) > self.root_history_size:
@@ -78,42 +84,17 @@ class MerkleTree:
         """Sibling path for the leaf at ``index`` against the current root."""
         if not 0 <= index < self.next_index:
             raise IndexUnknown(f"no leaf at index {index}")
-        level_nodes = list(self.leaves)
         elements, indices = [], []
         idx = index
-        for level in range(self.depth):
+        for nodes, zero in zip(self.levels, self.zeros):
             sib = idx ^ 1
-            zero = self.zeros[level]
-            elements.append(level_nodes[sib] if sib < len(level_nodes) else zero)
+            elements.append(nodes[sib] if sib < len(nodes) else zero)
             indices.append(idx % 2)
-            nxt = []
-            for i in range(0, len(level_nodes), 2):
-                left = level_nodes[i]
-                right = level_nodes[i + 1] if i + 1 < len(level_nodes) else zero
-                # reuse incremental hash function; cost is irrelevant here
-                # but keeps node values identical by construction
-                nxt.append(_node_hash(left, right))
-            level_nodes = nxt
             idx //= 2
         return MerklePath(elements, indices)
 
     def is_known_root(self, root: int) -> bool:
         return root in self.root_history
-
-
-# uncounted, memoized node hash for path reconstruction: paths are a
-# read-only view, not contract work, so they must not perturb the
-# op-counter. Same function as mimc_hash2 by construction.
-_path_cache: dict = {}
-
-
-def _node_hash(left: int, right: int) -> int:
-    key = (left, right)
-    if key not in _path_cache:
-        from .hashing import _permute_raw
-
-        _path_cache[key] = _permute_raw(left, right)[0]
-    return _path_cache[key]
 
 
 def verify_path(root: int, leaf: int, path: MerklePath) -> bool:

@@ -170,6 +170,37 @@ class TestLinkability:
         report = analyze_linkability(records, secrets)
         assert report["violations"] > 0
 
+    TWO_WAY_SCRIPT = [
+        {"op": "deposit", "wallet": "alice", "source": 1001, "dest": 1003, "label": "d0"},
+        {"op": "deposit", "wallet": "alice", "source": 1003, "dest": 1001, "label": "d1"},
+        {"op": "relay"},
+        {"op": "sign"},
+        {"op": "push_root"},
+        {"op": "withdraw", "deposit": "d0"},
+        {"op": "withdraw", "deposit": "d1"},
+    ]
+
+    def test_two_way_traffic_is_clean(self):
+        # each destination chain id is the public source chain id of the
+        # deposit events emitted on that chain
+        result = run_scenario(script_config(self.TWO_WAY_SCRIPT))
+        verdict = {v.name: v for v in result.verdicts}["no_hidden_field_leakage"]
+        assert verdict.passed, verdict.detail
+
+    @pytest.mark.parametrize("record,view", [
+        # a user-direct op on d0's source chain: only the source view sees it
+        ({"kind": "call", "op": "router_withdraw", "chain": 1001}, "source_view"),
+        # on d0's destination chain, but not a deposit event
+        ({"kind": "event", "op": "oracle_relay", "chain": 1003}, "oracle_view"),
+    ])
+    def test_planted_dest_id_is_caught(self, record, view):
+        result = run_scenario(script_config(self.TWO_WAY_SCRIPT))
+        secrets = result.sim.secrets_for_analysis()
+        records = list(result.transcript.records)
+        records.append(dict(record, i=len(records), oops=secrets[0]["dest_chain_id"]))
+        report = analyze_linkability(records, secrets)
+        assert report["deposits"][0][view]["dest_chain_id"] > 0
+
 
 class TestBuiltins:
     @pytest.mark.parametrize("name", sorted(BUILTINS))

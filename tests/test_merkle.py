@@ -70,6 +70,19 @@ class TestPaths:
             assert len(path.elements) == depth
             assert verify_path(tree.root, leaf, path)
 
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_every_leaf_proves_after_each_insert(self, depth):
+        # rightmost nodes stay zero-padded until their sibling arrives
+        tree = MerkleTree(depth)
+        leaves = _leaves(tree.capacity, seed=depth)
+        for n, leaf in enumerate(leaves, start=1):
+            tree.insert(leaf)
+            root = ref.naive_root(tuple(leaves[:n]), depth)
+            for i in range(n):
+                path = tree.path(i)
+                assert len(path.elements) == depth
+                assert verify_path(root, leaves[i], path)
+
     def test_path_fails_for_wrong_leaf(self):
         tree = MerkleTree(4)
         a, b = _leaves(2)

@@ -35,7 +35,12 @@ from .dact import (
     serialize_deposit,
     trustless_public_commitment,
 )
-from .errors import SignatureMissing, ThresholdUnmet, UnknownCommitment
+from .errors import (
+    DuplicateCommitment,
+    SignatureMissing,
+    ThresholdUnmet,
+    UnknownCommitment,
+)
 from .hashing import commit, nullifier_hash
 from .rng import SeededRng
 from .signing import KeyPair
@@ -199,7 +204,14 @@ class Oracle:
                 if self.policy.mode == "censor_chain" and cid == self.policy.censor_chain:
                     self.dropped.append(("deposit", cid))
                     continue
-                index = mixer_submit(mixer_chain, ev)
+                try:
+                    index = mixer_submit(mixer_chain, ev)
+                except DuplicateCommitment:
+                    # the commitment is already in the tree (a copy deposited
+                    # on another chain); the cursor must still pass it, or
+                    # every later relay on this chain fails the same way
+                    actions.append(("relay_rejected", cid, "DuplicateCommitment"))
+                    continue
                 self._relayed.append(ev)
                 actions.append(("relayed", cid, index))
                 if self.policy.mode == "replay":

@@ -38,14 +38,26 @@ DOMAIN_NULLIFIER = reduce_bytes(keccak256(b"anonbridge/nullifier"))
 
 
 def permute(x_left: int, x_right: int) -> tuple:
-    """One full Feistel permutation of the two-lane state. Cost: 1 unit."""
+    """One full Feistel permutation of the two-lane state. Cost: 1 unit.
+
+    Each round sets ``x_left, x_right = x_right + (x_left + c)**5, x_left``
+    over the field, and the last round leaves the lanes unswapped. Here
+    every round swaps and the return swaps back. Reductions mod P are
+    deferred: only the fifth power is reduced inside the loop, and both
+    lanes once on return. Every step adds, multiplies or reduces mod P,
+    so each lane stays congruent mod P to the fully reduced one, and the
+    final ``% P`` gives the same canonical result for any integer input.
+
+    Size bound, for inputs in [0, P): a lane gains one reduced power,
+    less than P, every two rounds, so after 220 rounds both lanes are
+    below 111 * P < 2**261. The base ``x_left + c`` stays below 112 * P.
+    """
     ops.charge_permutation()
-    for i in range(N_PERM_ROUNDS - 1):
-        t = pow((x_left + _C[i]) % P, 5, P)
-        x_left, x_right = (x_right + t) % P, x_left
-    t = pow((x_left + _C[N_PERM_ROUNDS - 1]) % P, 5, P)
-    x_right = (x_right + t) % P
-    return x_left, x_right
+    for c in _C:
+        t = x_left + c
+        t2 = t * t % P
+        x_left, x_right = x_right + t2 * t2 * t % P, x_left
+    return x_right % P, x_left % P
 
 
 def mimc_hash2(left: int, right: int) -> int:

@@ -3,6 +3,7 @@
 import pytest
 
 from anonbridge.actors import DappSigner, Oracle, OraclePolicy, ResilienceRules
+from anonbridge.dact import DepositRequest
 from anonbridge.errors import (
     ConstraintViolation,
     SignatureMissing,
@@ -96,6 +97,25 @@ class TestOracle:
         actions = sim.oracle.relay(sim.chains, sim.mixer_chain)
         kinds = [a[0] for a in actions]
         assert kinds == ["relayed", "replay_rejected"]
+
+    def test_copied_commitment_does_not_wedge_relay(self):
+        # a copycat re-deposits a relayed public commitment on another chain;
+        # the oracle records the rejection and keeps relaying that chain
+        sim = make_sim(wallets=("alice", "bob", "mallory"))
+        d = sim.deposit("alice", 1001, 1003)
+        sim.relay()
+        copy = DepositRequest(sim.deposits[d].commitment, b"\x07" * 32, 1,
+                              sim.dapp.contracts[1003].address)
+        sim.dapp.contracts[1003].forward_deposit(
+            sim.chains[1003], sim.wallets["mallory"], copy, 1
+        )
+        assert sim.relay() == [("relay_rejected", 1003, "DuplicateCommitment")]
+        honest = sim.deposit("bob", 1003, 1001)
+        assert [a[:2] for a in sim.relay()] == [("relayed", 1003)]
+        sim.sign()
+        sim.push_root()
+        sim.withdraw(honest)
+        assert sim.settled(honest)
 
 
 class TestSignerQuorum:

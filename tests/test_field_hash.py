@@ -89,6 +89,16 @@ class TestKeccak:
         keccak256(b"")
         assert ops.snapshot().keccak_blocks - before == 1
 
+    @pytest.mark.parametrize("n,blocks", [
+        (0, 1), (1, 1), (135, 1), (136, 2), (137, 2),
+        (271, 2), (272, 3), (273, 3), (408, 4),
+    ])
+    def test_block_boundaries(self, n, blocks):
+        data = bytes((7 * i + 1) % 256 for i in range(n))
+        before = ops.snapshot().keccak_blocks
+        assert keccak256(data) == ref.keccak256(data)
+        assert ops.snapshot().keccak_blocks - before == blocks
+
 
 # -- sponge permutation -----------------------------------------------------------
 
@@ -122,6 +132,17 @@ class TestPermutation:
     def test_matches_independent_implementation(self, a, b):
         assert mimc_hash2(a, b) == ref.hash2(a, b)
         assert commit(a, b) == ref.commit(a, b)
+
+    def test_both_lanes_match_reference_at_field_edges(self):
+        edges = (0, 1, P - 1, P - 2)
+        for a in edges:
+            for b in edges:
+                assert permute(a, b) == ref.permute(a, b)
+
+    @given(felt, felt)
+    @settings(max_examples=30, deadline=None)
+    def test_both_lanes_match_independent_implementation(self, a, b):
+        assert permute(a, b) == ref.permute(a, b)
 
     @given(felt, felt)
     @settings(max_examples=30, deadline=None)

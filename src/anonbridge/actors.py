@@ -174,8 +174,6 @@ class OraclePolicy:
     forged_root: int = 0
     censor_dapp: bytes = b""      # global hash of the censored dApp
     censor_chain: int = 0
-    relay_period: int = 1
-    root_push_period: int = 1
 
 
 class Oracle:
@@ -187,7 +185,6 @@ class Oracle:
         self.rng = rng
         self.offline = False
         self._cursors: dict = {}     # chain id -> next event index to scan
-        self._relayed: list = []     # events already relayed (for replay mode)
         self.dropped: list = []      # censored items, for transcript assertions
 
     def relay(self, chains: dict, mixer_chain: Chain) -> list:
@@ -212,7 +209,6 @@ class Oracle:
                     # every later relay on this chain fails the same way
                     actions.append(("relay_rejected", cid, "DuplicateCommitment"))
                     continue
-                self._relayed.append(ev)
                 actions.append(("relayed", cid, index))
                 if self.policy.mode == "replay":
                     # resubmit the same event; the mixer must dedupe
@@ -307,6 +303,8 @@ class DappSigner:
         self.ghash: bytes = b""
         self._halts_issued: list = []
         self._reverts_seen: list = []  # (block, value)
+        self._own_leaves: set = set()  # leaf values of deposits through us
+        self._cursors: dict = {}       # chain id -> next event index to scan
 
     @property
     def verifying_key(self) -> bytes:
@@ -320,19 +318,20 @@ class DappSigner:
             )
         return self.key.sign(message)
 
-    def _own_deposits(self, chains: dict) -> dict:
-        """Leaf value -> deposit event, for deposits through our contracts."""
+    def _scan_own_deposits(self, chains: dict) -> None:
+        """Add the leaves of new deposits through our contracts to
+        ``_own_leaves``; each event is decoded once."""
         own_addresses = {c.address.hex() for c in self.contracts.values()}
-        leaves = {}
         for cid in sorted(chains):
-            for ev in chains[cid].event_log:
+            log = chains[cid].event_log
+            for ev in log[self._cursors.get(cid, 0):]:
                 if ev.kind != "deposit":
                     continue
                 if ev.context.get("dapp_address") not in own_addresses:
                     continue
                 commitment, tpc, src = decode_deposit_event(ev.payload)
-                leaves[make_leaf(commitment, tpc, src).value] = ev
-        return leaves
+                self._own_leaves.add(make_leaf(commitment, tpc, src).value)
+            self._cursors[cid] = len(log)
 
     def scan_and_sign(self, chains: dict, mixer_chain: Chain) -> list:
         """Sign every unsigned mixer leaf that originated from our dApp.
@@ -342,13 +341,13 @@ class DappSigner:
         """
         if self.offline:
             return []
-        own = self._own_deposits(chains)
+        self._scan_own_deposits(chains)
         signed = []
         tree = mixer_chain.mixer.tree
         for index, leaf_value in enumerate(tree.leaves):
             if index in mixer_chain.mixer.leaf_signatures:
                 continue
-            if leaf_value not in own:
+            if leaf_value not in self._own_leaves:
                 continue  # not ours, or never originated on a source chain
             sig = self.threshold_sign(leaf_bytes(leaf_value))
             mixer_store_signature(mixer_chain, index, sig)

@@ -7,8 +7,8 @@ Subcommands:
     replay <transcript.jsonl>            re-execute a transcript's config and
                                          confirm the digest matches
 
-Exit status is 0 iff every verdict passed. ANONBRIDGE_SEED overrides the
-scenario seed.
+Exit status is 0 iff every verdict passed, and 2 when the config or a
+script action is malformed. ANONBRIDGE_SEED overrides the scenario seed.
 """
 
 import argparse
@@ -17,6 +17,7 @@ import os
 import sys
 from pathlib import Path
 
+from ..errors import ConfigInvalid
 from .config import ScenarioConfig
 from .metrics import sweep_depths
 from .scenarios import ATTACK_MATRIX, BUILTINS, builtin_config, run_scenario
@@ -25,7 +26,12 @@ from .transcript import Transcript
 
 def _env_seed(default):
     raw = os.environ.get("ANONBRIDGE_SEED")
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigInvalid(f"ANONBRIDGE_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_config(target: str, seed) -> ScenarioConfig:
@@ -148,7 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigInvalid as exc:
+        print(f"error: ConfigInvalid: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,15 +7,71 @@ driver; both replay deterministically from (config, seed).
 """
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 
 from ..dact import validate_chain_id
 from ..errors import ChainIdOutOfTier, ConfigInvalid
 
-ACTION_VOCABULARY = {
-    "deposit", "sign", "relay", "push_root", "withdraw",
-    "revert_mark", "revert_init", "halt", "execute", "advance", "go_offline",
+# action -> the fields it takes besides "op" and "expect", with their types
+ACTION_FIELDS = {
+    "deposit": {"wallet": str, "source": int, "dest": int, "label": str,
+                "payload": str, "version": int, "value": int},
+    "sign": {},
+    "relay": {},
+    "push_root": {},
+    "withdraw": {"deposit": str, "actor": str, "chain": int, "claim_dest": int,
+                 "via_oracle": bool, "tamper_payload": bool, "reuse_proof": bool},
+    "revert_mark": {"deposit": str, "chain": int},
+    "revert_init": {"deposit": str, "chain": int},
+    "halt": {},
+    "execute": {"deposit": str},
+    "advance": {"blocks": int, "chain": int},
+    "go_offline": {"actor": str},
 }
+ACTION_VOCABULARY = set(ACTION_FIELDS)
+
+_REQUIRED = {
+    "deposit": ("wallet", "source", "dest"),
+    "revert_mark": ("deposit",),
+    "revert_init": ("deposit",),
+    "execute": ("deposit",),
+    "go_offline": ("actor",),
+}
+
+
+def _check_action(i: int, action, config: "ScenarioConfig") -> None:
+    """Reject a script action the interpreter could not run as written."""
+    if not isinstance(action, dict):
+        raise ConfigInvalid(f"action {i}: must be an object, got {action!r}")
+    op = action.get("op")
+    if not isinstance(op, str) or op not in ACTION_FIELDS:
+        raise ConfigInvalid(f"action {i}: unknown action {op!r}")
+    where = f"action {i} ({op})"
+    types = dict(ACTION_FIELDS[op], op=str, expect=str)
+    for name, value in action.items():
+        if name not in types:
+            raise ConfigInvalid(f"{where}: unknown field {name!r}")
+        if value is not None and not isinstance(value, types[name]):
+            raise ConfigInvalid(f"{where}: field {name!r} must be "
+                                f"{types[name].__name__}, got {value!r}")
+    required = _REQUIRED.get(op, ())
+    if op == "withdraw" and action.get("actor") != "oracle":
+        required = ("deposit",)
+    for name in required:
+        if action.get(name) is None:
+            raise ConfigInvalid(f"{where}: missing field {name!r}")
+    known = {"wallet": config.wallets, "source": config.chains,
+             "chain": config.chains}
+    if op == "go_offline":
+        known["actor"] = ("oracle", "dapp")
+    for name, allowed in known.items():
+        if action.get(name) is not None and action[name] not in allowed:
+            raise ConfigInvalid(f"{where}: field {name!r} names unknown "
+                                f"{action[name]!r}")
+    try:
+        bytes.fromhex(action.get("payload") or "")
+    except ValueError:
+        raise ConfigInvalid(f"{where}: field 'payload' is not hex") from None
 
 
 @dataclass
@@ -35,6 +91,15 @@ class ScenarioConfig:
     builtin: str = None                          # or a builtin driver name
 
     def validate(self) -> "ScenarioConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, f.type) or value is None and f.default is None):
+                raise ConfigInvalid(f"field {f.name!r} must be "
+                                    f"{f.type.__name__}, got {value!r}")
+        if not 0 <= self.seed < 1 << 256:
+            raise ConfigInvalid(f"field 'seed' must be in [0, 2^256), got {self.seed}")
+        if not all(isinstance(cid, int) for cid in self.chains):
+            raise ConfigInvalid(f"field 'chains' must list integers, got {self.chains!r}")
         try:
             for cid in self.chains:
                 validate_chain_id(cid)
@@ -48,10 +113,8 @@ class ScenarioConfig:
             raise ConfigInvalid("merkle_depth must be in 1..32")
         if (self.script is None) == (self.builtin is None):
             raise ConfigInvalid("exactly one of script/builtin must be set")
-        if self.script is not None:
-            for action in self.script:
-                if action.get("op") not in ACTION_VOCABULARY:
-                    raise ConfigInvalid(f"unknown action {action.get('op')!r}")
+        for i, action in enumerate(self.script or []):
+            _check_action(i, action, self)
         return self
 
     def to_json(self) -> str:

@@ -17,10 +17,9 @@ from ..signing import KeyPair
 def measure_depth(depth: int, seed: int = 0) -> dict:
     """Insert/prove/verify costs for one tree depth."""
     rng = SeededRng(seed).child(f"sweep/{depth}")
-    ops.reset()
 
-    tree = MerkleTree(depth)
-    setup_perms = ops.snapshot().permutations
+    with ops.counting() as setup:
+        tree = MerkleTree(depth)
 
     secret, nullifier = random_field_31(rng), random_field_31(rng)
     c = commit(secret, nullifier)
@@ -28,9 +27,8 @@ def measure_depth(depth: int, seed: int = 0) -> dict:
     source_chain = 1001
     leaf = make_leaf(c, tpc, source_chain)
 
-    before = ops.snapshot()
-    index = tree.insert(leaf.value)
-    insert_perms = ops.snapshot().delta(before).permutations
+    with ops.counting() as insert:
+        index = tree.insert(leaf.value)
 
     signer = KeyPair.generate(rng)
     signature = signer.sign(leaf.value.to_bytes(32, "big"))
@@ -40,24 +38,22 @@ def measure_depth(depth: int, seed: int = 0) -> dict:
                               signer.verifying_key)
     witness = SettlementWitness(nullifier, secret, path, source_chain, signature)
 
-    before = ops.snapshot()
-    proof = proofs.prove(circuit_mod.SETTLEMENT, witness, public)
-    prove_delta = ops.snapshot().delta(before)
+    with ops.counting() as prove:
+        proof = proofs.prove(circuit_mod.SETTLEMENT, witness, public)
 
-    before = ops.snapshot()
-    assert proofs.verify(circuit_mod.SETTLEMENT, proof)
-    verify_delta = ops.snapshot().delta(before)
+    with ops.counting() as verify:
+        assert proofs.verify(circuit_mod.SETTLEMENT, proof)
 
     return {
         "depth": depth,
         "capacity": 1 << depth,
-        "setup_permutations": setup_perms,
-        "insert_permutations": insert_perms,
-        "prove_constraints": prove_delta.constraint_evals,
-        "prove_permutations": prove_delta.permutations,
-        "verify_ops": verify_delta.proof_verifies,
-        "verify_keccak_blocks": verify_delta.keccak_blocks,
-        "verify_permutations": verify_delta.permutations,
+        "setup_permutations": setup.permutations,
+        "insert_permutations": insert.permutations,
+        "prove_constraints": prove.constraint_evals,
+        "prove_permutations": prove.permutations,
+        "verify_ops": verify.proof_verifies,
+        "verify_keccak_blocks": verify.keccak_blocks,
+        "verify_permutations": verify.permutations,
     }
 
 

@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass, replace as dc_replace
 
+from .. import ops
 from ..chain import router_register_dapp, router_withdraw
 from ..circuit import Proof
 from ..errors import ConfigInvalid, SimError
@@ -354,10 +355,19 @@ def builtin_config(name: str, seed: int = 0, **overrides) -> ScenarioConfig:
 # -- declarative script interpreter -----------------------------------------------
 
 def _run_script(sim: Simulation, script: list) -> None:
-    for action in script:
+    """Run a script ``ScenarioConfig.validate`` accepted; only the deposit
+    labels it names are left to check as it runs."""
+    for i, action in enumerate(script):
         a = dict(action)
         op = a.pop("op")
         expect = a.pop("expect", None)
+        label = a.get("deposit")
+        if label is not None and label not in sim.deposits:
+            raise ConfigInvalid(f"action {i} ({op}): field 'deposit' names no "
+                                f"deposit made so far: {label!r}")
+        if op == "execute" and label not in sim._revert_params:
+            raise ConfigInvalid(f"action {i} ({op}): deposit {label!r} has no "
+                                f"revert proof; revert_mark or revert_init it first")
         if op == "deposit":
             payload = bytes.fromhex(a["payload"]) if "payload" in a else None
             sim.deposit(a["wallet"], a["source"], a["dest"],
@@ -389,8 +399,6 @@ def _run_script(sim: Simulation, script: list) -> None:
             sim.advance(a.get("blocks", 1), chain=a.get("chain"), expect=expect)
         elif op == "go_offline":
             sim.go_offline(a["actor"], expect=expect)
-        else:
-            raise ConfigInvalid(f"unknown action {op!r}")
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
@@ -398,11 +406,14 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     config.validate()
     sim = Simulation(config)
     try:
-        if config.builtin is not None:
-            driver, _ = BUILTINS[config.builtin]
-            driver(sim)
-        else:
-            _run_script(sim, config.script)
+        with ops.counting(sim.ops):  # also direct wallet calls in a scenario
+            if config.builtin is not None:
+                driver, _ = BUILTINS[config.builtin]
+                driver(sim)
+            else:
+                _run_script(sim, config.script)
+    except ConfigInvalid:
+        raise  # malformed input, not a protocol outcome
     except SimError as exc:
         sim.check("scenario_completed", False, f"{type(exc).__name__}: {exc}")
     sim.verdicts.extend(standard_verdicts(sim))

@@ -2,8 +2,8 @@
 
 Builds the chain topology, actors, and proof system from a config, then
 exposes one method per script action. Every action and contract call is
-logged to the transcript; op-counter deltas are attributed per operation
-for the metrics report.
+logged to the transcript. Each simulation owns its op counter: set-up,
+every call (also kept per operation) and the scenario code charge it.
 """
 
 from dataclasses import dataclass
@@ -67,56 +67,59 @@ def _error_name(exc: Exception) -> str:
 class Simulation:
     def __init__(self, config: ScenarioConfig):
         config.validate()
-        ops.reset()
         self.config = config
-        self.rng = SeededRng(config.seed)
+        self.ops = ops.OpCounts()       # set-up, every call, the scenario
+        self.metrics: dict = {}         # op name -> OpCounts of its calls
         self.transcript = Transcript()
-        self.metrics: dict = {}
         self.verdicts: list = []
-        self.proofs = ProofSystem(self.rng.child("deity-keys"))
-
-        oracle_auth = self.rng.child("oracle-auth").bytes(32)
-        self.chains = {}
-        for cid in config.chains:
-            depth = config.merkle_depth if cid == config.multiplexer else None
-            self.chains[cid] = Chain(cid, depth=depth, oracle_auth=oracle_auth)
-        self.mixer_chain = self.chains[config.multiplexer]
-
-        self.transcript.log("header", config=config.to_json())
-
-        # one dApp spanning every chain
-        dapp_cfg = dict(config.dapp)
-        resilience = ResilienceRules(
-            max_reverts_per_period=dapp_cfg.pop("max_reverts_per_period", 1000),
-            period_blocks=dapp_cfg.pop("period_blocks", 1000),
-            max_value_per_revert=dapp_cfg.pop("max_value_per_revert", 10**9),
-        )
-        self.dapp = DappSigner(
-            "dapp", self.rng.child("dapp-keys"),
-            scheme=dapp_cfg.pop("scheme", "single"),
-            n=dapp_cfg.pop("n", 1), k=dapp_cfg.pop("k", 1),
-            resilience=resilience,
-        )
-        if dapp_cfg:
-            raise ConfigInvalid(f"unknown dapp config fields: {sorted(dapp_cfg)}")
-        self._deploy_and_register(self.dapp, "dapp")
-
-        policy_cfg = dict(config.oracle)
-        censor = policy_cfg.pop("censor_dapp", False)
-        policy = OraclePolicy(**policy_cfg)
-        if censor:
-            policy.censor_dapp = self.dapp.ghash
-        self.oracle = Oracle(policy, oracle_auth, self.rng.child("oracle"))
-
-        self.wallets = {
-            name: Wallet(name, self.rng.child(f"wallet/{name}"))
-            for name in config.wallets
-        }
-
         self.deposits: dict = {}        # label -> DepositInfo
         self._settle_params: dict = {}  # label -> (proof, payload, salt, version)
         self._revert_params: dict = {}  # label -> build_revert output
         self._n_deposits = 0
+        with ops.counting(self.ops):
+            self.rng = SeededRng(config.seed)
+            self.proofs = ProofSystem(self.rng.child("deity-keys"))
+
+            oracle_auth = self.rng.child("oracle-auth").bytes(32)
+            self.chains = {}
+            for cid in config.chains:
+                depth = config.merkle_depth if cid == config.multiplexer else None
+                self.chains[cid] = Chain(cid, depth=depth, oracle_auth=oracle_auth)
+            self.mixer_chain = self.chains[config.multiplexer]
+
+            self.transcript.log("header", config=config.to_json())
+
+            # one dApp spanning every chain
+            dapp_cfg = dict(config.dapp)
+            resilience = ResilienceRules(
+                max_reverts_per_period=dapp_cfg.pop("max_reverts_per_period", 1000),
+                period_blocks=dapp_cfg.pop("period_blocks", 1000),
+                max_value_per_revert=dapp_cfg.pop("max_value_per_revert", 10**9),
+            )
+            self.dapp = DappSigner(
+                "dapp", self.rng.child("dapp-keys"),
+                scheme=dapp_cfg.pop("scheme", "single"),
+                n=dapp_cfg.pop("n", 1), k=dapp_cfg.pop("k", 1),
+                resilience=resilience,
+            )
+            if dapp_cfg:
+                raise ConfigInvalid(f"unknown dapp config fields: {sorted(dapp_cfg)}")
+            self._deploy_and_register(self.dapp, "dapp")
+
+            policy_cfg = dict(config.oracle)
+            censor = policy_cfg.pop("censor_dapp", False)
+            unknown = set(policy_cfg) - set(OraclePolicy.__dataclass_fields__)
+            if unknown:
+                raise ConfigInvalid(f"unknown oracle config fields: {sorted(unknown)}")
+            policy = OraclePolicy(**policy_cfg)
+            if censor:
+                policy.censor_dapp = self.dapp.ghash
+            self.oracle = Oracle(policy, oracle_auth, self.rng.child("oracle"))
+
+            self.wallets = {
+                name: Wallet(name, self.rng.child(f"wallet/{name}"))
+                for name in config.wallets
+            }
 
     # -- setup helpers ---------------------------------------------------------
 
@@ -150,24 +153,24 @@ class Simulation:
     def deploy_extra_dapp(self, tag: str, scheme: str = "single",
                           n: int = 1, k: int = 1) -> DappSigner:
         """Second dApp for wrong-dApp and registration-attack scenarios."""
-        signer = DappSigner(tag, self.rng.child(f"{tag}-keys"), scheme=scheme, n=n, k=k)
-        self._deploy_and_register(signer, tag)
+        with ops.counting(self.ops):
+            signer = DappSigner(tag, self.rng.child(f"{tag}-keys"),
+                                scheme=scheme, n=n, k=k)
+            self._deploy_and_register(signer, tag)
         return signer
 
     # -- logging / metrics wrapper ----------------------------------------------
 
     def _call(self, op: str, chain, fn, expect=None, **logged):
-        before = ops.snapshot()
         error = None
         result = None
-        try:
-            result = fn()
-        except SimError as exc:
-            error = exc
-        delta = ops.snapshot().delta(before)
-        bucket = self.metrics.setdefault(op, ops.OpCounts())
-        for k, v in delta.as_dict().items():
-            setattr(bucket, k, getattr(bucket, k) + v)
+        with ops.counting() as spent:
+            try:
+                result = fn()
+            except SimError as exc:
+                error = exc
+        self.metrics.setdefault(op, ops.OpCounts()).add(spent)
+        self.ops.add(spent)
         self.transcript.log(
             "call", op=op, chain=chain,
             ok=error is None,
@@ -196,7 +199,8 @@ class Simulation:
         self._n_deposits += 1
         w = self.wallets[wallet]
         if payload is None:
-            payload = self.rng.child(f"payload/{label}").bytes(32)
+            with ops.counting(self.ops):
+                payload = self.rng.child(f"payload/{label}").bytes(32)
         contract = self.dapp.contracts[source]
 
         def _do():
@@ -310,18 +314,20 @@ class Simulation:
                                 chain=dest_chain.chain_id, deposit=label)
         return result
 
+    def _revert_built(self, label: str) -> tuple:
+        """The deposit's revert proof and call parameters, built once."""
+        if label not in self._revert_params:
+            info = self.deposits[label]
+            self._revert_params[label] = self.wallets[info.wallet].build_revert(
+                info.commitment, self.mixer_chain, self.proofs)
+        return self._revert_params[label]
+
     def revert_mark(self, label: str, expect=None, chain: int = None):
         info = self.deposits[label]
-        w = self.wallets[info.wallet]
         dest_chain = self.chains[chain if chain is not None else info.dest]
 
         def _do():
-            if label in self._revert_params:
-                built = self._revert_params[label]
-            else:
-                built = w.build_revert(info.commitment, self.mixer_chain, self.proofs)
-                self._revert_params[label] = built
-            proof, payload, salt, version, ghash, path = built
+            proof, payload, salt, version, ghash, path = self._revert_built(label)
             router_revert_mark_destination(
                 dest_chain, proof, payload, salt, version, ghash, path, self.proofs
             )
@@ -335,16 +341,10 @@ class Simulation:
 
     def revert_init(self, label: str, expect=None, chain: int = None):
         info = self.deposits[label]
-        w = self.wallets[info.wallet]
         src_chain = self.chains[chain if chain is not None else info.source]
 
         def _do():
-            if label in self._revert_params:
-                built = self._revert_params[label]
-            else:
-                built = w.build_revert(info.commitment, self.mixer_chain, self.proofs)
-                self._revert_params[label] = built
-            proof = built[0]
+            proof = self._revert_built(label)[0]
             return router_revert_initiate_source(
                 src_chain, proof, self.proofs,
                 self.config.window, self.config.cooldown, self.config.revert_fee,
@@ -433,5 +433,4 @@ class Simulation:
 
     def metrics_report(self) -> dict:
         per_op = {op: c.as_dict() for op, c in sorted(self.metrics.items())}
-        total = ops.snapshot().as_dict()
-        return {"per_op": per_op, "total": total}
+        return {"per_op": per_op, "total": self.ops.as_dict()}

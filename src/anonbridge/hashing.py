@@ -15,7 +15,6 @@ from . import ops
 from .field import P, check, reduce_bytes
 from .keccak import keccak256
 
-N_ROUNDS = 5  # exponent
 N_PERM_ROUNDS = 220
 
 _CONSTANT_SEED = b"mimcsponge"

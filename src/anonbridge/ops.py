@@ -4,11 +4,15 @@ Costs are plain counts (1 unit per sponge permutation, 1 per keccak block,
 1 per signature verification, 1 per elementary constraint check, 1 per
 proof verification) and are never converted to currency units.
 
-The counter is a process-global single-writer object; the scenario
-scheduler owns it and resets it between scenarios.
+Every charge goes to the counter of the innermost ``counting()`` block in
+the current context (a PEP 567 context variable: each thread and asyncio
+task has its own). Each ``Simulation`` owns one counter; a charge made
+outside every block goes nowhere and cannot be read.
 """
 
-from dataclasses import dataclass, field, asdict
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, asdict
 
 
 @dataclass
@@ -22,50 +26,50 @@ class OpCounts:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def delta(self, earlier: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.permutations - earlier.permutations,
-            self.keccak_blocks - earlier.keccak_blocks,
-            self.sig_verifies - earlier.sig_verifies,
-            self.constraint_evals - earlier.constraint_evals,
-            self.proof_verifies - earlier.proof_verifies,
-        )
-
-    def copy(self) -> "OpCounts":
-        return OpCounts(**self.as_dict())
+    def add(self, other: "OpCounts") -> None:
+        self.permutations += other.permutations
+        self.keccak_blocks += other.keccak_blocks
+        self.sig_verifies += other.sig_verifies
+        self.constraint_evals += other.constraint_evals
+        self.proof_verifies += other.proof_verifies
 
 
-_counter = OpCounts()
+_active: ContextVar = ContextVar("anonbridge.ops", default=None)
+
+
+@contextmanager
+def counting(counts: OpCounts = None):
+    """Charge the block's operations to ``counts`` (a fresh counter when
+    None) and yield it. Blocks nest; only the innermost one is charged."""
+    if counts is None:
+        counts = OpCounts()
+    token = _active.set(counts)
+    try:
+        yield counts
+    finally:
+        _active.reset(token)
 
 
 def charge_permutation(n: int = 1) -> None:
-    _counter.permutations += n
+    if (counts := _active.get()) is not None:
+        counts.permutations += n
 
 
 def charge_keccak_blocks(n: int) -> None:
-    _counter.keccak_blocks += n
+    if (counts := _active.get()) is not None:
+        counts.keccak_blocks += n
 
 
 def charge_sig_verify(n: int = 1) -> None:
-    _counter.sig_verifies += n
+    if (counts := _active.get()) is not None:
+        counts.sig_verifies += n
 
 
 def charge_constraint(n: int = 1) -> None:
-    _counter.constraint_evals += n
+    if (counts := _active.get()) is not None:
+        counts.constraint_evals += n
 
 
 def charge_proof_verify(n: int = 1) -> None:
-    _counter.proof_verifies += n
-
-
-def snapshot() -> OpCounts:
-    return _counter.copy()
-
-
-def reset() -> None:
-    global _counter
-    _counter.permutations = 0
-    _counter.keccak_blocks = 0
-    _counter.sig_verifies = 0
-    _counter.constraint_evals = 0
-    _counter.proof_verifies = 0
+    if (counts := _active.get()) is not None:
+        counts.proof_verifies += n

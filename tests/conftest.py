@@ -7,17 +7,8 @@ import pytest
 TESTS_DIR = Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))
 
-from anonbridge import ops  # noqa: E402
-
 
 @pytest.fixture(scope="session")
 def golden() -> dict:
     with open(TESTS_DIR / "fixtures" / "golden.json") as fh:
         return json.load(fh)
-
-
-@pytest.fixture(autouse=True)
-def _reset_op_counter():
-    ops.reset()
-    yield
-    ops.reset()

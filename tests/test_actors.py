@@ -160,6 +160,16 @@ class TestSignerOrigination:
         assert signed == [0]
         assert 1 not in sim.mixer_chain.mixer.leaf_signatures
 
+    def test_signs_deposits_made_after_a_scan(self):
+        sim = make_sim()
+        sim.deposit("alice", 1001, 1003)
+        sim.relay()
+        assert sim.sign() == [0]
+        sim.deposit("alice", 1003, 1001)
+        assert sim.sign() == []  # not relayed yet
+        sim.relay()
+        assert sim.sign() == [1]
+
     def test_ignores_other_dapps_deposits(self):
         sim = make_sim()
         other = sim.deploy_extra_dapp("other")

@@ -174,9 +174,8 @@ class TestCosts:
             sw, sp, *_, _ = build_case(depth, depth=depth)
             proofs = ProofSystem(SeededRng(depth))
             proof = proofs.prove(SETTLEMENT, sw, sp)
-            before = ops.snapshot()
-            proofs.verify(SETTLEMENT, proof)
-            d = ops.snapshot().delta(before)
+            with ops.counting() as d:
+                proofs.verify(SETTLEMENT, proof)
             assert d.proof_verifies == 1
             assert d.permutations == 0 and d.sig_verifies == 0
             deltas.add(tuple(d.as_dict().items()))
@@ -186,7 +185,7 @@ class TestCosts:
         for depth in (2, 4, 8):
             sw, sp, *_, _ = build_case(depth, depth=depth)
             proofs = ProofSystem(SeededRng(depth))
-            before = ops.snapshot().constraint_evals
-            proofs.prove(SETTLEMENT, sw, sp)
+            with ops.counting() as c:
+                proofs.prove(SETTLEMENT, sw, sp)
             # nullifier + path-fold (depth) + membership + signature
-            assert ops.snapshot().constraint_evals - before == depth + 3
+            assert c.constraint_evals == depth + 3

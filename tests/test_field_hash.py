@@ -82,12 +82,12 @@ class TestKeccak:
         assert keccak256(data) == ref.keccak256(data)
 
     def test_block_charging(self):
-        before = ops.snapshot().keccak_blocks
-        keccak256(b"x" * 136)  # one full block plus the padding block
-        assert ops.snapshot().keccak_blocks - before == 2
-        before = ops.snapshot().keccak_blocks
-        keccak256(b"")
-        assert ops.snapshot().keccak_blocks - before == 1
+        with ops.counting() as c:
+            keccak256(b"x" * 136)  # one full block plus the padding block
+        assert c.keccak_blocks == 2
+        with ops.counting() as c:
+            keccak256(b"")
+        assert c.keccak_blocks == 1
 
     @pytest.mark.parametrize("n,blocks", [
         (0, 1), (1, 1), (135, 1), (136, 2), (137, 2),
@@ -95,9 +95,9 @@ class TestKeccak:
     ])
     def test_block_boundaries(self, n, blocks):
         data = bytes((7 * i + 1) % 256 for i in range(n))
-        before = ops.snapshot().keccak_blocks
-        assert keccak256(data) == ref.keccak256(data)
-        assert ops.snapshot().keccak_blocks - before == blocks
+        with ops.counting() as c:
+            assert keccak256(data) == ref.keccak256(data)
+        assert c.keccak_blocks == blocks
 
 
 # -- sponge permutation -----------------------------------------------------------
@@ -152,15 +152,15 @@ class TestPermutation:
             assert permute(a, b) != permute(b, a)
 
     def test_hash2_costs_one_permutation(self):
-        before = ops.snapshot().permutations
-        mimc_hash2(1, 2)
-        assert ops.snapshot().permutations - before == 1
+        with ops.counting() as c:
+            mimc_hash2(1, 2)
+        assert c.permutations == 1
 
     def test_sponge_costs_one_permutation_per_input(self):
         for n in (1, 2, 5):
-            before = ops.snapshot().permutations
-            mimc_sponge(list(range(n)), DOMAIN_COMMIT)
-            assert ops.snapshot().permutations - before == n
+            with ops.counting() as c:
+                mimc_sponge(list(range(n)), DOMAIN_COMMIT)
+            assert c.permutations == n
 
     def test_hash2_rejects_out_of_field(self):
         with pytest.raises(NotInField):
@@ -233,9 +233,9 @@ class TestSigning:
     def test_verify_charged(self):
         kp = KeyPair.generate(SeededRng(1))
         sig = sign(kp, b"x")
-        before = ops.snapshot().sig_verifies
-        verify(kp.verifying_key, b"x", sig)
-        assert ops.snapshot().sig_verifies - before == 1
+        with ops.counting() as c:
+            verify(kp.verifying_key, b"x", sig)
+        assert c.sig_verifies == 1
 
     def test_bad_seed_length(self):
         with pytest.raises(ValueError):

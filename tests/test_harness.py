@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from anonbridge import ops
 from anonbridge.errors import ConfigInvalid
 from anonbridge.harness import (
     ACTION_VOCABULARY,
@@ -14,6 +15,7 @@ from anonbridge.harness import (
     analyze_linkability,
     builtin_config,
     run_scenario,
+    sweep_depths,
 )
 from anonbridge.harness.cli import main
 from anonbridge.harness.simulation import Simulation, UnexpectedOutcome
@@ -68,6 +70,34 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             builtin_config("nonexistent")
 
+    @pytest.mark.parametrize("oracle", [{"bogus": 1}, {"relay_period": 3}])
+    def test_unknown_oracle_fields_rejected(self, oracle):
+        with pytest.raises(ConfigInvalid, match="unknown oracle config fields"):
+            Simulation(script_config([], oracle=oracle))
+
+    @pytest.mark.parametrize("mutation,message", [
+        ({"script": [dict(HAPPY_SCRIPT[0], wallet="mallory")]},
+         "action 0 (deposit): field 'wallet' names unknown 'mallory'"),
+        ({"script": HAPPY_SCRIPT[:4] + [{"op": "withdraw", "deposit": "d9"}]},
+         "action 4 (withdraw): field 'deposit' names no deposit made so far: 'd9'"),
+        ({"script": [{"op": "deposit", "wallet": "alice", "dest": 1003}]},
+         "action 0 (deposit): missing field 'source'"),
+        ({"seed": "seven"}, "field 'seed' must be int, got 'seven'"),
+        ({"script": [{"op": "advance", "blocks": "ten"}]},
+         "action 0 (advance): field 'blocks' must be int, got 'ten'"),
+        ({"script": [{"op": "relay", "chian": 1001}]},
+         "action 0 (relay): unknown field 'chian'"),
+    ], ids=["unknown_wallet", "undefined_label", "missing_field", "string_seed",
+            "mistyped_field", "unknown_field"])
+    def test_malformed_input_is_config_invalid(self, tmp_path, capsys,
+                                               mutation, message):
+        data = {"seed": 1, "name": "malformed", "script": HAPPY_SCRIPT}
+        data.update(mutation)
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(data))
+        assert main(["run", str(scenario)]) == 2
+        assert capsys.readouterr().err == f"error: ConfigInvalid: {message}\n"
+
 
 class TestScriptInterpreter:
     def test_happy_script_delivers(self):
@@ -92,7 +122,7 @@ class TestScriptInterpreter:
 
     def test_unexpected_error_is_a_failed_verdict_not_a_crash(self):
         script = [{"op": "withdraw", "deposit": "missing"}]
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigInvalid):
             # unknown label is a harness-usage bug, not a protocol outcome
             run_scenario(script_config(script))
         script = [
@@ -123,6 +153,38 @@ class TestReplayDeterminism:
         b = run_scenario(builtin_config("double_spend", seed=4)).metrics
         assert a == b
         assert all(v >= 0 for v in a["total"].values())
+
+
+class TestOpCounter:
+    def test_simulations_count_independently(self):
+        a = Simulation(script_config([]))
+        a.deposit("alice", 1001, 1003)
+        a.relay()
+        a.sign()
+        before = a.metrics_report()
+        Simulation(script_config([], seed=2)).deposit("alice", 1001, 1003)
+        sweep_depths([4])
+        assert a.metrics_report() == before
+        assert before["total"]["permutations"] > 0
+
+    def test_innermost_block_is_charged(self):
+        ops.charge_permutation()  # outside every block: goes nowhere
+        with ops.counting() as outer:
+            ops.charge_permutation()
+            with ops.counting() as inner:
+                ops.charge_keccak_blocks(3)
+            ops.charge_sig_verify()
+        assert outer.as_dict() == {"permutations": 1, "keccak_blocks": 0,
+                                   "sig_verifies": 1, "constraint_evals": 0,
+                                   "proof_verifies": 0}
+        assert inner.keccak_blocks == 3 and inner.permutations == 0
+
+    def test_scenario_work_outside_calls_is_counted(self):
+        # wrong_dapp_call builds a settlement proof straight from the wallet
+        result = run_scenario(builtin_config("wrong_dapp_call", seed=0))
+        in_calls = sum(c["constraint_evals"]
+                       for c in result.metrics["per_op"].values())
+        assert result.metrics["total"]["constraint_evals"] > in_calls
 
 
 class TestTranscript:

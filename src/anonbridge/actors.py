@@ -126,13 +126,11 @@ class Wallet:
         od = obfuscate(rec.intent, rec.note.salt)
         tpc = trustless_public_commitment(rec.ghash, rec.version, od)
         leaf = make_leaf(commitment, tpc, rec.source_chain)
-        tree = mixer_chain.mixer.tree
-        try:
-            index = tree.leaves.index(leaf.value)
-        except ValueError:
+        index = mixer_chain.mixer.tree.leaf_index.get(leaf.value)
+        if index is None:
             raise UnknownCommitment(
                 f"leaf for commitment {commitment} not in the global tree"
-            ) from None
+            )
         return rec, tpc, leaf, index
 
     def build_settlement(self, commitment: int, mixer_chain: Chain,
@@ -168,9 +166,12 @@ class Wallet:
 
 # -- oracle network -------------------------------------------------------------
 
+ORACLE_MODES = ("honest", "forge_root", "censor_dapp", "censor_chain", "replay")
+
+
 @dataclass
 class OraclePolicy:
-    mode: str = "honest"  # honest | forge_root | censor_dapp | censor_chain | replay
+    mode: str = "honest"  # one of ORACLE_MODES
     forged_root: int = 0
     censor_dapp: bytes = b""      # global hash of the censored dApp
     censor_chain: int = 0

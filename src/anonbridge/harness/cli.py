@@ -7,8 +7,9 @@ Subcommands:
     replay <transcript.jsonl>            re-execute a transcript's config and
                                          confirm the digest matches
 
-Exit status is 0 iff every verdict passed, and 2 when the config or a
-script action is malformed. ANONBRIDGE_SEED overrides the scenario seed.
+Exit status is 0 iff every verdict passed, and 2 when the config, a
+script action or a sweep depth is malformed. ANONBRIDGE_SEED overrides
+the scenario seed.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 from ..errors import ConfigInvalid
+from ..merkle import MAX_DEPTH
 from .config import ScenarioConfig
 from .metrics import sweep_depths
 from .scenarios import ATTACK_MATRIX, BUILTINS, builtin_config, run_scenario
@@ -74,7 +76,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    depths = [int(d) for d in args.depths.split(",")]
+    try:
+        depths = [int(d) for d in args.depths.split(",")]
+    except ValueError:
+        depths = []
+    if not depths or not all(1 <= d <= MAX_DEPTH for d in depths):
+        print(f"error: --depths must list integers in 1..{MAX_DEPTH}, "
+              f"got {args.depths!r}", file=sys.stderr)
+        return 2
     seed = _env_seed(args.seed) or 0
     rows = sweep_depths(depths, seed=seed)
     cols = list(rows[0])

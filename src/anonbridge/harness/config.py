@@ -9,6 +9,7 @@ driver; both replay deterministically from (config, seed).
 import json
 from dataclasses import dataclass, field, asdict, fields
 
+from ..actors import ORACLE_MODES
 from ..dact import validate_chain_id
 from ..errors import ChainIdOutOfTier, ConfigInvalid
 
@@ -30,6 +31,14 @@ ACTION_FIELDS = {
 }
 ACTION_VOCABULARY = set(ACTION_FIELDS)
 
+# the fields the "dapp" and "oracle" sections take, with their types; the
+# dapp's go to DappSigner and ResilienceRules, the oracle's to OraclePolicy
+# ("censor_dapp" is a flag: the oracle censors the scenario's dApp)
+DAPP_FIELDS = {"scheme": str, "n": int, "k": int, "max_reverts_per_period": int,
+               "period_blocks": int, "max_value_per_revert": int}
+ORACLE_FIELDS = {"mode": str, "forged_root": int, "censor_dapp": bool,
+                 "censor_chain": int}
+
 _REQUIRED = {
     "deposit": ("wallet", "source", "dest"),
     "revert_mark": ("deposit",),
@@ -37,6 +46,12 @@ _REQUIRED = {
     "execute": ("deposit",),
     "go_offline": ("actor",),
 }
+
+
+def _is_a(value, kind: type) -> bool:
+    """``isinstance``, except that a boolean is not an ``int`` here: a JSON
+    ``true`` where a number belongs is a mistake, not the number 1."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
 def _check_action(i: int, action, config: "ScenarioConfig") -> None:
@@ -51,7 +66,7 @@ def _check_action(i: int, action, config: "ScenarioConfig") -> None:
     for name, value in action.items():
         if name not in types:
             raise ConfigInvalid(f"{where}: unknown field {name!r}")
-        if value is not None and not isinstance(value, types[name]):
+        if value is not None and not _is_a(value, types[name]):
             raise ConfigInvalid(f"{where}: field {name!r} must be "
                                 f"{types[name].__name__}, got {value!r}")
     required = _REQUIRED.get(op, ())
@@ -74,6 +89,17 @@ def _check_action(i: int, action, config: "ScenarioConfig") -> None:
         raise ConfigInvalid(f"{where}: field 'payload' is not hex") from None
 
 
+def _check_section(section: str, values: dict, types: dict) -> None:
+    """Reject an unknown or mistyped field of the dapp or oracle section."""
+    unknown = set(values) - set(types)
+    if unknown:
+        raise ConfigInvalid(f"unknown {section} config fields: {sorted(unknown)}")
+    for name, value in values.items():
+        if not _is_a(value, types[name]):
+            raise ConfigInvalid(f"field '{section}.{name}' must be "
+                                f"{types[name].__name__}, got {value!r}")
+
+
 @dataclass
 class ScenarioConfig:
     seed: int = 0
@@ -93,12 +119,12 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, f.type) or value is None and f.default is None):
+            if not (_is_a(value, f.type) or value is None and f.default is None):
                 raise ConfigInvalid(f"field {f.name!r} must be "
                                     f"{f.type.__name__}, got {value!r}")
         if not 0 <= self.seed < 1 << 256:
             raise ConfigInvalid(f"field 'seed' must be in [0, 2^256), got {self.seed}")
-        if not all(isinstance(cid, int) for cid in self.chains):
+        if not all(_is_a(cid, int) for cid in self.chains):
             raise ConfigInvalid(f"field 'chains' must list integers, got {self.chains!r}")
         try:
             for cid in self.chains:
@@ -111,6 +137,18 @@ class ScenarioConfig:
             raise ConfigInvalid("duplicate chain ids")
         if not 1 <= self.merkle_depth <= 32:
             raise ConfigInvalid("merkle_depth must be in 1..32")
+        _check_section("dapp", self.dapp, DAPP_FIELDS)
+        if self.dapp.get("scheme", "single") not in ("single", "threshold"):
+            raise ConfigInvalid("field 'dapp.scheme' must be 'single' or "
+                                f"'threshold', got {self.dapp['scheme']!r}")
+        n, k = self.dapp.get("n", 1), self.dapp.get("k", 1)
+        if not 1 <= k <= n:
+            raise ConfigInvalid(f"fields 'dapp.n' and 'dapp.k' must satisfy "
+                                f"1 <= k <= n, got n={n}, k={k}")
+        _check_section("oracle", self.oracle, ORACLE_FIELDS)
+        if self.oracle.get("mode", "honest") not in ORACLE_MODES:
+            raise ConfigInvalid(f"field 'oracle.mode' must be one of "
+                                f"{', '.join(ORACLE_MODES)}, got {self.oracle['mode']!r}")
         if (self.script is None) == (self.builtin is None):
             raise ConfigInvalid("exactly one of script/builtin must be set")
         for i, action in enumerate(self.script or []):

@@ -4,12 +4,14 @@ Builds the chain topology, actors, and proof system from a config, then
 exposes one method per script action. Every action and contract call is
 logged to the transcript. Each simulation owns its op counter: set-up,
 every call (also kept per operation) and the scenario code charge it.
+It also owns one permutation table, active inside every call, so a
+call does not recompute a permutation an earlier call already computed
+(see ``hashing``); op counts are the same with or without it.
 """
 
 from dataclasses import dataclass
 
-from .. import circuit as circuit_mod
-from .. import ops
+from .. import hashing, ops
 from ..actors import (
     DappContract,
     DappSigner,
@@ -70,6 +72,7 @@ class Simulation:
         self.config = config
         self.ops = ops.OpCounts()       # set-up, every call, the scenario
         self.metrics: dict = {}         # op name -> OpCounts of its calls
+        self.perm_table: dict = {}      # permutation input -> output, calls only
         self.transcript = Transcript()
         self.verdicts: list = []
         self.deposits: dict = {}        # label -> DepositInfo
@@ -89,28 +92,19 @@ class Simulation:
 
             self.transcript.log("header", config=config.to_json())
 
-            # one dApp spanning every chain
+            # one dApp spanning every chain; validate() checked both sections
             dapp_cfg = dict(config.dapp)
             resilience = ResilienceRules(
                 max_reverts_per_period=dapp_cfg.pop("max_reverts_per_period", 1000),
                 period_blocks=dapp_cfg.pop("period_blocks", 1000),
                 max_value_per_revert=dapp_cfg.pop("max_value_per_revert", 10**9),
             )
-            self.dapp = DappSigner(
-                "dapp", self.rng.child("dapp-keys"),
-                scheme=dapp_cfg.pop("scheme", "single"),
-                n=dapp_cfg.pop("n", 1), k=dapp_cfg.pop("k", 1),
-                resilience=resilience,
-            )
-            if dapp_cfg:
-                raise ConfigInvalid(f"unknown dapp config fields: {sorted(dapp_cfg)}")
+            self.dapp = DappSigner("dapp", self.rng.child("dapp-keys"),
+                                   resilience=resilience, **dapp_cfg)
             self._deploy_and_register(self.dapp, "dapp")
 
             policy_cfg = dict(config.oracle)
             censor = policy_cfg.pop("censor_dapp", False)
-            unknown = set(policy_cfg) - set(OraclePolicy.__dataclass_fields__)
-            if unknown:
-                raise ConfigInvalid(f"unknown oracle config fields: {sorted(unknown)}")
             policy = OraclePolicy(**policy_cfg)
             if censor:
                 policy.censor_dapp = self.dapp.ghash
@@ -164,7 +158,7 @@ class Simulation:
     def _call(self, op: str, chain, fn, expect=None, **logged):
         error = None
         result = None
-        with ops.counting() as spent:
+        with ops.counting() as spent, hashing.permutation_table(self.perm_table):
             try:
                 result = fn()
             except SimError as exc:

@@ -39,6 +39,7 @@ class MerkleTree:
         # first; the rightmost one is zero-padded until its sibling arrives.
         self.levels: list = [[] for _ in range(depth)]
         self.leaves: list = self.levels[0]
+        self.leaf_index: dict = {}  # leaf value -> index of its first insert
         # zero node per level: zeros[0] = empty leaf, zeros[i+1] = H(z, z).
         # Charged once here, `depth` permutations.
         self.zeros = [ZERO]
@@ -74,6 +75,7 @@ class MerkleTree:
                 nodes[idx] = current
             current = parent
             idx //= 2
+        self.leaf_index.setdefault(leaf, index)
         self.next_index += 1
         self.root_history.append(current)
         if len(self.root_history) > self.root_history_size:

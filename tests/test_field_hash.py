@@ -15,6 +15,7 @@ from anonbridge.hashing import (
     mimc_hash2,
     mimc_sponge,
     nullifier_hash,
+    permutation_table,
     permute,
 )
 from anonbridge.keccak import keccak256
@@ -143,6 +144,18 @@ class TestPermutation:
     @settings(max_examples=30, deadline=None)
     def test_both_lanes_match_independent_implementation(self, a, b):
         assert permute(a, b) == ref.permute(a, b)
+
+    def test_table_hit_matches_reference_and_is_charged(self):
+        table = {}
+        with ops.counting() as c, permutation_table(table):
+            first = permute(3, P - 5)
+            assert c.permutations == 1
+            again = permute(3, P - 5)
+            assert c.permutations == 2
+        assert first == again == ref.permute(3, P - 5)
+        assert table == {(3, P - 5): first}
+        permute(1, 2)  # outside the block: nothing is stored
+        assert (1, 2) not in table
 
     @given(felt, felt)
     @settings(max_examples=30, deadline=None)

@@ -1,11 +1,15 @@
 """Scenario runner, config validation, transcripts, linkability, CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from anonbridge import ops
-from anonbridge.errors import ConfigInvalid
+from anonbridge import hashing, ops
+from anonbridge.circuit import SETTLEMENT, SettlementWitness
+from anonbridge.dact import make_leaf
+from anonbridge.errors import ConfigInvalid, ConstraintViolation
+from anonbridge.field import P
 from anonbridge.harness import (
     ACTION_VOCABULARY,
     ATTACK_MATRIX,
@@ -19,6 +23,7 @@ from anonbridge.harness import (
 )
 from anonbridge.harness.cli import main
 from anonbridge.harness.simulation import Simulation, UnexpectedOutcome
+from anonbridge.merkle import MAX_DEPTH, MerklePath
 
 
 def script_config(script, seed=1, **over):
@@ -75,6 +80,17 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="unknown oracle config fields"):
             Simulation(script_config([], oracle=oracle))
 
+    @pytest.mark.parametrize("dapp,field", [
+        ({"scheme": "multi"}, "dapp.scheme"),
+        ({"n": 2, "k": 3}, "dapp.k"),
+        ({"k": 0}, "dapp.k"),
+        ({"period_blocks": 1.5}, "dapp.period_blocks"),
+        ({"bogus": 1}, "unknown dapp config fields"),
+    ])
+    def test_dapp_fields_checked(self, dapp, field):
+        with pytest.raises(ConfigInvalid, match=field):
+            script_config([], dapp=dapp).validate()
+
     @pytest.mark.parametrize("mutation,message", [
         ({"script": [dict(HAPPY_SCRIPT[0], wallet="mallory")]},
          "action 0 (deposit): field 'wallet' names unknown 'mallory'"),
@@ -87,8 +103,15 @@ class TestConfig:
          "action 0 (advance): field 'blocks' must be int, got 'ten'"),
         ({"script": [{"op": "relay", "chian": 1001}]},
          "action 0 (relay): unknown field 'chian'"),
+        ({"dapp": {"n": "x"}}, "field 'dapp.n' must be int, got 'x'"),
+        ({"dapp": {"n": True}}, "field 'dapp.n' must be int, got True"),
+        ({"merkle_depth": True}, "field 'merkle_depth' must be int, got True"),
+        ({"oracle": {"mode": "honset"}},
+         "field 'oracle.mode' must be one of honest, forge_root, censor_dapp, "
+         "censor_chain, replay, got 'honset'"),
     ], ids=["unknown_wallet", "undefined_label", "missing_field", "string_seed",
-            "mistyped_field", "unknown_field"])
+            "mistyped_field", "unknown_field", "mistyped_dapp_field",
+            "boolean_dapp_count", "boolean_depth", "unknown_oracle_mode"])
     def test_malformed_input_is_config_invalid(self, tmp_path, capsys,
                                                mutation, message):
         data = {"seed": 1, "name": "malformed", "script": HAPPY_SCRIPT}
@@ -185,6 +208,73 @@ class TestOpCounter:
         in_calls = sum(c["constraint_evals"]
                        for c in result.metrics["per_op"].values())
         assert result.metrics["total"]["constraint_evals"] > in_calls
+
+
+def _settled(seed=0, depth=16):
+    """A simulation that has settled one deposit, and its label."""
+    sim = Simulation(script_config([], seed=seed, merkle_depth=depth))
+    label = sim.deposit("alice", 1001, 1003)
+    sim.relay()
+    sim.sign()
+    sim.push_root()
+    sim.withdraw(label)
+    return sim, label
+
+
+class TestPermutationTable:
+    def test_table_hits_are_charged(self):
+        # the withdraw's path hashes were all computed by the relay's insert
+        result = run_scenario(builtin_config("settlement_happy_path", seed=0))
+        depth = result.sim.config.merkle_depth
+        assert depth == 16
+        per_op = result.metrics["per_op"]
+        assert per_op["router_withdraw"]["permutations"] == depth + 4
+        assert per_op["oracle_relay"]["permutations"] == depth
+
+    def test_withdraw_reuses_the_relay_hashes(self):
+        sim = Simulation(script_config([], seed=0, merkle_depth=16))
+        label = sim.deposit("alice", 1001, 1003)
+        sim.relay()
+        sim.sign()
+        sim.push_root()
+        before = len(sim.perm_table)
+        sim.withdraw(label)
+        # only the nullifier hash is new; the commitment and the path are hits
+        assert len(sim.perm_table) - before == 1
+        assert sim.metrics["router_withdraw"].permutations == 16 + 4
+
+    def test_tampered_witness_fails_with_warm_table(self):
+        sim, label = _settled()
+        info = sim.deposits[label]
+        note = sim.wallets[info.wallet].notes[info.commitment].note
+        public = sim._settle_params[label][0].public
+        tree = sim.mixer_chain.mixer.tree
+        index = tree.leaf_index[make_leaf(info.commitment, public.tpc, info.source).value]
+        path = tree.path(index)
+        witness = SettlementWitness(note.nullifier, note.secret, path, info.source,
+                                    sim.mixer_chain.mixer.leaf_signatures[index])
+        elements = list(path.elements)
+        elements[3] = (elements[3] + 1) % P
+        bad_path = replace(witness, path=MerklePath(elements, path.indices))
+        bad_nullifier = replace(witness, nullifier=note.nullifier + 1)
+        with hashing.permutation_table(sim.perm_table):
+            sim.proofs.prove(SETTLEMENT, witness, public)
+            with pytest.raises(ConstraintViolation) as exc:
+                sim.proofs.prove(SETTLEMENT, bad_path, public)
+            assert exc.value.constraint == "merkle_path"
+            with pytest.raises(ConstraintViolation) as exc:
+                sim.proofs.prove(SETTLEMENT, bad_nullifier, public)
+            assert exc.value.constraint == "nullifier_hash"
+
+    def test_tables_are_per_simulation_and_per_call(self):
+        a, _ = _settled(seed=1)
+        b, _ = _settled(seed=2)
+        assert a.perm_table is not b.perm_table
+        assert a.perm_table and b.perm_table
+        assert a.perm_table.keys().isdisjoint(b.perm_table)
+        # after a call returns, no table is active
+        hashing.permute(7, 11)
+        assert (7, 11) not in a.perm_table and (7, 11) not in b.perm_table
 
 
 class TestTranscript:
@@ -324,6 +414,12 @@ class TestCli:
         assert main(["sweep", "--depths", "2,4"]) == 0
         out = capsys.readouterr().out
         assert "insert_permutations" in out
+
+    @pytest.mark.parametrize("depths", ["a", "4,x", "0", "4,33", ""])
+    def test_sweep_rejects_bad_depths(self, capsys, depths):
+        assert main(["sweep", "--depths", depths]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --depths must list integers in 1..{MAX_DEPTH}, got {depths!r}\n")
 
     def test_attacks_all(self, capsys):
         assert main(["attacks", "--all"]) == 0

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import _reference as ref
 from anonbridge import ops
-from anonbridge.errors import DepthOutOfRange, IndexUnknown, TreeFull
+from anonbridge.errors import DepthOutOfRange, IndexUnknown, NotInField, TreeFull
 from anonbridge.field import P
 from anonbridge.merkle import MAX_DEPTH, ZERO, MerklePath, MerkleTree, verify_path
 from anonbridge.rng import SeededRng
@@ -108,6 +108,18 @@ class TestPaths:
             MerklePath([1, 2], [0])
         with pytest.raises(AssertionError):
             MerklePath([1], [2])
+
+
+class TestLeafIndex:
+    def test_index_is_the_first_match(self):
+        leaves = _leaves(6)
+        tree = MerkleTree(5)
+        for leaf in leaves + leaves[::2] + [ZERO, leaves[1], ZERO]:
+            tree.insert(leaf)
+        with pytest.raises(NotInField):
+            tree.insert(P)  # rejected before it is stored
+        assert tree.leaf_index == {v: tree.leaves.index(v) for v in tree.leaves}
+        assert len(tree.leaf_index) == 7
 
 
 class TestCosts:

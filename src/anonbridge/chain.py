@@ -42,7 +42,6 @@ from .field import to_bytes32
 from .merkle import MerkleTree, MerklePath, verify_path
 
 ROUTER_ROOT_WINDOW = 2      # a Router only remembers the latest two roots
-MIXER_ROOT_HISTORY = 100
 
 
 @dataclass
@@ -91,7 +90,7 @@ class RouterState:
 class MixerState:
     def __init__(self, depth: int):
         self.commitments_seen: set = set()
-        self.tree = MerkleTree(depth, root_history=MIXER_ROOT_HISTORY)
+        self.tree = MerkleTree(depth)
         self.leaf_signatures: dict = {}    # leaf index -> signature bytes
 
 

@@ -12,7 +12,7 @@ with each other or with tree nodes.
 
 Permutation table. ``permute`` is a pure function, and a simulation
 hashes the same inputs many times: a settlement or revert proof re-folds
-a Merkle path whose nodes the leaf's ``insert`` already hashed, and the
+a Merkle path whose nodes the tree's spine fold already hashed, and the
 wallet recomputes its commitment and nullifier hash. Inside a
 ``permutation_table(table)`` block (a PEP 567 context variable, the
 idiom of ``ops.counting``) ``permute`` returns the output stored in

@@ -1,15 +1,17 @@
-"""Fixed-depth incremental Merkle tree with a bounded root history.
+"""Fixed-depth incremental Merkle tree.
 
 Tornado-style construction: empty positions padded with precomputed zero
-nodes, exactly ``depth`` hash calls per insert. Every node an insert
-hashes is kept in one list per level, so a path is read from the stored
-level nodes and costs no hashing.
+nodes. An insert is charged exactly ``depth`` hash calls but hashes
+nothing; the next read of ``root`` or ``path()`` hashes the right spine
+those inserts changed, once. Every node is kept in one list per level, so
+a path is read from the stored level nodes and costs no hashing.
 """
 
 from dataclasses import dataclass
 
+from . import ops
 from .errors import DepthOutOfRange, IndexUnknown, TreeFull
-from .field import P, reduce_bytes
+from .field import P, check, reduce_bytes
 from .hashing import mimc_hash2
 from .keccak import keccak256
 
@@ -30,23 +32,23 @@ class MerklePath:
 
 
 class MerkleTree:
-    def __init__(self, depth: int, root_history: int = 100):
+    def __init__(self, depth: int):
         if not 1 <= depth <= MAX_DEPTH:
             raise DepthOutOfRange(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
         self.depth = depth
         self.next_index = 0
-        # levels[l] holds the nodes of level l computed so far, leftmost
-        # first; the rightmost one is zero-padded until its sibling arrives.
+        # levels[l]: the nodes of level l, leftmost first, the rightmost one
+        # zero-padded; above the leaves they cover the first `_folded` leaves
         self.levels: list = [[] for _ in range(depth)]
         self.leaves: list = self.levels[0]
         self.leaf_index: dict = {}  # leaf value -> index of its first insert
+        self._folded = 0
         # zero node per level: zeros[0] = empty leaf, zeros[i+1] = H(z, z).
         # Charged once here, `depth` permutations.
         self.zeros = [ZERO]
         for _ in range(depth):
             self.zeros.append(mimc_hash2(self.zeros[-1], self.zeros[-1]))
-        self.root_history_size = root_history
-        self.root_history: list = [self.zeros[depth]]
+        self._top = [self.zeros[depth]]  # level `depth`: the root alone
 
     @property
     def capacity(self) -> int:
@@ -54,38 +56,40 @@ class MerkleTree:
 
     @property
     def root(self) -> int:
-        return self.root_history[-1]
+        self._fold()
+        return self._top[0]
 
     def insert(self, leaf: int) -> int:
-        """Insert a leaf; returns its index. Exactly ``depth`` hash calls."""
+        """Insert a leaf; returns its index. Charged ``depth`` permutations."""
         if self.next_index == self.capacity:
             raise TreeFull(f"tree of depth {self.depth} is full")
-        index = self.next_index
-        current = leaf
-        idx = index
-        for level, nodes in enumerate(self.levels):
-            # hash before storing, so a leaf outside the field leaves no trace
-            if idx % 2 == 0:
-                parent = mimc_hash2(current, self.zeros[level])
-            else:
-                parent = mimc_hash2(nodes[idx - 1], current)
-            if idx == len(nodes):
-                nodes.append(current)
-            else:
-                nodes[idx] = current
-            current = parent
-            idx //= 2
-        self.leaf_index.setdefault(leaf, index)
+        check(leaf)
+        ops.charge_permutation(self.depth)
+        self.leaf_index.setdefault(leaf, self.next_index)
+        self.leaves.append(leaf)
         self.next_index += 1
-        self.root_history.append(current)
-        if len(self.root_history) > self.root_history_size:
-            del self.root_history[: len(self.root_history) - self.root_history_size]
-        return index
+        return self.next_index - 1
+
+    def _fold(self) -> None:
+        """Re-hash, level by level, the nodes above the leaves inserted
+        since the last fold, as eager inserts would have left them."""
+        if self._folded == self.next_index:
+            return
+        first = self._folded >> 1  # first stale parent
+        with ops.counting():  # the inserts were charged for this work
+            for nodes, parents, zero in zip(self.levels, self.levels[1:] + [self._top],
+                                            self.zeros):
+                n = len(nodes)
+                parents[first:] = [mimc_hash2(nodes[i], nodes[i + 1] if i + 1 < n else zero)
+                                   for i in range(2 * first, n, 2)]
+                first >>= 1
+        self._folded = self.next_index
 
     def path(self, index: int) -> MerklePath:
         """Sibling path for the leaf at ``index`` against the current root."""
         if not 0 <= index < self.next_index:
             raise IndexUnknown(f"no leaf at index {index}")
+        self._fold()
         elements, indices = [], []
         idx = index
         for nodes, zero in zip(self.levels, self.zeros):
@@ -94,9 +98,6 @@ class MerkleTree:
             indices.append(idx % 2)
             idx //= 2
         return MerklePath(elements, indices)
-
-    def is_known_root(self, root: int) -> bool:
-        return root in self.root_history
 
 
 def verify_path(root: int, leaf: int, path: MerklePath) -> bool:

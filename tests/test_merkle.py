@@ -1,10 +1,12 @@
 """Incremental Merkle tree against the naive recursive oracle."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference as ref
-from anonbridge import ops
+from anonbridge import hashing, ops
 from anonbridge.errors import DepthOutOfRange, IndexUnknown, NotInField, TreeFull
 from anonbridge.field import P
 from anonbridge.merkle import MAX_DEPTH, ZERO, MerklePath, MerkleTree, verify_path
@@ -36,6 +38,13 @@ class TestConstruction:
     def test_empty_root_matches_oracle(self):
         for depth in range(1, 9):
             assert MerkleTree(depth).root == ref.naive_root((), depth)
+
+    def test_tree_full(self):
+        tree = MerkleTree(1)
+        tree.insert(1)
+        tree.insert(2)
+        with pytest.raises(TreeFull):
+            tree.insert(3)
 
 
 class TestOracleEquivalence:
@@ -156,21 +165,98 @@ class TestCosts:
         assert c.permutations == 6
 
 
-class TestRootHistory:
-    def test_full_and_overflow(self):
-        tree = MerkleTree(8, root_history=5)
-        roots = [tree.root]
-        for leaf in _leaves(10):
-            tree.insert(leaf)
-            roots.append(tree.root)
-        assert tree.root_history == roots[-5:]
-        assert tree.is_known_root(roots[-1])
-        assert tree.is_known_root(roots[-5])
-        assert not tree.is_known_root(roots[0])
+def _check_against_eager_fold(tree, leaves, table):
+    """Root and every leaf's path of ``tree`` equal the eager oracle's, read
+    from a copy so the tree under test keeps its unread state."""
+    probe = copy.deepcopy(tree)
+    root = ref.naive_root(tuple(leaves), tree.depth)
+    assert probe.root == root
+    with hashing.permutation_table(table):  # the same folds, step after step
+        for i, leaf in enumerate(leaves):
+            assert verify_path(root, leaf, probe.path(i))
 
-    def test_tree_full(self):
-        tree = MerkleTree(1)
-        tree.insert(1)
-        tree.insert(2)
-        with pytest.raises(TreeFull):
-            tree.insert(3)
+
+def _random_steps(depth, seed):
+    """Seeded interleaving of inserts and reads that fills up to the tree's
+    capacity, at most 40 inserts."""
+    rnd = SeededRng(seed).py_random()
+    steps, n = [], 0
+    while n < min(1 << depth, 40):
+        kind = rnd.choice(("insert", "insert", "insert", "root", "path"))
+        if kind == "path" and n == 0:
+            continue
+        steps.append((kind, rnd.randrange(n) if kind == "path" else None))
+        n += kind == "insert"
+    return steps
+
+
+class TestLazySpine:
+    """An insert defers its hashing to the next read of ``root`` or
+    ``path()``; every read equals the eager fold over the leaves so far."""
+
+    @pytest.mark.parametrize("depth,steps", [
+        *(pytest.param(d, _random_steps(d, seed), id=f"random-d{d}-s{seed}")
+          for d in range(1, 9) for seed in (d, 100 + d)),
+        pytest.param(5, [("insert", None), ("root", None)] * 12,
+                     id="read-after-every-insert"),
+        pytest.param(6, [("insert", None)] * 37 + [("root", None)], id="read-only-at-end"),
+        # 3 leaves read, then a batch of 5 whose first dirty index is odd
+        pytest.param(4, [("insert", None)] * 3 + [("root", None)]
+                     + [("insert", None)] * 5 + [("path", 2)], id="odd-first-index"),
+        pytest.param(4, [("insert", None)] * 16 + [("path", 15)], id="full-tree"),
+    ])
+    def test_every_step_matches_the_eager_fold(self, depth, steps):
+        tree = MerkleTree(depth)
+        pool = iter(_leaves(len(steps), seed=depth))
+        leaves, table = [], {}
+        for kind, arg in steps:
+            if kind == "insert":
+                leaves.append(next(pool))
+                assert tree.insert(leaves[-1]) == len(leaves) - 1
+            elif kind == "root":
+                assert tree.root == ref.naive_root(tuple(leaves), depth)
+            else:
+                path = tree.path(arg)
+                assert verify_path(ref.naive_root(tuple(leaves), depth), leaves[arg], path)
+            _check_against_eager_fold(tree, leaves, table)
+        assert tree.next_index == len(leaves) == len(tree.leaves)
+        if len(leaves) == tree.capacity:
+            with pytest.raises(TreeFull):
+                tree.insert(1)
+
+    def test_a_batch_hashes_only_the_spine_once(self):
+        tree = MerkleTree(20)
+        with ops.counting() as c, hashing.permutation_table({}) as t:
+            for leaf in _leaves(12):
+                tree.insert(leaf)
+            root = tree.root
+            # 6 + 3 + 2 nodes at levels 1-3, then one per level up to the
+            # root; eager inserts would hash 12 * 20 = 240
+            assert len(t) == 28
+        assert c.permutations == 240
+        # a second read hashes nothing, not even a table hit
+        with hashing.permutation_table({}) as again:
+            assert tree.root == root
+            tree.path(5)
+        assert again == {}
+
+    def test_reading_a_dirty_tree_is_free(self):
+        for read in (lambda t: t.root, lambda t: t.path(2)):
+            tree = MerkleTree(8)
+            for leaf in _leaves(5):
+                tree.insert(leaf)
+            with ops.counting() as c:
+                read(tree)
+            assert c.permutations == 0
+
+    def test_rejected_leaf_changes_nothing(self):
+        tree = MerkleTree(6)
+        for leaf in _leaves(3):
+            tree.insert(leaf)
+        before = (tree.next_index, list(tree.leaves), dict(tree.leaf_index))
+        with ops.counting() as c:
+            with pytest.raises(NotInField):
+                tree.insert(P)
+        assert c.permutations == 0
+        assert (tree.next_index, tree.leaves, tree.leaf_index) == before
+        assert tree.root == ref.naive_root(tuple(before[1]), 6)

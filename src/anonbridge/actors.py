@@ -89,8 +89,6 @@ class NoteRecord:
     version: int
     ghash: bytes
     source_chain: int
-    dapp_address: bytes
-    value: int
 
 
 class Wallet:
@@ -110,9 +108,7 @@ class Wallet:
         od = obfuscate(intent, note.salt)
         req = DepositRequest(c, od, version, dapp_contract.address)
         dapp_contract.forward_deposit(chain, self, req, value)
-        self.notes[c] = NoteRecord(
-            note, intent, version, ghash, chain.chain_id, dapp_contract.address, value
-        )
+        self.notes[c] = NoteRecord(note, intent, version, ghash, chain.chain_id)
         return c
 
     def _record(self, commitment: int) -> NoteRecord:
@@ -303,7 +299,7 @@ class DappSigner:
         self.contracts: dict = {}   # chain id -> DappContract
         self.ghash: bytes = b""
         self._halts_issued: list = []
-        self._reverts_seen: list = []  # (block, value)
+        self._reverts_seen: list = []  # heights of reverts let through
         self._own_leaves: set = set()  # leaf values of deposits through us
         self._cursors: dict = {}       # chain id -> next event index to scan
 
@@ -401,10 +397,10 @@ class DappSigner:
                     halts.append((cid, nh, reason))
                     self._halts_issued.append((cid, nh, reason))
                 else:
-                    self._reverts_seen.append((chain.height, value))
+                    self._reverts_seen.append(chain.height)
         return halts
 
     def _rate_exceeded(self, height: int) -> bool:
-        recent = [b for b, _ in self._reverts_seen
+        recent = [b for b in self._reverts_seen
                   if b > height - self.resilience.period_blocks]
         return len(recent) >= self.resilience.max_reverts_per_period

@@ -75,6 +75,9 @@ def _check_action(i: int, action, config: "ScenarioConfig") -> None:
     for name in required:
         if action.get(name) is None:
             raise ConfigInvalid(f"{where}: missing field {name!r}")
+    if op == "advance" and action.get("blocks") is not None and action["blocks"] < 1:
+        raise ConfigInvalid(f"{where}: field 'blocks' must be at least 1, "
+                            f"got {action['blocks']}")
     known = {"wallet": config.wallets, "source": config.chains,
              "chain": config.chains}
     if op == "go_offline":

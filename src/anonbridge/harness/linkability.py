@@ -6,7 +6,9 @@ sensitive encodings the protocol promises to hide:
 * oracle view: everything the relaying network observes while doing its
   job -- source-chain deposit events, mixer state, root pushes, revert
   broadcasts. Excludes the calls users submit directly to a destination
-  Router (withdraw, revert mark), which are the intentional reveal.
+  Router (withdraw, revert mark), which are the intentional reveal, and
+  the transcript header: harness metadata that embeds the scenario config
+  (a scripted payload too) and that no oracle observes.
 * source-chain view: every record emitted on a given deposit's source
   chain.
 
@@ -36,7 +38,8 @@ def _record_bytes(records) -> bytes:
 
 
 def oracle_view(records: list) -> list:
-    return [r for r in records if r.get("op") not in _USER_DIRECT_OPS]
+    return [r for r in records
+            if r.get("kind") != "header" and r.get("op") not in _USER_DIRECT_OPS]
 
 
 def source_view(records: list, source_chain: int) -> list:

@@ -355,55 +355,28 @@ def builtin_config(name: str, seed: int = 0, **overrides) -> ScenarioConfig:
 # -- declarative script interpreter -----------------------------------------------
 
 def _run_script(sim: Simulation, script: list) -> None:
-    """Run a script ``ScenarioConfig.validate`` accepted; only the deposit
-    labels it names are left to check as it runs."""
+    """Run a script ``ScenarioConfig.validate`` accepted: each action calls
+    the ``Simulation`` method of its name with its non-null fields, ``deposit``
+    as ``label``; only the deposit labels are left to check as it runs."""
     for i, action in enumerate(script):
-        a = dict(action)
-        op = a.pop("op")
-        expect = a.pop("expect", None)
-        label = a.get("deposit")
-        if label is not None and label not in sim.deposits:
-            raise ConfigInvalid(f"action {i} ({op}): field 'deposit' names no "
-                                f"deposit made so far: {label!r}")
+        fields = {name: value for name, value in action.items() if value is not None}
+        op = fields.pop("op")
+        label = fields.pop("deposit", None)
+        if label is not None:
+            if label not in sim.deposits:
+                raise ConfigInvalid(f"action {i} ({op}): field 'deposit' names no "
+                                    f"deposit made so far: {label!r}")
+            fields["label"] = label
         if op == "execute" and label not in sim._revert_params:
             raise ConfigInvalid(f"action {i} ({op}): deposit {label!r} has no "
                                 f"revert proof; revert_mark or revert_init it first")
-        if op == "deposit":
-            payload = bytes.fromhex(a["payload"]) if "payload" in a else None
-            sim.deposit(a["wallet"], a["source"], a["dest"],
-                        label=a.get("label"), payload=payload,
-                        version=a.get("version", 1), value=a.get("value", 1),
-                        expect=expect)
-        elif op == "relay":
-            sim.relay(expect=expect)
-        elif op == "push_root":
-            sim.push_root(expect=expect)
-        elif op == "sign":
-            sim.sign(expect=expect)
-        elif op == "withdraw":
-            sim.withdraw(a.get("deposit"), expect=expect,
-                         actor=a.get("actor", "wallet"),
-                         chain=a.get("chain"), claim_dest=a.get("claim_dest"),
-                         via_oracle=a.get("via_oracle", False),
-                         tamper_payload=a.get("tamper_payload", False),
-                         reuse_proof=a.get("reuse_proof", False))
-        elif op == "revert_mark":
-            sim.revert_mark(a["deposit"], expect=expect, chain=a.get("chain"))
-        elif op == "revert_init":
-            sim.revert_init(a["deposit"], expect=expect, chain=a.get("chain"))
-        elif op == "halt":
-            sim.halt(expect=expect)
-        elif op == "execute":
-            sim.execute(a["deposit"], expect=expect)
-        elif op == "advance":
-            sim.advance(a.get("blocks", 1), chain=a.get("chain"), expect=expect)
-        elif op == "go_offline":
-            sim.go_offline(a["actor"], expect=expect)
+        if "payload" in fields:
+            fields["payload"] = bytes.fromhex(fields["payload"])
+        getattr(sim, op)(**fields)
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
     """Execute a scenario; deterministic in (config, seed)."""
-    config.validate()
     sim = Simulation(config)
     try:
         with ops.counting(sim.ops):  # also direct wallet calls in a scenario

@@ -385,16 +385,16 @@ class Simulation:
         return self._call("advance_blocks", chain, _do, expect=expect,
                           blocks=blocks)
 
-    def go_offline(self, who: str, expect=None):
+    def go_offline(self, actor: str, expect=None):
         def _do():
-            if who == "oracle":
+            if actor == "oracle":
                 self.oracle.offline = True
-            elif who == "dapp":
+            elif actor == "dapp":
                 self.dapp.offline = True
             else:
-                raise ConfigInvalid(f"unknown actor {who!r}")
+                raise ConfigInvalid(f"unknown actor {actor!r}")
 
-        return self._call("go_offline", None, _do, expect=expect, actor=who)
+        return self._call("go_offline", None, _do, expect=expect, actor=actor)
 
     # -- inspection helpers ---------------------------------------------------------
 

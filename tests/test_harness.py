@@ -1,5 +1,6 @@
 """Scenario runner, config validation, transcripts, linkability, CLI."""
 
+import inspect
 import json
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from anonbridge.harness import (
     sweep_depths,
 )
 from anonbridge.harness.cli import main
+from anonbridge.harness.config import ACTION_FIELDS
 from anonbridge.harness.simulation import Simulation, UnexpectedOutcome
 from anonbridge.merkle import MAX_DEPTH, MerklePath
 
@@ -103,6 +105,10 @@ class TestConfig:
          "action 0 (advance): field 'blocks' must be int, got 'ten'"),
         ({"script": [{"op": "relay", "chian": 1001}]},
          "action 0 (relay): unknown field 'chian'"),
+        ({"script": [{"op": "advance", "blocks": 0}]},
+         "action 0 (advance): field 'blocks' must be at least 1, got 0"),
+        ({"script": [{"op": "advance", "blocks": -3}]},
+         "action 0 (advance): field 'blocks' must be at least 1, got -3"),
         ({"dapp": {"n": "x"}}, "field 'dapp.n' must be int, got 'x'"),
         ({"dapp": {"n": True}}, "field 'dapp.n' must be int, got True"),
         ({"merkle_depth": True}, "field 'merkle_depth' must be int, got True"),
@@ -110,8 +116,9 @@ class TestConfig:
          "field 'oracle.mode' must be one of honest, forge_root, censor_dapp, "
          "censor_chain, replay, got 'honset'"),
     ], ids=["unknown_wallet", "undefined_label", "missing_field", "string_seed",
-            "mistyped_field", "unknown_field", "mistyped_dapp_field",
-            "boolean_dapp_count", "boolean_depth", "unknown_oracle_mode"])
+            "mistyped_field", "unknown_field", "zero_blocks", "negative_blocks",
+            "mistyped_dapp_field", "boolean_dapp_count", "boolean_depth",
+            "unknown_oracle_mode"])
     def test_malformed_input_is_config_invalid(self, tmp_path, capsys,
                                                mutation, message):
         data = {"seed": 1, "name": "malformed", "script": HAPPY_SCRIPT}
@@ -123,6 +130,29 @@ class TestConfig:
 
 
 class TestScriptInterpreter:
+    @pytest.mark.parametrize("op", sorted(ACTION_FIELDS))
+    def test_every_action_is_a_simulation_method(self, op):
+        params = inspect.signature(getattr(Simulation, op)).parameters
+        fields = {"label" if name == "deposit" else name for name in ACTION_FIELDS[op]}
+        assert fields | {"expect"} <= set(params)
+
+    def test_null_field_means_default(self):
+        """A null field runs as if it were left out; only the header, which
+        embeds the config as written, tells the two transcripts apart."""
+        nulls = {"payload": None, "version": None, "value": None}
+        script = [dict(HAPPY_SCRIPT[0], **nulls)] + HAPPY_SCRIPT[1:] + [
+            {"op": "withdraw", "deposit": "d0", "actor": None, "chain": None,
+             "claim_dest": None, "via_oracle": None, "tamper_payload": None,
+             "reuse_proof": True, "expect": "DoubleSpend"},
+            {"op": "advance", "blocks": None, "chain": None, "expect": None},
+        ]
+        omitted = [{k: v for k, v in a.items() if v is not None} for a in script]
+        with_nulls = run_scenario(script_config(script))
+        without = run_scenario(script_config(omitted))
+        assert with_nulls.passed and without.passed
+        assert with_nulls.metrics == without.metrics
+        assert with_nulls.transcript.records[1:] == without.transcript.records[1:]
+
     def test_happy_script_delivers(self):
         result = run_scenario(script_config(HAPPY_SCRIPT))
         assert result.passed
@@ -336,6 +366,15 @@ class TestLinkability:
         # each destination chain id is the public source chain id of the
         # deposit events emitted on that chain
         result = run_scenario(script_config(self.TWO_WAY_SCRIPT))
+        verdict = {v.name: v for v in result.verdicts}["no_hidden_field_leakage"]
+        assert verdict.passed, verdict.detail
+
+    def test_scripted_payload_in_header_is_clean(self):
+        # the header embeds the config, so a scripted payload appears there
+        payload = "ab" * 32
+        script = [dict(HAPPY_SCRIPT[0], payload=payload)] + HAPPY_SCRIPT[1:]
+        result = run_scenario(script_config(script))
+        assert payload in result.transcript.records[0]["config"]
         verdict = {v.name: v for v in result.verdicts}["no_hidden_field_leakage"]
         assert verdict.passed, verdict.detail
 

@@ -1,43 +1,80 @@
-"""Byte-identity pins: every builtin's transcript digest, op counts and
-verdicts at seeds 0-2, and the depth sweep, against a checked-in fixture.
+"""Byte-identity pins: every builtin's and every ``scenarios/*.json``
+script's transcript digest, op counts and verdicts at seeds 0-2, and the
+depth sweep, against checked-in fixtures.
 
-The fixture holds what ``compute_pins()`` returned before the tree began
-to defer its hashing; a host-side optimisation must leave every figure
-unchanged. It is regenerated only by hand, after a deliberate protocol
-change:
+``builtin_pins.json`` holds what ``compute_pins()`` returned before the
+tree began to defer its hashing; ``script_pins.json`` holds what
+``compute_script_pins()`` returned before the script interpreter became
+a dispatch by name. A host-side optimisation or a refactor must leave
+every figure unchanged. The fixtures are regenerated only by hand, after
+a deliberate protocol change:
 
     PYTHONPATH=src:tests python -c "import json, test_pins; \\
         print(json.dumps(test_pins.compute_pins(), indent=1, sort_keys=True))" \\
         > tests/fixtures/builtin_pins.json
+    PYTHONPATH=src:tests python -c "import json, test_pins; \\
+        print(json.dumps(test_pins.compute_script_pins(), indent=1, sort_keys=True))" \\
+        > tests/fixtures/script_pins.json
 """
 
 import json
 from pathlib import Path
 
-from anonbridge.harness import BUILTINS, builtin_config, run_scenario, sweep_depths
+from anonbridge.harness import (
+    BUILTINS,
+    ScenarioConfig,
+    builtin_config,
+    run_scenario,
+    sweep_depths,
+)
 
 SEEDS = (0, 1, 2)
 SWEEP = [4, 8, 16]
+FIXTURES = Path(__file__).parent / "fixtures"
+SCRIPTS = Path(__file__).parent.parent / "scenarios"
+
+
+def _pin(result) -> dict:
+    return {
+        "digest": result.transcript.digest(),
+        "metrics": result.metrics,
+        "verdicts": [[v.name, v.passed, v.detail] for v in result.verdicts],
+    }
 
 
 def compute_pins() -> dict:
-    builtins = {}
-    for name in sorted(BUILTINS):
-        for seed in SEEDS:
-            result = run_scenario(builtin_config(name, seed=seed))
-            builtins[f"{name}/{seed}"] = {
-                "digest": result.transcript.digest(),
-                "metrics": result.metrics,
-                "verdicts": [[v.name, v.passed, v.detail] for v in result.verdicts],
-            }
+    builtins = {f"{name}/{seed}": _pin(run_scenario(builtin_config(name, seed=seed)))
+                for name in sorted(BUILTINS) for seed in SEEDS}
     return {"builtins": builtins, "sweep_depths": sweep_depths(SWEEP)}
 
 
+def compute_script_pins() -> dict:
+    pins = {}
+    for path in sorted(SCRIPTS.glob("*.json")):
+        data = json.loads(path.read_text())
+        for seed in SEEDS:
+            config = ScenarioConfig.from_dict(dict(data, seed=seed))
+            pins[f"{path.name}/{seed}"] = _pin(run_scenario(config))
+    return pins
+
+
+def _load(name: str):
+    with open(FIXTURES / name) as fh:
+        return json.load(fh)
+
+
 def test_builtins_and_sweep_match_the_pins():
-    with open(Path(__file__).parent / "fixtures" / "builtin_pins.json") as fh:
-        pinned = json.load(fh)
+    pinned = _load("builtin_pins.json")
     got = json.loads(json.dumps(compute_pins()))
     assert sorted(got["builtins"]) == sorted(pinned["builtins"])
     for key, pins in pinned["builtins"].items():
         assert got["builtins"][key] == pins, key
     assert got["sweep_depths"] == pinned["sweep_depths"]
+
+
+def test_scenario_scripts_match_the_pins():
+    pinned = _load("script_pins.json")
+    got = json.loads(json.dumps(compute_script_pins()))
+    assert sorted(got) == sorted(pinned)
+    for key, pins in pinned.items():
+        assert got[key] == pins, key

@@ -14,6 +14,7 @@ from .chain import (
     mixer_store_signature,
     mixer_submit,
     router_deposit,
+    router_revert_halt,
     router_update_root,
 )
 from .circuit import (
@@ -37,6 +38,7 @@ from .dact import (
 )
 from .errors import (
     DuplicateCommitment,
+    InvalidValue,
     SignatureMissing,
     ThresholdUnmet,
     UnknownCommitment,
@@ -73,6 +75,8 @@ class DappContract:
         Round-trips the request through the canonical wire format, the
         same bytes a real transaction would carry.
         """
+        if not 0 <= value <= wallet.balance:
+            raise InvalidValue(f"value {value} outside 0..{wallet.balance}")
         req = parse_deposit(serialize_deposit(req))
         event = router_deposit(chain, req)
         wallet.balance -= value
@@ -298,8 +302,7 @@ class DappSigner:
         self.offline = False
         self.contracts: dict = {}   # chain id -> DappContract
         self.ghash: bytes = b""
-        self._halts_issued: list = []
-        self._reverts_seen: list = []  # heights of reverts let through
+        self._tolerated: dict = {}     # nullifier hash -> height first let through
         self._own_leaves: set = set()  # leaf values of deposits through us
         self._cursors: dict = {}       # chain id -> next event index to scan
 
@@ -354,53 +357,41 @@ class DappSigner:
     def watch_reverts(self, chains: dict) -> list:
         """Halt pending reverts that fail the destination-flag audit.
 
-        Halts when no chain shows the nullifier as both Spent and
-        Reverted, when some chain shows it Spent without Reverted, or
-        when the resilience rate/value rules trip.
+        Halts when another chain shows the nullifier Spent without
+        Reverted, when none shows it Spent, or when the value or rate rule
+        trips; a revert let through once counts against the rate once.
         """
-        from .chain import router_revert_halt
-
         if self.offline:
             return []
         halts = []
         for cid in sorted(chains):
             chain = chains[cid]
-            own_address = self.contracts[cid].address if cid in self.contracts else None
+            contract = self.contracts[cid]
             for nh, pending in list(chain.router.pending_reverts.items()):
                 if pending.halted or chain.height >= pending.window_end:
                     continue
-                if chain.router.commitment_log.get(pending.commitment) != own_address:
+                if chain.router.commitment_log.get(pending.commitment) != contract.address:
                     continue  # another dApp's transaction
-                properly_marked = False
-                spent_without_revert = False
-                for other_cid in sorted(chains):
-                    if other_cid == cid:
-                        continue
-                    other = chains[other_cid].router
-                    if nh in other.nullifier_spent:
-                        if nh in other.nullifier_reverted:
-                            properly_marked = True
-                        else:
-                            spent_without_revert = True
-                value = self.contracts[cid].escrow.get(pending.commitment, (0, None))[0]
+                spent = [c.router for other, c in chains.items()
+                         if other != cid and nh in c.router.nullifier_spent]
+                value = contract.escrow.get(pending.commitment, (0, None))[0]
                 reason = None
-                if spent_without_revert:
+                if any(nh not in router.nullifier_reverted for router in spent):
                     reason = "spent_without_revert"
-                elif not properly_marked:
+                elif not spent:
                     reason = "no_destination_mark"
                 elif value > self.resilience.max_value_per_revert:
                     reason = "value_threshold"
-                elif self._rate_exceeded(chain.height):
+                elif nh not in self._tolerated and self._rate_exceeded(chain.height):
                     reason = "rate_threshold"
-                if reason is not None:
-                    router_revert_halt(chain, nh, own_address)
-                    halts.append((cid, nh, reason))
-                    self._halts_issued.append((cid, nh, reason))
+                if reason is None:
+                    self._tolerated.setdefault(nh, chain.height)
                 else:
-                    self._reverts_seen.append(chain.height)
+                    router_revert_halt(chain, nh, contract.address)
+                    halts.append((cid, nh, reason))
         return halts
 
     def _rate_exceeded(self, height: int) -> bool:
-        recent = [b for b in self._reverts_seen
-                  if b > height - self.resilience.period_blocks]
-        return len(recent) >= self.resilience.max_reverts_per_period
+        start = height - self.resilience.period_blocks
+        recent = sum(1 for b in self._tolerated.values() if b > start)
+        return recent >= self.resilience.max_reverts_per_period

@@ -77,7 +77,7 @@ class RouterState:
     def __init__(self):
         self.dapp_registry: dict = {}      # global hash -> local dApp address
         self.dapp_keys: dict = {}          # verifying key -> global hash
-        self.registered_addresses: set = set()
+        self.dapp_ghash: dict = {}         # local dApp address -> its first global hash
         self.known_roots: list = []        # latest two, oldest first
         self.nullifier_spent: set = set()
         self.nullifier_reverted: set = set()
@@ -135,18 +135,18 @@ def router_register_dapp(chain: Chain, caller: bytes, other_addresses: list,
         raise AlreadyRegistered(f"global hash {ghash.hex()} already registered")
     chain.router.dapp_registry[ghash] = caller
     chain.router.dapp_keys[verifying_key] = ghash
-    chain.router.registered_addresses.add(caller)
+    chain.router.dapp_ghash.setdefault(caller, ghash)
     return ghash
 
 
 def router_deposit(chain: Chain, req: DepositRequest) -> Event:
     """Accept a deposit, derive the TPC, and emit the three-field event."""
     router = chain.router
-    if req.dapp_address not in router.registered_addresses:
+    ghash = router.dapp_ghash.get(req.dapp_address)
+    if ghash is None:
         raise UnknownDapp(f"dApp {req.dapp_address.hex()} not registered")
     if req.commitment in router.commitment_log:
         raise DuplicateCommitment(f"commitment {req.commitment} already submitted")
-    ghash = next(h for h, a in router.dapp_registry.items() if a == req.dapp_address)
     tpc = trustless_public_commitment(ghash, req.version, req.obfuscated_data)
     router.commitment_log[req.commitment] = req.dapp_address
     return chain.emit(
@@ -301,13 +301,13 @@ def router_revert_initiate_source(chain: Chain, proof, proofs,
 
 
 def router_revert_halt(chain: Chain, nullifier_hash: int, caller: bytes) -> None:
-    """dApp-only halt inside the window; permanently blocks execution."""
+    """Halt by the commitment's own dApp inside the window; permanent."""
     router = chain.router
     pending = router.pending_reverts.get(nullifier_hash)
     if pending is None:
         raise NoPending(f"no pending revert for {nullifier_hash}")
-    if caller not in router.registered_addresses:
-        raise Unauthorized("only the registered dApp may halt a revert")
+    if caller != router.commitment_log[pending.commitment]:
+        raise Unauthorized("only the commitment's dApp may halt its revert")
     if chain.height >= pending.window_end:
         raise WindowExpired(f"window closed at block {pending.window_end}")
     pending.halted = True

@@ -128,6 +128,10 @@ class Halted(SimError):
 
 # -- actors ------------------------------------------------------------------
 
+class InvalidValue(SimError):
+    pass
+
+
 class SignatureMissing(SimError):
     pass
 

@@ -12,10 +12,8 @@ sensitive encodings the protocol promises to hide:
 * source-chain view: every record emitted on a given deposit's source
   chain.
 
-A deposit's destination chain id is also the public source chain id of
-every deposit event emitted on the destination chain, so the oracle view
-is scanned for it outside those events only; the source-chain view is
-scanned for it everywhere.
+A deposit event's last word is its emitting chain's public id, so it is
+stripped before either view is scanned.
 
 Revert scenarios legitimately reveal the commitment on the source chain;
 the analyzer reports that linkage as expected leakage rather than a
@@ -37,6 +35,13 @@ def _record_bytes(records) -> bytes:
     ).encode()
 
 
+def _strip_public_chain_id(records: list) -> list:
+    """Drop each deposit event's last payload word: the id of the chain that
+    emitted it, public by design (``deposit_minimality`` checks it)."""
+    return [dict(r, payload=r["payload"][:-64]) if r.get("op") == "deposit_event"
+            else r for r in records]
+
+
 def oracle_view(records: list) -> list:
     return [r for r in records
             if r.get("kind") != "header" and r.get("op") not in _USER_DIRECT_OPS]
@@ -54,17 +59,10 @@ def analyze_linkability(records: list, deposit_secrets: list) -> dict:
     itself). Returns per-view hit counts and the expected commitment
     leakage from revert flows.
     """
-    oracle_blob = _record_bytes(oracle_view(records))
-    src_blobs = {c: _record_bytes(source_view(records, c))
+    scanned = _strip_public_chain_id(records)
+    oracle_blob = _record_bytes(oracle_view(scanned))
+    src_blobs = {c: _record_bytes(source_view(scanned, c))
                  for c in {sec["source_chain"] for sec in deposit_secrets}}
-    # deposit events per destination chain; their hits on the destination
-    # chain id are taken off the oracle view's count (a hex word never
-    # spans the newline between two records)
-    dest_event_blobs = {
-        c: _record_bytes([r for r in records
-                          if r.get("op") == "deposit_event" and r.get("chain") == c])
-        for c in {int(sec["dest_chain_id"], 16) for sec in deposit_secrets}
-    }
     # the deposit event itself contains the commitment by design; the
     # linkage that matters is its reappearance in revert records
     revert_blob = _record_bytes(
@@ -81,8 +79,6 @@ def analyze_linkability(records: list, deposit_secrets: list) -> dict:
         for name in _HIDDEN_FIELDS:
             enc = sec[name].encode()
             hits_oracle = oracle_blob.count(enc)
-            if name == "dest_chain_id":
-                hits_oracle -= dest_event_blobs[int(sec[name], 16)].count(enc)
             hits_source = src_blob.count(enc)
             entry["oracle_view"][name] = hits_oracle
             entry["source_view"][name] = hits_source

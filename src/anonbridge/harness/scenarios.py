@@ -151,11 +151,11 @@ def custody_total_outage(sim: Simulation):
     sim.go_offline("oracle")
     sim.go_offline("dapp")
     sim.revert_init(d)
-    sim.halt()  # offline dApp issues nothing
+    halts = sim.halt()  # offline dApp issues nothing
     sim.advance(sim.config.window)
     sim.execute(d)
     sim.check("funds_recovered", sim.wallets["alice"].balance == 100)
-    sim.check("no_halt_issued", not sim.dapp._halts_issued)
+    sim.check("no_halt_issued", not halts)
 
 
 def dapp_hash_squat(sim: Simulation):
@@ -223,8 +223,15 @@ def withdraw_revert_race(sim: Simulation):
     of the two outcomes must win."""
     d = _drive_happy_path(sim)
     r = sim.rng.child("race").py_random()
-    settle_steps = [("withdraw",)]
-    revert_steps = [("mark",), ("init",), ("watch",), ("advance",), ("execute",)]
+    settle_steps = [lambda: sim.withdraw(d)]
+    revert_steps = [
+        lambda: sim.revert_mark(d),
+        lambda: sim.revert_init(d),
+        sim.halt,
+        lambda: sim.advance(sim.config.window),
+        # the dApp stays vigilant up to execution
+        lambda: (sim.halt(), sim.execute(d)),
+    ]
     merged = []
     while settle_steps or revert_steps:
         pool = []
@@ -233,21 +240,9 @@ def withdraw_revert_race(sim: Simulation):
         if revert_steps:
             pool.append(revert_steps)
         merged.append(r.choice(pool).pop(0))
-    for (step,) in merged:
+    for step in merged:
         try:
-            if step == "withdraw":
-                sim.withdraw(d)
-            elif step == "mark":
-                sim.revert_mark(d)
-            elif step == "init":
-                sim.revert_init(d)
-            elif step == "watch":
-                sim.halt()
-            elif step == "advance":
-                sim.advance(sim.config.window)
-            elif step == "execute":
-                sim.halt()  # the dApp stays vigilant up to execution
-                sim.execute(d)
+            step()
         except SimError:
             pass  # rejections are the mechanism under test
     settled, reverted = sim.settled(d), sim.reverted(d)

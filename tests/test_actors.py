@@ -240,6 +240,17 @@ class TestWatcher:
         halts = sim.dapp.watch_reverts(sim.chains)
         assert "rate_threshold" in [h[2] for h in halts]
 
+    def test_revert_watched_twice_counts_once(self):
+        # each pass sees the same honest revert; only the first counts
+        # against a rate of one per period
+        sim = make_sim(dapp={"max_reverts_per_period": 1, "period_blocks": 1000})
+        d = self._revert_pending(sim, mark=True)
+        assert sim.halt() == []
+        assert sim.halt() == []
+        sim.advance(sim.config.window)
+        sim.execute(d)
+        assert sim.reverted(d)
+
     def test_offline_watcher_issues_nothing(self):
         sim = make_sim()
         self._revert_pending(sim, mark=False)

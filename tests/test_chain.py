@@ -47,6 +47,7 @@ from anonbridge.errors import (
 )
 from anonbridge.hashing import commit
 from anonbridge.rng import SeededRng, random_field_31
+from anonbridge.signing import KeyPair
 
 AUTH = b"\xaa" * 32
 
@@ -63,8 +64,6 @@ class Harness:
         self.addr_dst = self.rng.bytes(20)
         for chain, addr in ((self.src, self.addr_src), (self.dst, self.addr_dst)):
             chain.deployed_dapps.add(addr)
-        from anonbridge.signing import KeyPair
-
         self.key = KeyPair.generate(self.rng.child("dapp"))
         self.ghash = router_register_dapp(
             self.src, self.addr_src, [self.addr_dst], self.key.verifying_key
@@ -342,6 +341,22 @@ class TestRevert:
         advance_blocks(h.src, self.WINDOW)
         with pytest.raises(Halted):
             router_revert_execute(h.src, nh)
+
+    def test_only_the_commitments_dapp_may_halt(self):
+        # a second registered dApp cannot block the first dApp's revert
+        h = Harness()
+        other = b"\x02" * 20
+        h.src.deployed_dapps.add(other)
+        router_register_dapp(h.src, other, [b"\x03" * 20],
+                             KeyPair.generate(h.rng.child("other")).verifying_key)
+        note, payload, req, rproof, _ = self._pending(h)
+        nh = rproof.public.nullifier_hash
+        with pytest.raises(Unauthorized):
+            router_revert_halt(h.src, nh, other)
+        assert not h.src.router.pending_reverts[nh].halted
+        advance_blocks(h.src, self.WINDOW)
+        router_revert_execute(h.src, nh)
+        assert nh in h.src.router.nullifier_reverted
 
     def test_halt_after_expiry_rejected(self):
         h = Harness()

@@ -187,6 +187,26 @@ class TestScriptInterpreter:
         assert not result.passed
 
 
+class TestDepositValue:
+    @pytest.mark.parametrize("value", [-1, 101])
+    def test_value_outside_balance_is_rejected(self, value):
+        script = [dict(HAPPY_SCRIPT[0], value=value, expect="InvalidValue")]
+        result = run_scenario(script_config(script))
+        assert result.passed, [v for v in result.verdicts if not v.passed]
+        sim = result.sim
+        assert sim.wallets["alice"].balance == 100
+        assert sim.dapp.contracts[1001].escrow == {}
+        assert not [ev for ev in sim.chains[1001].event_log if ev.kind == "deposit"]
+
+    @pytest.mark.parametrize("value", [0, 100])
+    def test_value_within_balance_is_accepted(self, value):
+        script = [dict(HAPPY_SCRIPT[0], value=value)] + HAPPY_SCRIPT[1:]
+        result = run_scenario(script_config(script))
+        assert result.passed, [v for v in result.verdicts if not v.passed]
+        assert result.sim.wallets["alice"].balance == 100 - value
+        assert result.sim.settled("d0")
+
+
 class TestReplayDeterminism:
     @pytest.mark.parametrize("name", ["settlement_happy_path", "withdraw_revert_race",
                                       "oracle_censorship"])
@@ -375,6 +395,14 @@ class TestLinkability:
         script = [dict(HAPPY_SCRIPT[0], payload=payload)] + HAPPY_SCRIPT[1:]
         result = run_scenario(script_config(script))
         assert payload in result.transcript.records[0]["config"]
+        verdict = {v.name: v for v in result.verdicts}["no_hidden_field_leakage"]
+        assert verdict.passed, verdict.detail
+
+    def test_same_chain_deposit_is_clean(self):
+        # the destination id is the public chain id of the deposit event
+        script = [dict(HAPPY_SCRIPT[0], dest=1001)] + HAPPY_SCRIPT[1:]
+        result = run_scenario(script_config(script))
+        assert result.sim.settled("d0")
         verdict = {v.name: v for v in result.verdicts}["no_hidden_field_leakage"]
         assert verdict.passed, verdict.detail
 

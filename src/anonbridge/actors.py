@@ -25,6 +25,7 @@ from .circuit import (
     SettlementWitness,
 )
 from .dact import (
+    TPC_MASK,
     DepositRequest,
     Note,
     PayloadIntent,
@@ -86,6 +87,9 @@ class DappContract:
 
 # -- wallet --------------------------------------------------------------------
 
+START_BALANCE = 100  # every wallet's opening balance
+
+
 @dataclass
 class NoteRecord:
     note: Note
@@ -98,7 +102,7 @@ class NoteRecord:
 class Wallet:
     """Holds notes and builds proofs; note material never leaves here."""
 
-    def __init__(self, name: str, rng: SeededRng, balance: int = 100):
+    def __init__(self, name: str, rng: SeededRng, balance: int = START_BALANCE):
         self.name = name
         self.rng = rng
         self.balance = balance
@@ -260,7 +264,7 @@ class Oracle:
         secret = int.from_bytes(self.rng.bytes(31), "big")
         nullifier = int.from_bytes(self.rng.bytes(31), "big")
         c = commit(secret, nullifier)
-        tpc = int.from_bytes(self.rng.bytes(9), "big") & ((1 << 73) - 1)
+        tpc = int.from_bytes(self.rng.bytes(9), "big") & TPC_MASK
         leaf = make_leaf(c, tpc, source_chain)
         tree = MerkleTree(depth)
         index = tree.insert(leaf.value)
@@ -279,26 +283,29 @@ class Oracle:
 
 @dataclass
 class ResilienceRules:
+    """The fields of a scenario's ``dapp`` section, with their defaults.
+
+    scheme: "single" or "threshold"; threshold signing is simulated as
+    k-of-n share collection gating one ordinary signature. The rest are
+    the revert watcher's rate and value limits.
+    """
+    scheme: str = "single"
+    n: int = 1
+    k: int = 1
     max_reverts_per_period: int = 1000
     period_blocks: int = 1000
     max_value_per_revert: int = 10**9
 
 
 class DappSigner:
-    """Signs recognized leaves and polices revert windows.
+    """Signs recognized leaves and polices revert windows under its
+    ``ResilienceRules``."""
 
-    scheme: "single" or "threshold"; threshold signing is simulated as
-    k-of-n share collection gating one ordinary signature.
-    """
-
-    def __init__(self, name: str, rng: SeededRng, scheme: str = "single",
-                 n: int = 1, k: int = 1, resilience: ResilienceRules = None):
+    def __init__(self, name: str, rng: SeededRng, **rules):
         self.name = name
         self.key = KeyPair.generate(rng)
-        self.scheme = scheme
-        self.n, self.k = n, k
-        self.online_shares = set(range(n))
-        self.resilience = resilience or ResilienceRules()
+        self.resilience = ResilienceRules(**rules)
+        self.online_shares = set(range(self.resilience.n))
         self.offline = False
         self.contracts: dict = {}   # chain id -> DappContract
         self.ghash: bytes = b""
@@ -312,9 +319,10 @@ class DappSigner:
 
     def threshold_sign(self, message: bytes) -> bytes:
         """Aggregate signature; fails when fewer than k shares are online."""
-        if self.scheme == "threshold" and len(self.online_shares) < self.k:
+        rules = self.resilience
+        if rules.scheme == "threshold" and len(self.online_shares) < rules.k:
             raise ThresholdUnmet(
-                f"{len(self.online_shares)} shares online, need {self.k} of {self.n}"
+                f"{len(self.online_shares)} shares online, need {rules.k} of {rules.n}"
             )
         return self.key.sign(message)
 

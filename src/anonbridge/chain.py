@@ -123,7 +123,8 @@ def router_register_dapp(chain: Chain, caller: bytes, other_addresses: list,
     cross-chain, so registrations away from the dApp's home chain submit
     the home address and the same array; the Router recomputes the hash
     and requires the local caller to appear in that array, which blocks
-    hash squatting. First writer wins; a registered hash is permanent.
+    hash squatting. First writer wins; a registered hash, and the global
+    hash a verifying key is bound to, are permanent.
     """
     if caller not in chain.deployed_dapps:
         raise Unauthorized(f"{caller.hex()} is not a dApp contract on chain {chain.chain_id}")
@@ -133,6 +134,8 @@ def router_register_dapp(chain: Chain, caller: bytes, other_addresses: list,
     ghash = dapp_global_hash(home, other_addresses)
     if ghash in chain.router.dapp_registry:
         raise AlreadyRegistered(f"global hash {ghash.hex()} already registered")
+    if verifying_key in chain.router.dapp_keys:
+        raise AlreadyRegistered(f"verifying key {verifying_key.hex()} already bound")
     chain.router.dapp_registry[ghash] = caller
     chain.router.dapp_keys[verifying_key] = ghash
     chain.router.dapp_ghash.setdefault(caller, ghash)

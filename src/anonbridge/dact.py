@@ -30,7 +30,7 @@ VERSION_MIN, VERSION_MAX = 1, 1000
 CHAIN_ID_MIN, CHAIN_ID_MAX = 1001, 10000
 
 TPC_BITS = 73
-_TPC_MASK = (1 << TPC_BITS) - 1
+TPC_MASK = (1 << TPC_BITS) - 1
 
 ADDRESS_LEN = 20
 
@@ -123,7 +123,7 @@ def trustless_public_commitment(global_hash: bytes, version: int, obfuscated_dat
     """Low-order 73 bits of keccak256(ghash || version || obfuscated)."""
     validate_version(version)
     digest = keccak256(global_hash + to_bytes32(version) + obfuscated_data)
-    return int.from_bytes(digest, "big") & _TPC_MASK
+    return int.from_bytes(digest, "big") & TPC_MASK
 
 
 def make_leaf(commitment: int, tpc: int, source_chain: int) -> Leaf:

@@ -1,17 +1,17 @@
 """Scenario configuration: the replayable description of a run.
 
 A scenario is either a declarative script over the fixed action
-vocabulary (deposit, sign, relay, push_root, withdraw, revert_mark,
-revert_init, halt, execute, advance, go_offline) or a named builtin
-driver; both replay deterministically from (config, seed).
+vocabulary (the keys of ``ACTION_FIELDS``) or a named builtin driver;
+both replay deterministically from (config, seed).
 """
 
 import json
 from dataclasses import dataclass, field, asdict, fields
 
-from ..actors import ORACLE_MODES
+from ..actors import ORACLE_MODES, OraclePolicy, ResilienceRules
 from ..dact import validate_chain_id
 from ..errors import ChainIdOutOfTier, ConfigInvalid
+from ..merkle import MAX_DEPTH
 
 # action -> the fields it takes besides "op" and "expect", with their types
 ACTION_FIELDS = {
@@ -31,13 +31,14 @@ ACTION_FIELDS = {
 }
 ACTION_VOCABULARY = set(ACTION_FIELDS)
 
-# the fields the "dapp" and "oracle" sections take, with their types; the
-# dapp's go to DappSigner and ResilienceRules, the oracle's to OraclePolicy
-# ("censor_dapp" is a flag: the oracle censors the scenario's dApp)
-DAPP_FIELDS = {"scheme": str, "n": int, "k": int, "max_reverts_per_period": int,
-               "period_blocks": int, "max_value_per_revert": int}
-ORACLE_FIELDS = {"mode": str, "forged_root": int, "censor_dapp": bool,
-                 "censor_chain": int}
+# the fields the "dapp" and "oracle" sections take, with their types: those
+# of ResilienceRules and OraclePolicy, except that "censor_dapp" is a flag
+# (the oracle censors the scenario's dApp)
+DAPP_FIELDS = {f.name: f.type for f in fields(ResilienceRules)}
+ORACLE_FIELDS = dict({f.name: f.type for f in fields(OraclePolicy)}, censor_dapp=bool)
+
+# the actors a go_offline action may name, each a Simulation attribute
+OFFLINE_ACTORS = ("oracle", "dapp")
 
 _REQUIRED = {
     "deposit": ("wallet", "source", "dest"),
@@ -81,7 +82,7 @@ def _check_action(i: int, action, config: "ScenarioConfig") -> None:
     known = {"wallet": config.wallets, "source": config.chains,
              "chain": config.chains}
     if op == "go_offline":
-        known["actor"] = ("oracle", "dapp")
+        known["actor"] = OFFLINE_ACTORS
     for name, allowed in known.items():
         if action.get(name) is not None and action[name] not in allowed:
             raise ConfigInvalid(f"{where}: field {name!r} names unknown "
@@ -115,7 +116,7 @@ class ScenarioConfig:
     revert_fee: int = 1
     wallets: list = field(default_factory=lambda: ["alice"])
     oracle: dict = field(default_factory=dict)   # OraclePolicy fields
-    dapp: dict = field(default_factory=dict)     # scheme/n/k/resilience fields
+    dapp: dict = field(default_factory=dict)     # ResilienceRules fields
     script: list = None                          # declarative action list
     builtin: str = None                          # or a builtin driver name
 
@@ -138,18 +139,18 @@ class ScenarioConfig:
             raise ConfigInvalid("multiplexer must be one of the configured chains")
         if len(set(self.chains)) != len(self.chains):
             raise ConfigInvalid("duplicate chain ids")
-        if not 1 <= self.merkle_depth <= 32:
-            raise ConfigInvalid("merkle_depth must be in 1..32")
+        if not 1 <= self.merkle_depth <= MAX_DEPTH:
+            raise ConfigInvalid(f"merkle_depth must be in 1..{MAX_DEPTH}")
         _check_section("dapp", self.dapp, DAPP_FIELDS)
-        if self.dapp.get("scheme", "single") not in ("single", "threshold"):
+        rules = ResilienceRules(**self.dapp)
+        if rules.scheme not in ("single", "threshold"):
             raise ConfigInvalid("field 'dapp.scheme' must be 'single' or "
-                                f"'threshold', got {self.dapp['scheme']!r}")
-        n, k = self.dapp.get("n", 1), self.dapp.get("k", 1)
-        if not 1 <= k <= n:
+                                f"'threshold', got {rules.scheme!r}")
+        if not 1 <= rules.k <= rules.n:
             raise ConfigInvalid(f"fields 'dapp.n' and 'dapp.k' must satisfy "
-                                f"1 <= k <= n, got n={n}, k={k}")
+                                f"1 <= k <= n, got n={rules.n}, k={rules.k}")
         _check_section("oracle", self.oracle, ORACLE_FIELDS)
-        if self.oracle.get("mode", "honest") not in ORACLE_MODES:
+        if self.oracle.get("mode", OraclePolicy.mode) not in ORACLE_MODES:
             raise ConfigInvalid(f"field 'oracle.mode' must be one of "
                                 f"{', '.join(ORACLE_MODES)}, got {self.oracle['mode']!r}")
         if (self.script is None) == (self.builtin is None):

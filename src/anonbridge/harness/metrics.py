@@ -7,7 +7,7 @@ signature verification, 1 per proof verification -- never gas.
 from .. import circuit as circuit_mod
 from .. import ops
 from ..circuit import ProofSystem, SettlementPublic, SettlementWitness
-from ..dact import make_leaf
+from ..dact import TPC_MASK, make_leaf
 from ..hashing import commit, nullifier_hash
 from ..merkle import MerkleTree
 from ..rng import SeededRng, random_field_31
@@ -23,7 +23,7 @@ def measure_depth(depth: int, seed: int = 0) -> dict:
 
     secret, nullifier = random_field_31(rng), random_field_31(rng)
     c = commit(secret, nullifier)
-    tpc = int.from_bytes(rng.bytes(9), "big") & ((1 << 73) - 1)
+    tpc = int.from_bytes(rng.bytes(9), "big") & TPC_MASK
     source_chain = 1001
     leaf = make_leaf(c, tpc, source_chain)
 

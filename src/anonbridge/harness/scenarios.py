@@ -3,6 +3,7 @@
 from dataclasses import dataclass, replace as dc_replace
 
 from .. import ops
+from ..actors import START_BALANCE
 from ..chain import router_register_dapp, router_withdraw
 from ..circuit import Proof
 from ..errors import ConfigInvalid, SimError
@@ -10,7 +11,7 @@ from .config import ScenarioConfig
 from .linkability import analyze_linkability
 from .simulation import Simulation, Verdict
 
-SOURCE, MUX, DEST = 1001, 1002, 1003
+SOURCE, DEST = 1001, 1003
 
 
 @dataclass
@@ -140,7 +141,7 @@ def oracle_censorship(sim: Simulation):
     sim.advance(sim.config.window)
     sim.execute(d)
     wallet = sim.wallets["alice"]
-    sim.check("funds_recovered", wallet.balance == 100)
+    sim.check("funds_recovered", wallet.balance == START_BALANCE)
 
 
 def custody_total_outage(sim: Simulation):
@@ -154,7 +155,7 @@ def custody_total_outage(sim: Simulation):
     halts = sim.halt()  # offline dApp issues nothing
     sim.advance(sim.config.window)
     sim.execute(d)
-    sim.check("funds_recovered", sim.wallets["alice"].balance == 100)
+    sim.check("funds_recovered", sim.wallets["alice"].balance == START_BALANCE)
     sim.check("no_halt_issued", not halts)
 
 
@@ -303,9 +304,6 @@ def oracle_replay(sim: Simulation):
     sim.check("single_leaf", sim.mixer_chain.mixer.tree.next_index == 1)
 
 
-_BASE = dict(chains=[SOURCE, MUX, DEST], multiplexer=MUX, merkle_depth=16,
-             wallets=["alice"])
-
 BUILTINS = {
     "settlement_happy_path": (settlement_happy_path, {}),
     "double_spend": (double_spend, {}),
@@ -341,10 +339,8 @@ def builtin_config(name: str, seed: int = 0, **overrides) -> ScenarioConfig:
     if name not in BUILTINS:
         raise ConfigInvalid(f"unknown builtin scenario {name!r}")
     _, defaults = BUILTINS[name]
-    params = dict(_BASE)
-    params.update(defaults)
-    params.update(overrides)
-    return ScenarioConfig(seed=seed, name=name, builtin=name, **params)
+    return ScenarioConfig(seed=seed, name=name, builtin=name,
+                          **dict(defaults, **overrides))
 
 
 # -- declarative script interpreter -----------------------------------------------

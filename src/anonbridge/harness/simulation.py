@@ -17,7 +17,6 @@ from ..actors import (
     DappSigner,
     Oracle,
     OraclePolicy,
-    ResilienceRules,
     Wallet,
 )
 from ..chain import (
@@ -34,7 +33,7 @@ from ..dact import PayloadIntent
 from ..errors import ConfigInvalid, ConstraintViolation, SimError
 from ..field import to_bytes32
 from ..rng import SeededRng
-from .config import ScenarioConfig
+from .config import OFFLINE_ACTORS, ScenarioConfig
 from .transcript import Transcript
 
 
@@ -93,14 +92,7 @@ class Simulation:
             self.transcript.log("header", config=config.to_json())
 
             # one dApp spanning every chain; validate() checked both sections
-            dapp_cfg = dict(config.dapp)
-            resilience = ResilienceRules(
-                max_reverts_per_period=dapp_cfg.pop("max_reverts_per_period", 1000),
-                period_blocks=dapp_cfg.pop("period_blocks", 1000),
-                max_value_per_revert=dapp_cfg.pop("max_value_per_revert", 10**9),
-            )
-            self.dapp = DappSigner("dapp", self.rng.child("dapp-keys"),
-                                   resilience=resilience, **dapp_cfg)
+            self.dapp = DappSigner("dapp", self.rng.child("dapp-keys"), **config.dapp)
             self._deploy_and_register(self.dapp, "dapp")
 
             policy_cfg = dict(config.oracle)
@@ -144,12 +136,10 @@ class Simulation:
             if cid == home_cid:
                 signer.ghash = ghash
 
-    def deploy_extra_dapp(self, tag: str, scheme: str = "single",
-                          n: int = 1, k: int = 1) -> DappSigner:
+    def deploy_extra_dapp(self, tag: str) -> DappSigner:
         """Second dApp for wrong-dApp and registration-attack scenarios."""
         with ops.counting(self.ops):
-            signer = DappSigner(tag, self.rng.child(f"{tag}-keys"),
-                                scheme=scheme, n=n, k=k)
+            signer = DappSigner(tag, self.rng.child(f"{tag}-keys"))
             self._deploy_and_register(signer, tag)
         return signer
 
@@ -387,12 +377,9 @@ class Simulation:
 
     def go_offline(self, actor: str, expect=None):
         def _do():
-            if actor == "oracle":
-                self.oracle.offline = True
-            elif actor == "dapp":
-                self.dapp.offline = True
-            else:
+            if actor not in OFFLINE_ACTORS:
                 raise ConfigInvalid(f"unknown actor {actor!r}")
+            getattr(self, actor).offline = True
 
         return self._call("go_offline", None, _do, expect=expect, actor=actor)
 

@@ -1,5 +1,7 @@
 """Wallet, oracle policies, dApp signer quorum, and the revert watcher."""
 
+from dataclasses import asdict
+
 import pytest
 
 from anonbridge.actors import DappSigner, Oracle, OraclePolicy, ResilienceRules
@@ -263,3 +265,14 @@ class TestResilienceDefaults:
         rules = ResilienceRules()
         assert rules.max_reverts_per_period >= 1000
         assert rules.max_value_per_revert >= 10**9
+
+    def test_every_dapp_field_reaches_the_signer(self):
+        dapp = {"scheme": "threshold", "n": 3, "k": 2, "max_value_per_revert": 5}
+        sim = make_sim(dapp=dapp)
+        assert asdict(sim.dapp.resilience) == dict(asdict(ResilienceRules()), **dapp)
+        assert sim.dapp.online_shares == {0, 1, 2}
+
+    def test_empty_dapp_section_and_extra_dapp_take_the_defaults(self):
+        sim = make_sim(dapp={})
+        assert sim.dapp.resilience == ResilienceRules()
+        assert sim.deploy_extra_dapp("x").resilience == ResilienceRules()

@@ -148,6 +148,19 @@ class TestRegistration:
             router_register_dapp(h.dst, intruder, [h.addr_dst], b"\x02" * 32,
                                  home_address=h.addr_src)
 
+    def test_bound_verifying_key_cannot_be_rebound(self):
+        """A second contract registering the dApp's key under its own
+        global hash is refused before it writes anything."""
+        h = Harness()
+        squatter = h.rng.bytes(20)
+        h.dst.deployed_dapps.add(squatter)
+        vk = h.key.verifying_key
+        with pytest.raises(AlreadyRegistered):
+            router_register_dapp(h.dst, squatter, [h.addr_src], vk)
+        assert h.dst.router.dapp_keys[vk] == h.ghash
+        assert dapp_global_hash(squatter, [h.addr_src]) not in h.dst.router.dapp_registry
+        assert squatter not in h.dst.router.dapp_ghash
+
     def test_registered_hash_matches_direct_computation(self):
         h = Harness()
         assert h.ghash == dapp_global_hash(h.addr_src, [h.addr_dst])

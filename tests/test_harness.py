@@ -73,6 +73,11 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             ScenarioConfig.from_dict({"seed": 1, "script": [], "bogus": 1})
 
+    def test_builtin_configs_own_their_lists(self):
+        a, b = builtin_config("double_spend"), builtin_config("oracle_replay")
+        assert a.chains is not b.chains
+        assert a.wallets is not b.wallets
+
     def test_unknown_builtin_rejected(self):
         with pytest.raises(ConfigInvalid):
             builtin_config("nonexistent")

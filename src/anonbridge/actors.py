@@ -5,7 +5,7 @@ scenario scheduler. Adversarial behavior lives in the oracle policy and
 in scenario drivers, never inside the contracts.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import circuit as circuit_mod
 from .chain import (
@@ -18,6 +18,7 @@ from .chain import (
     router_update_root,
 )
 from .circuit import (
+    Proof,
     ProofSystem,
     RevertPublic,
     RevertWitness,
@@ -35,7 +36,6 @@ from .dact import (
     obfuscate,
     parse_deposit,
     serialize_deposit,
-    trustless_public_commitment,
 )
 from .errors import (
     DuplicateCommitment,
@@ -45,6 +45,7 @@ from .errors import (
     UnknownCommitment,
 )
 from .hashing import commit, nullifier_hash
+from .merkle import MerklePath, MerkleTree
 from .rng import SeededRng
 from .signing import KeyPair
 
@@ -92,11 +93,22 @@ START_BALANCE = 100  # every wallet's opening balance
 
 @dataclass
 class NoteRecord:
+    """A deposit's only record, held by its wallet: the note and intent,
+    the TPC the Router emitted in the deposit event and the leaf it makes,
+    and the proofs built over them."""
+    wallet: str
+    commitment: int
     note: Note
-    intent: PayloadIntent
+    payload: bytes
+    source: int
+    dest: int
     version: int
     ghash: bytes
-    source_chain: int
+    tpc: int
+    leaf: int
+    settlement: Proof = None        # the last settlement proof built
+    revert: Proof = None            # the revert proof, with its Merkle path
+    revert_path: MerklePath = None
 
 
 class Wallet:
@@ -109,63 +121,60 @@ class Wallet:
         self.notes: dict = {}  # commitment -> NoteRecord
 
     def deposit(self, chain: Chain, dapp_contract: DappContract, ghash: bytes,
-                intent: PayloadIntent, version: int, value: int = 1) -> int:
-        """Create a note, obfuscate the intent, and submit via the dApp."""
+                intent: PayloadIntent, version: int, value: int = 1) -> NoteRecord:
+        """Create a note, submit it via the dApp, and keep its record."""
         note = note_new(self.rng)
         c = commit(note.secret, note.nullifier)
         od = obfuscate(intent, note.salt)
         req = DepositRequest(c, od, version, dapp_contract.address)
-        dapp_contract.forward_deposit(chain, self, req, value)
-        self.notes[c] = NoteRecord(note, intent, version, ghash, chain.chain_id)
-        return c
+        event = dapp_contract.forward_deposit(chain, self, req, value)
+        _, tpc, source = decode_deposit_event(event.payload)
+        self.notes[c] = rec = NoteRecord(
+            self.name, c, note, intent.payload, source, intent.dest_chain_id,
+            version, ghash, tpc, make_leaf(c, tpc, source).value)
+        return rec
 
-    def _record(self, commitment: int) -> NoteRecord:
+    def _locate_leaf(self, commitment: int, mixer_chain: Chain) -> tuple:
         rec = self.notes.get(commitment)
         if rec is None:
             raise UnknownCommitment(f"wallet holds no note for {commitment}")
-        return rec
-
-    def _locate_leaf(self, commitment: int, mixer_chain: Chain):
-        rec = self._record(commitment)
-        od = obfuscate(rec.intent, rec.note.salt)
-        tpc = trustless_public_commitment(rec.ghash, rec.version, od)
-        leaf = make_leaf(commitment, tpc, rec.source_chain)
-        index = mixer_chain.mixer.tree.leaf_index.get(leaf.value)
+        index = mixer_chain.mixer.tree.leaf_index.get(rec.leaf)
         if index is None:
             raise UnknownCommitment(
                 f"leaf for commitment {commitment} not in the global tree"
             )
-        return rec, tpc, leaf, index
+        return rec, index
 
     def build_settlement(self, commitment: int, mixer_chain: Chain,
-                         proofs: ProofSystem, dapp_verifying_key: bytes):
-        """Settlement proof plus the withdraw call parameters."""
-        rec, tpc, leaf, index = self._locate_leaf(commitment, mixer_chain)
+                         proofs: ProofSystem, dapp_verifying_key: bytes) -> Proof:
+        """Settlement proof, kept as the record's ``settlement``."""
+        rec, index = self._locate_leaf(commitment, mixer_chain)
         signature = mixer_chain.mixer.leaf_signatures.get(index)
         if signature is None:
             raise SignatureMissing(f"leaf {index} has no dApp signature yet")
         tree = mixer_chain.mixer.tree
-        path = tree.path(index)
         public = SettlementPublic(
-            nullifier_hash(rec.note.nullifier), tree.root, tpc, dapp_verifying_key
+            nullifier_hash(rec.note.nullifier), tree.root, rec.tpc, dapp_verifying_key
         )
         witness = SettlementWitness(
-            rec.note.nullifier, rec.note.secret, path, rec.source_chain, signature
+            rec.note.nullifier, rec.note.secret, tree.path(index), rec.source, signature
         )
-        proof = proofs.prove(circuit_mod.SETTLEMENT, witness, public)
-        return proof, rec.intent.payload, rec.note.salt, rec.version
+        rec.settlement = proofs.prove(circuit_mod.SETTLEMENT, witness, public)
+        return rec.settlement
 
-    def build_revert(self, commitment: int, mixer_chain: Chain, proofs: ProofSystem):
-        """Revert proof plus the destination-mark call parameters."""
-        rec, tpc, leaf, index = self._locate_leaf(commitment, mixer_chain)
+    def build_revert(self, commitment: int, mixer_chain: Chain,
+                     proofs: ProofSystem) -> Proof:
+        """Revert proof, kept as the record's ``revert`` with its path."""
+        rec, index = self._locate_leaf(commitment, mixer_chain)
         tree = mixer_chain.mixer.tree
         path = tree.path(index)
         public = RevertPublic(
-            commitment, rec.source_chain, nullifier_hash(rec.note.nullifier), tree.root
+            commitment, rec.source, nullifier_hash(rec.note.nullifier), tree.root
         )
-        witness = RevertWitness(rec.note.nullifier, rec.note.secret, path, tpc)
-        proof = proofs.prove(circuit_mod.REVERT, witness, public)
-        return proof, rec.intent.payload, rec.note.salt, rec.version, rec.ghash, path
+        witness = RevertWitness(rec.note.nullifier, rec.note.secret, path, rec.tpc)
+        rec.revert = proofs.prove(circuit_mod.REVERT, witness, public)
+        rec.revert_path = path
+        return rec.revert
 
 
 # -- oracle network -------------------------------------------------------------
@@ -176,7 +185,6 @@ ORACLE_MODES = ("honest", "forge_root", "censor_dapp", "censor_chain", "replay")
 @dataclass
 class OraclePolicy:
     mode: str = "honest"  # one of ORACLE_MODES
-    forged_root: int = 0
     censor_dapp: bytes = b""      # global hash of the censored dApp
     censor_chain: int = 0
 
@@ -191,6 +199,7 @@ class Oracle:
         self.offline = False
         self._cursors: dict = {}     # chain id -> next event index to scan
         self.dropped: list = []      # censored items, for transcript assertions
+        self.forged_root = 0         # the root of the last forged tree
 
     def relay(self, chains: dict, mixer_chain: Chain) -> list:
         """Scan all event logs and push new deposit events into the mixer."""
@@ -230,7 +239,7 @@ class Oracle:
         if self.offline:
             return 0
         root = (
-            self.policy.forged_root
+            self.forged_root
             if self.policy.mode == "forge_root"
             else mixer_chain.mixer.tree.root
         )
@@ -259,8 +268,6 @@ class Oracle:
         verifying key. It can only sign with its own key, so proving
         must fail at the signature constraint.
         """
-        from .merkle import MerkleTree
-
         secret = int.from_bytes(self.rng.bytes(31), "big")
         nullifier = int.from_bytes(self.rng.bytes(31), "big")
         c = commit(secret, nullifier)
@@ -269,7 +276,7 @@ class Oracle:
         tree = MerkleTree(depth)
         index = tree.insert(leaf.value)
         path = tree.path(index)
-        self.policy.forged_root = tree.root
+        self.forged_root = tree.root
         forged_sig = KeyPair.generate(self.rng).sign(leaf_bytes(leaf.value))
         public = SettlementPublic(
             nullifier_hash(nullifier), tree.root, tpc, victim_vk

@@ -7,9 +7,10 @@ Subcommands:
     replay <transcript.jsonl>            re-execute a transcript's config and
                                          confirm the digest matches
 
-Exit status is 0 iff every verdict passed, and 2 when the config, a
-script action or a sweep depth is malformed. ANONBRIDGE_SEED overrides
-the scenario seed.
+Exit status is 0 iff every verdict passed, and 2 when a scenario file or
+a transcript to replay cannot be read, the config, a script action or a
+sweep depth is malformed, or a transcript has no header. ANONBRIDGE_SEED
+overrides the scenario seed.
 """
 
 import argparse
@@ -39,7 +40,11 @@ def _env_seed(default):
 def _load_config(target: str, seed) -> ScenarioConfig:
     path = Path(target)
     if path.exists():
-        config = ScenarioConfig.from_json(path.read_text())
+        try:
+            text = path.read_text()
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+            raise ConfigInvalid(f"cannot read {target!r}: {exc}") from None
+        config = ScenarioConfig.from_json(text)
         if seed is not None:
             config.seed = seed
         return config.validate()
@@ -112,10 +117,14 @@ def cmd_attacks(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    records = Transcript.load_records(args.transcript)
-    header = records[0]
-    if header.get("kind") != "header":
-        sys.exit("error: transcript has no header record")
+    try:
+        records = Transcript.load_records(args.transcript)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+        raise ConfigInvalid(f"cannot read {args.transcript!r}: {exc}") from None
+    header = records[0] if records else None
+    if not (isinstance(header, dict) and header.get("kind") == "header"
+            and isinstance(header.get("config"), str)):
+        raise ConfigInvalid(f"{args.transcript!r} has no header record")
     config = ScenarioConfig.from_json(header["config"])
     result = run_scenario(config)
     original = Transcript()

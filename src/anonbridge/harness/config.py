@@ -39,6 +39,9 @@ ORACLE_FIELDS = dict({f.name: f.type for f in fields(OraclePolicy)}, censor_dapp
 
 # the actors a go_offline action may name, each a Simulation attribute
 OFFLINE_ACTORS = ("oracle", "dapp")
+# the actors a withdraw action may name: the deposit's own wallet, or the
+# oracle attempting a forged settlement
+WITHDRAW_ACTORS = ("wallet", "oracle")
 
 _REQUIRED = {
     "deposit": ("wallet", "source", "dest"),
@@ -80,9 +83,8 @@ def _check_action(i: int, action, config: "ScenarioConfig") -> None:
         raise ConfigInvalid(f"{where}: field 'blocks' must be at least 1, "
                             f"got {action['blocks']}")
     known = {"wallet": config.wallets, "source": config.chains,
-             "chain": config.chains}
-    if op == "go_offline":
-        known["actor"] = OFFLINE_ACTORS
+             "dest": config.chains, "chain": config.chains,
+             "actor": OFFLINE_ACTORS if op == "go_offline" else WITHDRAW_ACTORS}
     for name, allowed in known.items():
         if action.get(name) is not None and action[name] not in allowed:
             raise ConfigInvalid(f"{where}: field {name!r} names unknown "
@@ -164,6 +166,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigInvalid(f"config must be a JSON object, got {data!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:

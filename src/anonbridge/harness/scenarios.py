@@ -119,7 +119,7 @@ def oracle_forged_root(sim: Simulation):
     sim.relay()
     sim.sign()
     sim.withdraw(actor="oracle", expect="ConstraintViolation:signature")
-    forged = sim.oracle.policy.forged_root
+    forged = sim.oracle.forged_root
     sim.push_root()  # policy forge_root: injects the forged root everywhere
     sim.withdraw(actor="oracle", expect="ConstraintViolation:signature")
     sim.check("forged_root_accepted_by_router",
@@ -274,9 +274,9 @@ def wrong_dapp_call(sim: Simulation):
     sim.withdraw(d, verifying_key=other.verifying_key,
                  expect="ConstraintViolation:signature")
     # grafting B's key onto a valid proof breaks the TPC recomputation
-    proof, payload, salt, version = sim.wallets["alice"].build_settlement(
-        sim.deposits[d].commitment, sim.mixer_chain, sim.proofs,
-        sim.dapp.verifying_key,
+    rec = sim.deposits[d]
+    proof = sim.wallets[rec.wallet].build_settlement(
+        rec.commitment, sim.mixer_chain, sim.proofs, sim.dapp.verifying_key,
     )
     grafted = Proof(
         proof.circuit_id,
@@ -285,8 +285,8 @@ def wrong_dapp_call(sim: Simulation):
     )
     sim._call(
         "router_withdraw", DEST,
-        lambda: router_withdraw(sim.chains[DEST], grafted, payload, salt,
-                                DEST, version, sim.proofs),
+        lambda: router_withdraw(sim.chains[DEST], grafted, rec.payload,
+                                rec.note.salt, DEST, rec.version, sim.proofs),
         expect="TpcMismatch",
     )
     sim.check("no_cross_dapp_delivery",
@@ -348,19 +348,31 @@ def builtin_config(name: str, seed: int = 0, **overrides) -> ScenarioConfig:
 def _run_script(sim: Simulation, script: list) -> None:
     """Run a script ``ScenarioConfig.validate`` accepted: each action calls
     the ``Simulation`` method of its name with its non-null fields, ``deposit``
-    as ``label``; only the deposit labels are left to check as it runs."""
+    as ``label``; the deposit labels and the proofs an action reuses are left
+    to check as it runs."""
+    labels = set()  # every deposit label taken so far, failed deposits' too
     for i, action in enumerate(script):
         fields = {name: value for name, value in action.items() if value is not None}
         op = fields.pop("op")
+        where = f"action {i} ({op})"
+        if op == "deposit":
+            new_label = fields.get("label", sim.next_label())
+            if new_label in labels:
+                raise ConfigInvalid(f"{where}: label {new_label!r} is already taken")
+            labels.add(new_label)
         label = fields.pop("deposit", None)
         if label is not None:
-            if label not in sim.deposits:
-                raise ConfigInvalid(f"action {i} ({op}): field 'deposit' names no "
+            rec = sim.deposits.get(label)
+            if rec is None:
+                raise ConfigInvalid(f"{where}: field 'deposit' names no "
                                     f"deposit made so far: {label!r}")
             fields["label"] = label
-        if op == "execute" and label not in sim._revert_params:
-            raise ConfigInvalid(f"action {i} ({op}): deposit {label!r} has no "
-                                f"revert proof; revert_mark or revert_init it first")
+            if op == "execute" and rec.revert is None:
+                raise ConfigInvalid(f"{where}: deposit {label!r} has no revert "
+                                    f"proof; revert_mark or revert_init it first")
+            if fields.get("reuse_proof") and rec.settlement is None:
+                raise ConfigInvalid(f"{where}: deposit {label!r} has no settlement "
+                                    f"proof to reuse; withdraw it first")
         if "payload" in fields:
             fields["payload"] = bytes.fromhex(fields["payload"])
         getattr(sim, op)(**fields)

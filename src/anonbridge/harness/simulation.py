@@ -15,6 +15,7 @@ from .. import hashing, ops
 from ..actors import (
     DappContract,
     DappSigner,
+    NoteRecord,
     Oracle,
     OraclePolicy,
     Wallet,
@@ -28,7 +29,7 @@ from ..chain import (
     router_revert_mark_destination,
     router_withdraw,
 )
-from ..circuit import ProofSystem
+from ..circuit import Proof, ProofSystem
 from ..dact import PayloadIntent
 from ..errors import ConfigInvalid, ConstraintViolation, SimError
 from ..field import to_bytes32
@@ -48,17 +49,6 @@ class UnexpectedOutcome(SimError):
     """A scripted action did not produce its expected result."""
 
 
-@dataclass
-class DepositInfo:
-    wallet: str
-    commitment: int
-    source: int
-    dest: int
-    payload: bytes
-    version: int
-    value: int
-
-
 def _error_name(exc: Exception) -> str:
     if isinstance(exc, ConstraintViolation):
         return f"ConstraintViolation:{exc.constraint}"
@@ -74,9 +64,7 @@ class Simulation:
         self.perm_table: dict = {}      # permutation input -> output, calls only
         self.transcript = Transcript()
         self.verdicts: list = []
-        self.deposits: dict = {}        # label -> DepositInfo
-        self._settle_params: dict = {}  # label -> (proof, payload, salt, version)
-        self._revert_params: dict = {}  # label -> build_revert output
+        self.deposits: dict = {}        # label -> its wallet's NoteRecord
         self._n_deposits = 0
         with ops.counting(self.ops):
             self.rng = SeededRng(config.seed)
@@ -179,7 +167,7 @@ class Simulation:
                 payload: bytes = None, version: int = 1, value: int = 1,
                 expect=None) -> str:
         if label is None:
-            label = f"d{self._n_deposits}"
+            label = self.next_label()
         self._n_deposits += 1
         w = self.wallets[wallet]
         if payload is None:
@@ -192,20 +180,22 @@ class Simulation:
             return w.deposit(self.chains[source], contract, self.dapp.ghash,
                              intent, version, value)
 
-        commitment = self._call(
+        rec = self._call(
             "router_deposit", source, _do, expect=expect,
             wallet=wallet, dapp_address=contract.address.hex(), version=version,
             value=value,
         )
-        if commitment is not None:
+        if rec is not None:
             # re-log with the actual emitted event payload for byte-scans
             ev = self.chains[source].event_log[-1]
             self.transcript.log("event", op="deposit_event", chain=source,
                                 payload=ev.payload.hex(), block=ev.block)
-            self.deposits[label] = DepositInfo(
-                wallet, commitment, source, dest, payload, version, value
-            )
+            self.deposits[label] = rec
         return label
+
+    def next_label(self) -> str:
+        """The label a deposit made without one takes."""
+        return f"d{self._n_deposits}"
 
     def relay(self, expect=None):
         def _do():
@@ -266,28 +256,24 @@ class Simulation:
             return self._call("forged_settlement_attempt", None, _forge,
                               expect=expect)
 
-        info = self.deposits[label]
-        w = self.wallets[info.wallet]
-        dest_chain = self.chains[chain if chain is not None else info.dest]
+        rec = self.deposits[label]
+        w = self.wallets[rec.wallet]
+        dest_chain = self.chains[chain if chain is not None else rec.dest]
         vk = verifying_key if verifying_key is not None else self.dapp.verifying_key
 
         def _do():
-            if reuse_proof:
-                proof, payload, salt, version = self._settle_params[label]
-            else:
-                proof, payload, salt, version = w.build_settlement(
-                    info.commitment, self.mixer_chain, self.proofs, vk
-                )
-                self._settle_params[label] = (proof, payload, salt, version)
+            proof = rec.settlement if reuse_proof else w.build_settlement(
+                rec.commitment, self.mixer_chain, self.proofs, vk)
             if via_oracle and not self.oracle.route_withdraw(
                 self.dapp.ghash, dest_chain.chain_id
             ):
                 return "censored"
+            payload = rec.payload
             if tamper_payload:
                 payload = bytes([payload[0] ^ 1]) + payload[1:]
             claim = claim_dest if claim_dest is not None else dest_chain.chain_id
-            return router_withdraw(dest_chain, proof, payload, salt, claim,
-                                   version, self.proofs)
+            return router_withdraw(dest_chain, proof, payload, rec.note.salt, claim,
+                                   rec.version, self.proofs)
 
         result = self._call(
             "router_withdraw", dest_chain.chain_id, _do, expect=expect,
@@ -298,53 +284,51 @@ class Simulation:
                                 chain=dest_chain.chain_id, deposit=label)
         return result
 
-    def _revert_built(self, label: str) -> tuple:
-        """The deposit's revert proof and call parameters, built once."""
-        if label not in self._revert_params:
-            info = self.deposits[label]
-            self._revert_params[label] = self.wallets[info.wallet].build_revert(
-                info.commitment, self.mixer_chain, self.proofs)
-        return self._revert_params[label]
+    def _revert_proof(self, rec: NoteRecord) -> Proof:
+        """The deposit's revert proof, built once."""
+        if rec.revert is None:
+            self.wallets[rec.wallet].build_revert(rec.commitment, self.mixer_chain,
+                                                  self.proofs)
+        return rec.revert
 
     def revert_mark(self, label: str, expect=None, chain: int = None):
-        info = self.deposits[label]
-        dest_chain = self.chains[chain if chain is not None else info.dest]
+        rec = self.deposits[label]
+        dest_chain = self.chains[chain if chain is not None else rec.dest]
 
         def _do():
-            proof, payload, salt, version, ghash, path = self._revert_built(label)
+            proof = self._revert_proof(rec)
             router_revert_mark_destination(
-                dest_chain, proof, payload, salt, version, ghash, path, self.proofs
+                dest_chain, proof, rec.payload, rec.note.salt, rec.version,
+                rec.ghash, rec.revert_path, self.proofs
             )
             return proof
 
         return self._call(
             "router_revert_mark", dest_chain.chain_id, _do, expect=expect,
             deposit=label,
-            commitment=to_bytes32(info.commitment).hex(),
+            commitment=to_bytes32(rec.commitment).hex(),
         )
 
     def revert_init(self, label: str, expect=None, chain: int = None):
-        info = self.deposits[label]
-        src_chain = self.chains[chain if chain is not None else info.source]
+        rec = self.deposits[label]
+        src_chain = self.chains[chain if chain is not None else rec.source]
 
         def _do():
-            proof = self._revert_built(label)[0]
             return router_revert_initiate_source(
-                src_chain, proof, self.proofs,
+                src_chain, self._revert_proof(rec), self.proofs,
                 self.config.window, self.config.cooldown, self.config.revert_fee,
             )
 
         return self._call(
             "router_revert_initiate", src_chain.chain_id, _do, expect=expect,
             deposit=label,
-            commitment=to_bytes32(info.commitment).hex(),
+            commitment=to_bytes32(rec.commitment).hex(),
         )
 
     def execute(self, label: str, expect=None):
-        info = self.deposits[label]
-        src_chain = self.chains[info.source]
-        proof = self._revert_params[label][0]
-        nh = proof.public.nullifier_hash
+        rec = self.deposits[label]
+        src_chain = self.chains[rec.source]
+        nh = rec.revert.public.nullifier_hash
 
         return self._call(
             "router_revert_execute", src_chain.chain_id,
@@ -386,31 +370,26 @@ class Simulation:
     # -- inspection helpers ---------------------------------------------------------
 
     def settled(self, label: str) -> bool:
-        info = self.deposits[label]
-        payloads = self.dapp.contracts[info.dest].received_payloads
-        return info.payload in payloads
+        rec = self.deposits[label]
+        return rec.payload in self.dapp.contracts[rec.dest].received_payloads
 
     def reverted(self, label: str) -> bool:
-        info = self.deposits[label]
-        return info.commitment not in self.dapp.contracts[info.source].escrow \
-            and label in self._revert_params
+        rec = self.deposits[label]
+        return rec.commitment not in self.dapp.contracts[rec.source].escrow \
+            and rec.revert is not None
 
     def secrets_for_analysis(self) -> list:
         """Per-deposit sensitive encodings, read out-of-band from wallets."""
-        out = []
-        for label, info in self.deposits.items():
-            note = self.wallets[info.wallet].notes[info.commitment].note
-            out.append({
-                "label": label,
-                "payload": info.payload.hex(),
-                "dest_chain_id": to_bytes32(info.dest).hex(),
-                "salt": to_bytes32(note.salt).hex(),
-                "secret": to_bytes32(note.secret).hex(),
-                "nullifier": to_bytes32(note.nullifier).hex(),
-                "commitment": to_bytes32(info.commitment).hex(),
-                "source_chain": info.source,
-            })
-        return out
+        return [{
+            "label": label,
+            "payload": rec.payload.hex(),
+            "dest_chain_id": to_bytes32(rec.dest).hex(),
+            "salt": to_bytes32(rec.note.salt).hex(),
+            "secret": to_bytes32(rec.note.secret).hex(),
+            "nullifier": to_bytes32(rec.note.nullifier).hex(),
+            "commitment": to_bytes32(rec.commitment).hex(),
+            "source_chain": rec.source,
+        } for label, rec in self.deposits.items()]
 
     def metrics_report(self) -> dict:
         per_op = {op: c.as_dict() for op, c in sorted(self.metrics.items())}

@@ -1,9 +1,12 @@
 """Wallet, oracle policies, dApp signer quorum, and the revert watcher."""
 
 from dataclasses import asdict
+from itertools import permutations
 
 import pytest
 
+import _reference as ref
+from anonbridge import ops
 from anonbridge.actors import DappSigner, Oracle, OraclePolicy, ResilienceRules
 from anonbridge.dact import DepositRequest
 from anonbridge.errors import (
@@ -14,6 +17,10 @@ from anonbridge.errors import (
 )
 from anonbridge.harness import ScenarioConfig, Simulation
 from anonbridge.rng import SeededRng
+
+
+def word(value: int) -> bytes:
+    return value.to_bytes(32, "big")
 
 
 def make_sim(seed=0, oracle=None, dapp=None, wallets=("alice",)):
@@ -58,6 +65,52 @@ class TestWallet:
             sim.wallets["alice"].build_settlement(
                 info.commitment, sim.mixer_chain, sim.proofs, sim.dapp.verifying_key
             )
+
+
+class TestNoteRecord:
+    def test_leaf_matches_the_reference_in_all_six_directions(self):
+        """Each record's TPC and leaf, taken from the deposit event, equal
+        the ones rebuilt from its note with the reference hashes; the
+        record is the simulation's deposit and the wallet's note at once."""
+        sim = make_sim()
+        chains = sim.config.chains
+        home = sim.dapp.contracts[chains[0]].address
+        others = b"".join(sim.dapp.contracts[c].address for c in chains[1:])
+        ghash = ref.keccak256(home + others)
+        directions = list(permutations(chains, 2))
+        for i, (source, dest) in enumerate(directions):
+            sim.deposit("alice", source, dest, label=str(i),
+                        payload=bytes([i]) * 32, version=i + 1)
+        sim.relay()
+        for i, (source, dest) in enumerate(directions):
+            rec = sim.deposits[str(i)]
+            assert rec is sim.wallets["alice"].notes[rec.commitment]
+            note = rec.note
+            obfuscated = ref.keccak256(bytes([i]) * 32 + word(dest) + word(note.salt))
+            tpc = int.from_bytes(ref.keccak256(ghash + word(i + 1) + obfuscated),
+                                 "big") & ((1 << 73) - 1)
+            assert rec.tpc == tpc
+            assert rec.leaf == (ref.commit(note.secret, note.nullifier) + tpc
+                                + source) % ref.P
+            assert sim.mixer_chain.mixer.tree.leaves[i] == rec.leaf
+
+    def test_building_a_proof_charges_only_its_mac(self):
+        # the wallet reads the TPC from its record; of the keccak work only
+        # the proof MAC's two blocks are charged
+        sim = make_sim()
+        d = sim.deposit("alice", 1001, 1003)
+        sim.relay()
+        sim.sign()
+        rec = sim.deposits[d]
+        wallet = sim.wallets["alice"]
+        with ops.counting() as settle:
+            proof = wallet.build_settlement(rec.commitment, sim.mixer_chain,
+                                            sim.proofs, sim.dapp.verifying_key)
+        with ops.counting() as revert:
+            wallet.build_revert(rec.commitment, sim.mixer_chain, sim.proofs)
+        assert settle.keccak_blocks == 2 and revert.keccak_blocks == 2
+        assert rec.settlement is proof and rec.revert is not None
+        assert rec.revert_path == sim.mixer_chain.mixer.tree.path(0)
 
 
 class TestOracle:
@@ -189,12 +242,11 @@ class TestWatcher:
         if mark:
             sim.revert_mark(d)
         else:
-            # initiate without the destination mark: build the proof only
-            info = sim.deposits[d]
-            built = sim.wallets["alice"].build_revert(
-                info.commitment, sim.mixer_chain, sim.proofs
+            # initiate without the destination mark: build the proof only;
+            # it stays on the deposit's record for revert_init
+            sim.wallets["alice"].build_revert(
+                sim.deposits[d].commitment, sim.mixer_chain, sim.proofs
             )
-            sim._revert_params[d] = built
         sim.revert_init(d)
         return d
 
@@ -214,9 +266,8 @@ class TestWatcher:
         d = sim.deposit("alice", 1001, 1003)
         sim.relay(); sim.sign(); sim.push_root()
         sim.withdraw(d)
-        info = sim.deposits[d]
-        sim._revert_params[d] = sim.wallets["alice"].build_revert(
-            info.commitment, sim.mixer_chain, sim.proofs
+        sim.wallets["alice"].build_revert(
+            sim.deposits[d].commitment, sim.mixer_chain, sim.proofs
         )
         sim.revert_init(d)
         halts = sim.dapp.watch_reverts(sim.chains)

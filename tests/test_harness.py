@@ -82,7 +82,8 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             builtin_config("nonexistent")
 
-    @pytest.mark.parametrize("oracle", [{"bogus": 1}, {"relay_period": 3}])
+    @pytest.mark.parametrize("oracle", [{"bogus": 1}, {"relay_period": 3},
+                                        {"forged_root": 5}])
     def test_unknown_oracle_fields_rejected(self, oracle):
         with pytest.raises(ConfigInvalid, match="unknown oracle config fields"):
             Simulation(script_config([], oracle=oracle))
@@ -120,10 +121,29 @@ class TestConfig:
         ({"oracle": {"mode": "honset"}},
          "field 'oracle.mode' must be one of honest, forge_root, censor_dapp, "
          "censor_chain, replay, got 'honset'"),
+        ({"script": HAPPY_SCRIPT[:4] + [
+            {"op": "withdraw", "deposit": "d0", "reuse_proof": True}]},
+         "action 4 (withdraw): deposit 'd0' has no settlement proof to reuse; "
+         "withdraw it first"),
+        ({"script": [HAPPY_SCRIPT[0], HAPPY_SCRIPT[0]]},
+         "action 1 (deposit): label 'd0' is already taken"),
+        ({"script": [dict(HAPPY_SCRIPT[0], label="d1"),
+                     dict(HAPPY_SCRIPT[0], label=None)]},
+         "action 1 (deposit): label 'd1' is already taken"),
+        ({"script": [dict(HAPPY_SCRIPT[0], label=None, expect="InvalidValue",
+                          value=-1),
+                     HAPPY_SCRIPT[0]]},
+         "action 1 (deposit): label 'd0' is already taken"),
+        ({"script": [dict(HAPPY_SCRIPT[0], dest=1005)]},
+         "action 0 (deposit): field 'dest' names unknown 1005"),
+        ({"script": HAPPY_SCRIPT[:4] + [dict(HAPPY_SCRIPT[4], actor="mallory")]},
+         "action 4 (withdraw): field 'actor' names unknown 'mallory'"),
     ], ids=["unknown_wallet", "undefined_label", "missing_field", "string_seed",
             "mistyped_field", "unknown_field", "zero_blocks", "negative_blocks",
             "mistyped_dapp_field", "boolean_dapp_count", "boolean_depth",
-            "unknown_oracle_mode"])
+            "unknown_oracle_mode", "reuse_proof_before_any_proof",
+            "duplicate_label", "label_taken_by_default_name",
+            "label_of_failed_deposit", "unknown_dest", "unknown_withdraw_actor"])
     def test_malformed_input_is_config_invalid(self, tmp_path, capsys,
                                                mutation, message):
         data = {"seed": 1, "name": "malformed", "script": HAPPY_SCRIPT}
@@ -300,13 +320,13 @@ class TestPermutationTable:
 
     def test_tampered_witness_fails_with_warm_table(self):
         sim, label = _settled()
-        info = sim.deposits[label]
-        note = sim.wallets[info.wallet].notes[info.commitment].note
-        public = sim._settle_params[label][0].public
+        rec = sim.deposits[label]
+        note = rec.note
+        public = rec.settlement.public
         tree = sim.mixer_chain.mixer.tree
-        index = tree.leaf_index[make_leaf(info.commitment, public.tpc, info.source).value]
+        index = tree.leaf_index[make_leaf(rec.commitment, public.tpc, rec.source).value]
         path = tree.path(index)
-        witness = SettlementWitness(note.nullifier, note.secret, path, info.source,
+        witness = SettlementWitness(note.nullifier, note.secret, path, rec.source,
                                     sim.mixer_chain.mixer.leaf_signatures[index])
         elements = list(path.elements)
         elements[3] = (elements[3] + 1) % P
@@ -464,6 +484,18 @@ class TestCli:
         scenario.write_text(_json.dumps(dataclasses.asdict(cfg)))
         assert main(["run", str(scenario)]) == 1
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe"],
+                             ids=["directory", "not_utf8"])
+    def test_run_of_unreadable_scenario_exits_two(self, tmp_path, capsys, content):
+        path = tmp_path / "s.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: ConfigInvalid: cannot read {str(path)!r}: ")
+
     def test_env_seed_override(self, monkeypatch, capsys):
         monkeypatch.setenv("ANONBRIDGE_SEED", "123")
         assert main(["run", "settlement_happy_path"]) == 0
@@ -481,6 +513,20 @@ class TestCli:
         with open(path, "a") as fh:
             fh.write('{"i":999,"kind":"event","op":"bogus"}\n')
         assert main(["replay", str(path)]) == 1
+
+    @pytest.mark.parametrize("content", [
+        None, "not json\n", "", "[1]\n", '{"i":0,"kind":"call"}\n',
+        '{"i":0,"kind":"header","config":"5"}\n',
+    ], ids=["missing", "not_json", "empty", "not_a_record", "no_header",
+            "config_not_an_object"])
+    def test_replay_of_unreadable_transcript_exits_two(self, tmp_path, capsys,
+                                                        content):
+        path = tmp_path / "transcript.jsonl"
+        if content is not None:
+            path.write_text(content)
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_sweep_prints_table(self, capsys):
         assert main(["sweep", "--depths", "2,4"]) == 0

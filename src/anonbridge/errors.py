@@ -136,6 +136,10 @@ class SignatureMissing(SimError):
     pass
 
 
+class ProofMissing(SimError):
+    """A proof the call reuses was never built."""
+
+
 class ThresholdUnmet(SimError):
     pass
 

@@ -8,8 +8,9 @@ Subcommands:
                                          confirm the digest matches
 
 Exit status is 0 iff every verdict passed, and 2 when a scenario file or
-a transcript to replay cannot be read, the config, a script action or a
-sweep depth is malformed, or a transcript has no header. ANONBRIDGE_SEED
+a transcript to replay cannot be read, a scenario is neither a file nor
+a builtin, ``attacks`` names no scenario, the config, a script action or
+a sweep depth is malformed, or a transcript has no header. ANONBRIDGE_SEED
 overrides the scenario seed.
 """
 
@@ -50,8 +51,8 @@ def _load_config(target: str, seed) -> ScenarioConfig:
         return config.validate()
     if target in BUILTINS:
         return builtin_config(target, seed=seed if seed is not None else 0)
-    sys.exit(f"error: {target!r} is neither a scenario file nor a builtin "
-             f"(builtins: {', '.join(sorted(BUILTINS))})")
+    raise ConfigInvalid(f"{target!r} is neither a scenario file nor a builtin "
+                        f"(builtins: {', '.join(sorted(BUILTINS))})")
 
 
 def _write_outputs(result, out_dir: str) -> None:
@@ -106,7 +107,7 @@ def cmd_attacks(args) -> int:
     seed = _env_seed(args.seed) or 0
     names = ATTACK_MATRIX if args.all else args.names
     if not names:
-        sys.exit("error: pass --all or scenario names")
+        raise ConfigInvalid("pass --all or scenario names")
     ok = True
     for name in names:
         result = run_scenario(builtin_config(name, seed=seed))

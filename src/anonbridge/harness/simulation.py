@@ -4,14 +4,15 @@ Builds the chain topology, actors, and proof system from a config, then
 exposes one method per script action. Every action and contract call is
 logged to the transcript. Each simulation owns its op counter: set-up,
 every call (also kept per operation) and the scenario code charge it.
-It also owns one permutation table, active inside every call, so a
-call does not recompute a permutation an earlier call already computed
-(see ``hashing``); op counts are the same with or without it.
+It also owns one hash table, active inside every call, so a call does
+not recompute a MiMC permutation or a keccak256 digest that an earlier
+call, or an earlier step of the same call, already computed (see
+``hashing``); op counts are the same with or without it.
 """
 
 from dataclasses import dataclass
 
-from .. import hashing, ops
+from .. import ops
 from ..actors import (
     DappContract,
     DappSigner,
@@ -31,7 +32,7 @@ from ..chain import (
 )
 from ..circuit import Proof, ProofSystem
 from ..dact import PayloadIntent
-from ..errors import ConfigInvalid, ConstraintViolation, SimError
+from ..errors import ConfigInvalid, ConstraintViolation, ProofMissing, SimError
 from ..field import to_bytes32
 from ..rng import SeededRng
 from .config import OFFLINE_ACTORS, ScenarioConfig
@@ -61,7 +62,7 @@ class Simulation:
         self.config = config
         self.ops = ops.OpCounts()       # set-up, every call, the scenario
         self.metrics: dict = {}         # op name -> OpCounts of its calls
-        self.perm_table: dict = {}      # permutation input -> output, calls only
+        self.hash_table: dict = {}      # hash input -> output, calls only
         self.transcript = Transcript()
         self.verdicts: list = []
         self.deposits: dict = {}        # label -> its wallet's NoteRecord
@@ -136,7 +137,7 @@ class Simulation:
     def _call(self, op: str, chain, fn, expect=None, **logged):
         error = None
         result = None
-        with ops.counting() as spent, hashing.permutation_table(self.perm_table):
+        with ops.counting() as spent, ops.hash_table(self.hash_table):
             try:
                 result = fn()
             except SimError as exc:
@@ -262,8 +263,11 @@ class Simulation:
         vk = verifying_key if verifying_key is not None else self.dapp.verifying_key
 
         def _do():
-            proof = rec.settlement if reuse_proof else w.build_settlement(
-                rec.commitment, self.mixer_chain, self.proofs, vk)
+            if not reuse_proof:
+                proof = w.build_settlement(rec.commitment, self.mixer_chain,
+                                           self.proofs, vk)
+            elif (proof := rec.settlement) is None:
+                raise ProofMissing(f"{label!r} has no settlement proof to reuse")
             if via_oracle and not self.oracle.route_withdraw(
                 self.dapp.ghash, dest_chain.chain_id
             ):
@@ -328,13 +332,14 @@ class Simulation:
     def execute(self, label: str, expect=None):
         rec = self.deposits[label]
         src_chain = self.chains[rec.source]
-        nh = rec.revert.public.nullifier_hash
 
-        return self._call(
-            "router_revert_execute", src_chain.chain_id,
-            lambda: router_revert_execute(src_chain, nh),
-            expect=expect, deposit=label,
-        )
+        def _do():
+            if rec.revert is None:
+                raise ProofMissing(f"{label!r} has no revert proof")
+            return router_revert_execute(src_chain, rec.revert.public.nullifier_hash)
+
+        return self._call("router_revert_execute", src_chain.chain_id, _do,
+                          expect=expect, deposit=label)
 
     def halt(self, expect=None):
         """The dApp watcher pass; issues halts where the audit fails."""

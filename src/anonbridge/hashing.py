@@ -10,23 +10,25 @@ Commitments use the same permutation under distinct domain-separation
 constants so that ``commit`` and ``nullifier_hash`` can never collide
 with each other or with tree nodes.
 
-Permutation table. ``permute`` is a pure function, and a simulation
-hashes the same inputs many times: a settlement or revert proof re-folds
-a Merkle path whose nodes the tree's spine fold already hashed, and the
-wallet recomputes its commitment and nullifier hash. Inside a
-``permutation_table(table)`` block (a PEP 567 context variable, the
-idiom of ``ops.counting``) ``permute`` returns the output stored in
-``table`` for an input it has seen, and stores every output it computes.
-Each ``Simulation`` owns one table and enters it around every contract
-call; outside such a block no table is active and every call computes.
-A hit is charged one permutation like a miss: op counts model the
+Hash table. ``permute`` and ``keccak.keccak256`` are pure functions, and
+a simulation hashes the same inputs many times: a settlement or revert
+proof re-folds a Merkle path whose nodes the tree's spine fold already
+hashed, the wallet recomputes its commitment and nullifier hash, the
+destination Router recomputes the obfuscated data and the TPC the
+deposit already hashed, and ``ProofSystem.verify`` recomputes the MAC
+that ``prove`` computed. Inside an ``ops.hash_table(table)`` block (a
+PEP 567 context variable, the idiom of ``ops.counting``) both cores
+return the output stored in ``table`` for an input they have seen, and
+store every output they compute. ``permute`` keys on its input pair (a
+tuple) and ``keccak256`` on its input bytes, so the two kinds of key
+never collide in the one dict. Each ``Simulation`` owns one table and
+enters it around every contract call; outside such a block no table is
+active and every call computes. A hit is charged like a miss (one
+permutation, or the input's keccak blocks): op counts model the
 protocol's in-circuit and on-chain cost, not host work. The table holds
-one entry per distinct permutation input (two pairs of field elements),
-and is freed with the simulation that owns it.
+one entry per distinct input, and is freed with the simulation that
+owns it.
 """
-
-from contextlib import contextmanager
-from contextvars import ContextVar
 
 from . import ops
 from .field import P, check, reduce_bytes
@@ -53,24 +55,9 @@ DOMAIN_COMMIT = reduce_bytes(keccak256(b"anonbridge/commit"))
 DOMAIN_NULLIFIER = reduce_bytes(keccak256(b"anonbridge/nullifier"))
 
 
-_active_table: ContextVar = ContextVar("anonbridge.hashing.table", default=None)
-
-
-@contextmanager
-def permutation_table(table: dict):
-    """Remember every permutation of the block in ``table``, a dict from
-    input pair to output pair, and yield it. Blocks nest; only the
-    innermost table is consulted."""
-    token = _active_table.set(table)
-    try:
-        yield table
-    finally:
-        _active_table.reset(token)
-
-
 def permute(x_left: int, x_right: int) -> tuple:
     """One full Feistel permutation of the two-lane state. Cost: 1 unit,
-    charged also when the active permutation table already holds it.
+    charged also when the active hash table already holds it.
 
     Each round sets ``x_left, x_right = x_right + (x_left + c)**5, x_left``
     over the field, and the last round leaves the lanes unswapped. Here
@@ -85,7 +72,7 @@ def permute(x_left: int, x_right: int) -> tuple:
     below 111 * P < 2**261. The base ``x_left + c`` stays below 112 * P.
     """
     ops.charge_permutation()
-    table = _active_table.get()
+    table = ops.active_table()
     if table is not None:
         key = (x_left, x_right)
         if (out := table.get(key)) is not None:

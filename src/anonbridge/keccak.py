@@ -143,15 +143,21 @@ def _keccak_f(a: list) -> None:
 
 
 def keccak256(data: bytes) -> bytes:
-    """Keccak-256 digest of ``data`` (legacy 0x01 padding)."""
+    """Keccak-256 digest of ``data`` (legacy 0x01 padding). Cost: one unit
+    per rate block of the padded input, charged also when the active hash
+    table already holds the digest (see ``hashing``)."""
+    n_blocks = len(data) // _RATE + 1
+    ops.charge_keccak_blocks(n_blocks)
+    table = ops.active_table()
+    if table is not None:
+        key = bytes(data)
+        if (out := table.get(key)) is not None:
+            return out
+
     padded = bytearray(data)
-    pad_len = _RATE - (len(data) % _RATE)
-    padded += b"\x00" * pad_len
+    padded += b"\x00" * (n_blocks * _RATE - len(data))
     padded[len(data)] ^= 0x01
     padded[-1] ^= 0x80
-
-    n_blocks = len(padded) // _RATE
-    ops.charge_keccak_blocks(n_blocks)
 
     state = [0] * 25
     for blk in range(n_blocks):
@@ -160,7 +166,7 @@ def keccak256(data: bytes) -> bytes:
             state[i] ^= int.from_bytes(padded[off + 8 * i: off + 8 * i + 8], "little")
         _keccak_f(state)
 
-    out = bytearray()
-    for i in range(4):
-        out += state[i].to_bytes(8, "little")
-    return bytes(out)
+    out = b"".join([lane.to_bytes(8, "little") for lane in state[:4]])
+    if table is not None:
+        table[key] = out
+    return out

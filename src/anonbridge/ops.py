@@ -8,6 +8,11 @@ Every charge goes to the counter of the innermost ``counting()`` block in
 the current context (a PEP 567 context variable: each thread and asyncio
 task has its own). Each ``Simulation`` owns one counter; a charge made
 outside every block goes nowhere and cannot be read.
+
+The hash table of the innermost ``hash_table()`` block lives here too,
+next to the counter both hash cores already charge: ``hashing.permute``
+and ``keccak.keccak256`` read it with ``active_table()`` (see
+``hashing``).
 """
 
 from contextlib import contextmanager
@@ -48,6 +53,24 @@ def counting(counts: OpCounts = None):
         yield counts
     finally:
         _active.reset(token)
+
+
+_table: ContextVar = ContextVar("anonbridge.ops.table", default=None)
+
+# the innermost hash_table() block's dict, or None outside every block
+active_table = _table.get
+
+
+@contextmanager
+def hash_table(table: dict):
+    """Remember every hash of the block in ``table`` and yield it: a MiMC
+    permutation under its input pair, a keccak256 digest under its input
+    bytes. Blocks nest; only the innermost table is consulted."""
+    token = _table.set(table)
+    try:
+        yield table
+    finally:
+        _table.reset(token)
 
 
 def charge_permutation(n: int = 1) -> None:

@@ -15,7 +15,6 @@ from anonbridge.hashing import (
     mimc_hash2,
     mimc_sponge,
     nullifier_hash,
-    permutation_table,
     permute,
 )
 from anonbridge.keccak import keccak256
@@ -100,6 +99,20 @@ class TestKeccak:
             assert keccak256(data) == ref.keccak256(data)
         assert c.keccak_blocks == blocks
 
+    def test_table_hit_matches_reference_and_is_charged(self):
+        data = b"x" * 136
+        table = {}
+        with ops.counting() as c, ops.hash_table(table):
+            first = keccak256(data)
+            assert c.keccak_blocks == 2
+            again = keccak256(bytearray(data))  # keyed by its bytes
+            assert c.keccak_blocks == 4
+            pair = permute(3, 5)  # one dict, two kinds of key
+        assert first == again == ref.keccak256(data)
+        assert table == {data: first, (3, 5): pair}
+        keccak256(b"y")  # outside the block: nothing is stored
+        assert b"y" not in table
+
 
 # -- sponge permutation -----------------------------------------------------------
 
@@ -147,7 +160,7 @@ class TestPermutation:
 
     def test_table_hit_matches_reference_and_is_charged(self):
         table = {}
-        with ops.counting() as c, permutation_table(table):
+        with ops.counting() as c, ops.hash_table(table):
             first = permute(3, P - 5)
             assert c.permutations == 1
             again = permute(3, P - 5)

@@ -6,10 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from anonbridge import hashing, ops
+from anonbridge import hashing, keccak, ops
 from anonbridge.circuit import SETTLEMENT, SettlementWitness
 from anonbridge.dact import make_leaf
-from anonbridge.errors import ConfigInvalid, ConstraintViolation
+from anonbridge.errors import ConfigInvalid, ConstraintViolation, ProofMissing
 from anonbridge.field import P
 from anonbridge.harness import (
     ACTION_VOCABULARY,
@@ -312,10 +312,10 @@ class TestPermutationTable:
         sim.relay()
         sim.sign()
         sim.push_root()
-        before = len(sim.perm_table)
+        before = _permutation_keys(sim.hash_table)
         sim.withdraw(label)
         # only the nullifier hash is new; the commitment and the path are hits
-        assert len(sim.perm_table) - before == 1
+        assert _permutation_keys(sim.hash_table) - before == 1
         assert sim.metrics["router_withdraw"].permutations == 16 + 4
 
     def test_tampered_witness_fails_with_warm_table(self):
@@ -332,7 +332,7 @@ class TestPermutationTable:
         elements[3] = (elements[3] + 1) % P
         bad_path = replace(witness, path=MerklePath(elements, path.indices))
         bad_nullifier = replace(witness, nullifier=note.nullifier + 1)
-        with hashing.permutation_table(sim.perm_table):
+        with ops.hash_table(sim.hash_table):
             sim.proofs.prove(SETTLEMENT, witness, public)
             with pytest.raises(ConstraintViolation) as exc:
                 sim.proofs.prove(SETTLEMENT, bad_path, public)
@@ -344,12 +344,104 @@ class TestPermutationTable:
     def test_tables_are_per_simulation_and_per_call(self):
         a, _ = _settled(seed=1)
         b, _ = _settled(seed=2)
-        assert a.perm_table is not b.perm_table
-        assert a.perm_table and b.perm_table
-        assert a.perm_table.keys().isdisjoint(b.perm_table)
+        assert a.hash_table is not b.hash_table
+        assert a.hash_table and b.hash_table
+        assert a.hash_table.keys().isdisjoint(b.hash_table)
         # after a call returns, no table is active
         hashing.permute(7, 11)
-        assert (7, 11) not in a.perm_table and (7, 11) not in b.perm_table
+        keccak.keccak256(b"outside")
+        for key in ((7, 11), b"outside"):
+            assert key not in a.hash_table and key not in b.hash_table
+
+
+def _permutation_keys(table: dict) -> int:
+    return sum(isinstance(key, tuple) for key in table)
+
+
+def _two_deposits():
+    """Two relayed, signed deposits 1001 -> 1003 under a pushed root."""
+    sim = Simulation(script_config([], seed=0, merkle_depth=16))
+    labels = [sim.deposit("alice", 1001, 1003) for _ in range(2)]
+    sim.relay()
+    sim.sign()
+    sim.push_root()
+    return sim, labels
+
+
+class TestKeccakTable:
+    """The Router's recomputes of the obfuscated data and the TPC, and the
+    verifier's recompute of the MAC, hit the simulation's hash table."""
+
+    def test_withdraw_adds_only_its_mac(self):
+        sim, (label, _) = _two_deposits()
+        before = {key for key in sim.hash_table if isinstance(key, bytes)}
+        sim.withdraw(label)
+        new = {key for key in sim.hash_table if isinstance(key, bytes)} - before
+        assert len(new) == 1
+        assert sim.hash_table[new.pop()] == sim.deposits[label].settlement.attestation
+
+    def test_keccak_permutations_run_only_for_new_inputs(self, monkeypatch):
+        runs = 0
+        real = keccak._keccak_f
+
+        def counted(state):
+            nonlocal runs
+            runs += 1
+            real(state)
+
+        monkeypatch.setattr(keccak, "_keccak_f", counted)
+        sim, (settle, revert) = _two_deposits()
+        # (call, its op, keccak-f runs, keccak blocks charged); without the
+        # table each call runs one keccak-f per block it is charged
+        for call, op, n_runs, blocks in [
+            (lambda: sim.withdraw(settle), "router_withdraw", 2, 6),
+            (lambda: sim.revert_mark(revert), "router_revert_mark", 2, 6),
+            (lambda: sim.revert_init(revert), "router_revert_initiate", 0, 2),
+        ]:
+            runs = 0
+            call()
+            assert (runs, sim.metrics[op].keccak_blocks) == (n_runs, blocks), op
+
+    def test_tampered_payload_fails_with_warm_table(self):
+        sim, (first, second) = _two_deposits()
+        sim.withdraw(first)
+        sim.withdraw(second, tamper_payload=True, expect="TpcMismatch")
+        sim.withdraw(second)
+        assert sim.settled(first) and sim.settled(second)
+
+    def test_zeroed_attestation_fails_verify_with_warm_table(self):
+        sim, label = _settled()
+        proof = sim.deposits[label].settlement
+        with ops.hash_table(sim.hash_table):
+            assert sim.proofs.verify(SETTLEMENT, proof)  # the MAC is a hit
+            assert not sim.proofs.verify(
+                SETTLEMENT, replace(proof, attestation=bytes(32)))
+
+    def test_revert_mark_to_wrong_chain_fails_with_warm_table(self):
+        sim, (first, second) = _two_deposits()
+        sim.revert_mark(first)
+        sim.revert_mark(second, chain=1002, expect="TpcMismatch")
+        sim.revert_mark(second)
+
+
+class TestProofMissing:
+    """Reusing a proof that was never built is a failed call, not a crash."""
+
+    def test_withdraw_reusing_a_missing_settlement_proof(self):
+        sim, (label, _) = _two_deposits()
+        with pytest.raises(ProofMissing):
+            sim.withdraw(label, reuse_proof=True)
+        call = sim.transcript.records[-1]
+        assert (call["op"], call["ok"], call["error"]) == (
+            "router_withdraw", False, "ProofMissing")
+        sim.withdraw(label)
+
+    def test_execute_without_a_revert_proof(self):
+        sim, (label, _) = _two_deposits()
+        sim.execute(label, expect="ProofMissing")
+        call = sim.transcript.records[-1]
+        assert (call["op"], call["ok"], call["error"]) == (
+            "router_revert_execute", False, "ProofMissing")
 
 
 class TestTranscript:
@@ -495,6 +587,13 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: ConfigInvalid: cannot read {str(path)!r}: ")
+
+    @pytest.mark.parametrize("argv", [["run", "nosuch"], ["attacks"]],
+                             ids=["run_unknown_target", "attacks_without_names"])
+    def test_malformed_invocation_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigInvalid: ") and err.count("\n") == 1
 
     def test_env_seed_override(self, monkeypatch, capsys):
         monkeypatch.setenv("ANONBRIDGE_SEED", "123")

@@ -185,15 +185,20 @@ ORACLE_MODES = ("honest", "forge_root", "censor_dapp", "censor_chain", "replay")
 @dataclass
 class OraclePolicy:
     mode: str = "honest"  # one of ORACLE_MODES
-    censor_dapp: bytes = b""      # global hash of the censored dApp
     censor_chain: int = 0
 
 
 class Oracle:
-    """Relays deposit events to the mixer and pushes roots to routers."""
+    """Relays deposit events to the mixer and pushes roots to routers.
 
-    def __init__(self, policy: OraclePolicy, auth: bytes, rng: SeededRng):
+    In ``censor_dapp`` mode it drops the withdraws of the dApp whose global
+    hash is ``censored_dapp``.
+    """
+
+    def __init__(self, policy: OraclePolicy, auth: bytes, rng: SeededRng,
+                 censored_dapp: bytes = b""):
         self.policy = policy
+        self.censored_dapp = censored_dapp
         self.auth = auth
         self.rng = rng
         self.offline = False
@@ -251,7 +256,7 @@ class Oracle:
         """Whether the oracle network is willing to relay this withdraw."""
         if self.offline:
             return False
-        if self.policy.mode == "censor_dapp" and ghash == self.policy.censor_dapp:
+        if self.policy.mode == "censor_dapp" and ghash == self.censored_dapp:
             self.dropped.append(("withdraw", ghash.hex()))
             return False
         if self.policy.mode == "censor_chain" and dest_chain == self.policy.censor_chain:

@@ -22,7 +22,6 @@ from .dact import (
 from .errors import (
     AlreadyPending,
     AlreadyRegistered,
-    CoolDownActive,
     DoubleSpend,
     DuplicateCommitment,
     Halted,
@@ -42,6 +41,7 @@ from .field import to_bytes32
 from .merkle import MerkleTree, MerklePath, verify_path
 
 ROUTER_ROOT_WINDOW = 2      # a Router only remembers the latest two roots
+REVERT_FEE = 1              # collected by the source Router per revert initiate
 
 
 @dataclass
@@ -83,7 +83,6 @@ class RouterState:
         self.nullifier_reverted: set = set()
         self.pending_reverts: dict = {}    # nullifier_hash -> PendingRevert
         self.commitment_log: dict = {}     # commitment -> dApp address (source side)
-        self.last_initiate: dict = {}      # commitment -> block of last initiate
         self.fees_collected: int = 0
 
 
@@ -269,8 +268,7 @@ def router_revert_mark_destination(chain: Chain, proof, payload: bytes, salt: in
     chain.emit("revert_marked", to_bytes32(public.nullifier_hash))
 
 
-def router_revert_initiate_source(chain: Chain, proof, proofs,
-                                  window: int, cooldown: int, fee: int = 1) -> int:
+def router_revert_initiate_source(chain: Chain, proof, proofs, window: int) -> int:
     """Open the revert time window on the source chain; returns window end."""
     router = chain.router
     public = proof.public
@@ -286,15 +284,11 @@ def router_revert_initiate_source(chain: Chain, proof, proofs,
         raise AlreadyPending(f"revert for {public.nullifier_hash} already pending")
     if public.nullifier_hash in router.nullifier_reverted:
         raise AlreadyPending(f"revert for {public.nullifier_hash} already executed")
-    last = router.last_initiate.get(public.commitment)
-    if last is not None and chain.height < last + cooldown:
-        raise CoolDownActive(f"cool-down until block {last + cooldown}")
-    router.last_initiate[public.commitment] = chain.height
     window_end = chain.height + window
     router.pending_reverts[public.nullifier_hash] = PendingRevert(
         public.commitment, window_end
     )
-    router.fees_collected += fee
+    router.fees_collected += REVERT_FEE
     chain.emit(
         "revert_initiated",
         to_bytes32(public.commitment) + to_bytes32(public.nullifier_hash),

@@ -106,10 +106,6 @@ class AlreadyPending(SimError):
     pass
 
 
-class CoolDownActive(SimError):
-    pass
-
-
 class NoPending(SimError):
     pass
 

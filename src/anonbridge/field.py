@@ -17,23 +17,9 @@ def check(x: int) -> int:
     return x
 
 
-def add(*xs: int) -> int:
-    return sum(xs) % P
-
-
-def mul(a: int, b: int) -> int:
-    return (a * b) % P
-
-
 def to_bytes32(x: int) -> bytes:
     """Canonical 32-byte big-endian encoding; also used for ints < P."""
     return x.to_bytes(32, "big")
-
-
-def from_bytes32(b: bytes) -> int:
-    if len(b) != 32:
-        raise NotInField(f"expected 32 bytes, got {len(b)}")
-    return check(int.from_bytes(b, "big"))
 
 
 def reduce_bytes(b: bytes) -> int:

@@ -32,10 +32,9 @@ ACTION_FIELDS = {
 ACTION_VOCABULARY = set(ACTION_FIELDS)
 
 # the fields the "dapp" and "oracle" sections take, with their types: those
-# of ResilienceRules and OraclePolicy, except that "censor_dapp" is a flag
-# (the oracle censors the scenario's dApp)
+# of ResilienceRules and OraclePolicy
 DAPP_FIELDS = {f.name: f.type for f in fields(ResilienceRules)}
-ORACLE_FIELDS = dict({f.name: f.type for f in fields(OraclePolicy)}, censor_dapp=bool)
+ORACLE_FIELDS = {f.name: f.type for f in fields(OraclePolicy)}
 
 # the actors a go_offline action may name, each a Simulation attribute
 OFFLINE_ACTORS = ("oracle", "dapp")
@@ -114,8 +113,6 @@ class ScenarioConfig:
     multiplexer: int = 1002
     merkle_depth: int = 16
     window: int = 100
-    cooldown: int = 10
-    revert_fee: int = 1
     wallets: list = field(default_factory=lambda: ["alice"])
     oracle: dict = field(default_factory=dict)   # OraclePolicy fields
     dapp: dict = field(default_factory=dict)     # ResilienceRules fields
@@ -141,8 +138,14 @@ class ScenarioConfig:
             raise ConfigInvalid("multiplexer must be one of the configured chains")
         if len(set(self.chains)) != len(self.chains):
             raise ConfigInvalid("duplicate chain ids")
+        if len(self.chains) < 2:
+            # the dApp's global hash is over its addresses on the other chains
+            raise ConfigInvalid(f"field 'chains' must list at least two chains, "
+                                f"got {self.chains!r}")
         if not 1 <= self.merkle_depth <= MAX_DEPTH:
             raise ConfigInvalid(f"merkle_depth must be in 1..{MAX_DEPTH}")
+        if self.window < 1:
+            raise ConfigInvalid(f"field 'window' must be at least 1, got {self.window}")
         _check_section("dapp", self.dapp, DAPP_FIELDS)
         rules = ResilienceRules(**self.dapp)
         if rules.scheme not in ("single", "threshold"):
@@ -152,9 +155,13 @@ class ScenarioConfig:
             raise ConfigInvalid(f"fields 'dapp.n' and 'dapp.k' must satisfy "
                                 f"1 <= k <= n, got n={rules.n}, k={rules.k}")
         _check_section("oracle", self.oracle, ORACLE_FIELDS)
-        if self.oracle.get("mode", OraclePolicy.mode) not in ORACLE_MODES:
+        policy = OraclePolicy(**self.oracle)
+        if policy.mode not in ORACLE_MODES:
             raise ConfigInvalid(f"field 'oracle.mode' must be one of "
-                                f"{', '.join(ORACLE_MODES)}, got {self.oracle['mode']!r}")
+                                f"{', '.join(ORACLE_MODES)}, got {policy.mode!r}")
+        if policy.mode == "censor_chain" and policy.censor_chain not in self.chains:
+            raise ConfigInvalid(f"field 'oracle.censor_chain' names unknown "
+                                f"{policy.censor_chain!r}")
         if (self.script is None) == (self.builtin is None):
             raise ConfigInvalid("exactly one of script/builtin must be set")
         for i, action in enumerate(self.script or []):

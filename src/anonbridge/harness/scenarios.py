@@ -308,8 +308,7 @@ BUILTINS = {
     "settlement_happy_path": (settlement_happy_path, {}),
     "double_spend": (double_spend, {}),
     "oracle_forged_root": (oracle_forged_root, {"oracle": {"mode": "forge_root"}}),
-    "oracle_censorship": (oracle_censorship,
-                          {"oracle": {"mode": "censor_dapp", "censor_dapp": True}}),
+    "oracle_censorship": (oracle_censorship, {"oracle": {"mode": "censor_dapp"}}),
     "custody_total_outage": (custody_total_outage, {}),
     "dapp_hash_squat": (dapp_hash_squat, {}),
     "unsigned_leaf_settlement": (unsigned_leaf_settlement, {}),
@@ -378,8 +377,23 @@ def _run_script(sim: Simulation, script: list) -> None:
         getattr(sim, op)(**fields)
 
 
+def _check_builtin(config: ScenarioConfig) -> None:
+    """Reject a builtin config its driver could not run: every driver
+    deposits from wallet ``alice`` on ``SOURCE`` to ``DEST``."""
+    if config.builtin not in BUILTINS:
+        raise ConfigInvalid(f"unknown builtin scenario {config.builtin!r}")
+    if not {SOURCE, DEST} <= set(config.chains):
+        raise ConfigInvalid(f"builtin {config.builtin!r} needs chains {SOURCE} "
+                            f"and {DEST}, got {config.chains!r}")
+    if "alice" not in config.wallets:
+        raise ConfigInvalid(f"builtin {config.builtin!r} needs wallet 'alice', "
+                            f"got {config.wallets!r}")
+
+
 def run_scenario(config: ScenarioConfig) -> RunResult:
     """Execute a scenario; deterministic in (config, seed)."""
+    if config.builtin is not None:
+        _check_builtin(config)
     sim = Simulation(config)
     try:
         with ops.counting(sim.ops):  # also direct wallet calls in a scenario

@@ -84,12 +84,9 @@ class Simulation:
             self.dapp = DappSigner("dapp", self.rng.child("dapp-keys"), **config.dapp)
             self._deploy_and_register(self.dapp, "dapp")
 
-            policy_cfg = dict(config.oracle)
-            censor = policy_cfg.pop("censor_dapp", False)
-            policy = OraclePolicy(**policy_cfg)
-            if censor:
-                policy.censor_dapp = self.dapp.ghash
-            self.oracle = Oracle(policy, oracle_auth, self.rng.child("oracle"))
+            # a censoring oracle censors this scenario's dApp
+            self.oracle = Oracle(OraclePolicy(**config.oracle), oracle_auth,
+                                 self.rng.child("oracle"), censored_dapp=self.dapp.ghash)
 
             self.wallets = {
                 name: Wallet(name, self.rng.child(f"wallet/{name}"))
@@ -319,8 +316,7 @@ class Simulation:
 
         def _do():
             return router_revert_initiate_source(
-                src_chain, self._revert_proof(rec), self.proofs,
-                self.config.window, self.config.cooldown, self.config.revert_fee,
+                src_chain, self._revert_proof(rec), self.proofs, self.config.window
             )
 
         return self._call(

@@ -32,10 +32,6 @@ class KeyPair:
         return self._sk.sign(message)
 
 
-def sign(key: KeyPair, message: bytes) -> bytes:
-    return key.sign(message)
-
-
 def verify(verifying_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff the signature is valid; never raises on bad input."""
     ops.charge_sig_verify()

@@ -134,7 +134,7 @@ class TestOracle:
         assert sim.oracle.dropped == [("deposit", 1001)]
 
     def test_censor_dapp_drops_routed_withdraws(self):
-        sim = make_sim(oracle={"mode": "censor_dapp", "censor_dapp": True})
+        sim = make_sim(oracle={"mode": "censor_dapp"})
         assert not sim.oracle.route_withdraw(sim.dapp.ghash, 1003)
         assert sim.oracle.route_withdraw(b"\x01" * 32, 1003)  # other dApps fine
 

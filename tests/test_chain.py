@@ -30,7 +30,6 @@ from anonbridge.errors import (
     AlreadyPending,
     AlreadyRegistered,
     ChainIdOutOfTier,
-    CoolDownActive,
     DoubleSpend,
     DuplicateCommitment,
     Halted,
@@ -275,15 +274,14 @@ class TestWithdraw:
 
 
 class TestRevert:
-    WINDOW, COOLDOWN = 100, 10
+    WINDOW = 100
 
     def _pending(self, h):
         note, payload, req, proof, tpc = h.settle_case()
         rproof, path = h.revert_proof(note, req, tpc)
         router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1, h.ghash,
                                        path, h.proofs)
-        end = router_revert_initiate_source(h.src, rproof, h.proofs,
-                                            self.WINDOW, self.COOLDOWN)
+        end = router_revert_initiate_source(h.src, rproof, h.proofs, self.WINDOW)
         return note, payload, req, rproof, end
 
     def test_mark_sets_both_flags(self):
@@ -316,11 +314,9 @@ class TestRevert:
         h = Harness()
         note, payload, req, rproof, _ = self._pending(h)
         with pytest.raises(AlreadyPending):
-            router_revert_initiate_source(h.src, rproof, h.proofs,
-                                          self.WINDOW, self.COOLDOWN)
+            router_revert_initiate_source(h.src, rproof, h.proofs, self.WINDOW)
         with pytest.raises(WrongChain):
-            router_revert_initiate_source(h.dst, rproof, h.proofs,
-                                          self.WINDOW, self.COOLDOWN)
+            router_revert_initiate_source(h.dst, rproof, h.proofs, self.WINDOW)
 
     def test_initiate_unknown_commitment(self):
         h = Harness()
@@ -328,8 +324,7 @@ class TestRevert:
         rproof, _ = h.revert_proof(note, req, tpc)
         h.src.router.commitment_log.clear()
         with pytest.raises(UnknownCommitment):
-            router_revert_initiate_source(h.src, rproof, h.proofs,
-                                          self.WINDOW, self.COOLDOWN)
+            router_revert_initiate_source(h.src, rproof, h.proofs, self.WINDOW)
 
     def test_window_boundary_exact(self):
         h = Harness()
@@ -385,29 +380,15 @@ class TestRevert:
         with pytest.raises(NoPending):
             router_revert_halt(h.src, 12345, h.addr_src)
 
-    def test_cooldown(self):
-        h = Harness()
-        note, payload, req, rproof, _ = self._pending(h)
-        nh = rproof.public.nullifier_hash
-        # clear the pending entry without executing, then re-initiate early
-        del h.src.router.pending_reverts[nh]
-        with pytest.raises(CoolDownActive):
-            router_revert_initiate_source(h.src, rproof, h.proofs,
-                                          self.WINDOW, self.COOLDOWN)
-        advance_blocks(h.src, self.COOLDOWN)
-        router_revert_initiate_source(h.src, rproof, h.proofs,
-                                      self.WINDOW, self.COOLDOWN)
-
     def test_executed_revert_cannot_reopen(self):
         h = Harness()
         note, payload, req, rproof, _ = self._pending(h)
         nh = rproof.public.nullifier_hash
         advance_blocks(h.src, self.WINDOW)
         router_revert_execute(h.src, nh)
-        advance_blocks(h.src, self.COOLDOWN)
+        advance_blocks(h.src, 10)
         with pytest.raises(AlreadyPending):
-            router_revert_initiate_source(h.src, rproof, h.proofs,
-                                          self.WINDOW, self.COOLDOWN)
+            router_revert_initiate_source(h.src, rproof, h.proofs, self.WINDOW)
 
     def test_fee_collected(self):
         h = Harness()

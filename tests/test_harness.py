@@ -1,8 +1,10 @@
 """Scenario runner, config validation, transcripts, linkability, CLI."""
 
+import dataclasses
 import inspect
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,7 @@ from anonbridge.harness import (
     sweep_depths,
 )
 from anonbridge.harness.cli import main
-from anonbridge.harness.config import ACTION_FIELDS
+from anonbridge.harness.config import ACTION_FIELDS, DAPP_FIELDS, ORACLE_FIELDS
 from anonbridge.harness.simulation import Simulation, UnexpectedOutcome
 from anonbridge.merkle import MAX_DEPTH, MerklePath
 
@@ -31,6 +33,14 @@ from anonbridge.merkle import MAX_DEPTH, MerklePath
 def script_config(script, seed=1, **over):
     return ScenarioConfig(seed=seed, name="scripted", script=script, **over)
 
+
+# a transcript written before two config fields were removed: replaying it
+# must name them
+OLD_TRANSCRIPT = (Path(__file__).parent / "fixtures"
+                  / "transcript_with_removed_fields.jsonl").read_text()
+REMOVED_FIELDS = sorted(
+    set(json.loads(json.loads(OLD_TRANSCRIPT.splitlines()[0])["config"]))
+    - {f.name for f in dataclasses.fields(ScenarioConfig)})
 
 HAPPY_SCRIPT = [
     {"op": "deposit", "wallet": "alice", "source": 1001, "dest": 1003, "label": "d0"},
@@ -72,6 +82,17 @@ class TestConfig:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigInvalid):
             ScenarioConfig.from_dict({"seed": 1, "script": [], "bogus": 1})
+
+    def test_config_fields_are_exactly_these(self):
+        """Every scenario knob is listed here: a new one comes with an edit
+        of this test."""
+        assert [f.name for f in dataclasses.fields(ScenarioConfig)] == [
+            "seed", "name", "chains", "multiplexer", "merkle_depth", "window",
+            "wallets", "oracle", "dapp", "script", "builtin"]
+        assert list(ORACLE_FIELDS) == ["mode", "censor_chain"]
+        assert list(DAPP_FIELDS) == [
+            "scheme", "n", "k", "max_reverts_per_period", "period_blocks",
+            "max_value_per_revert"]
 
     def test_builtin_configs_own_their_lists(self):
         a, b = builtin_config("double_spend"), builtin_config("oracle_replay")
@@ -138,12 +159,23 @@ class TestConfig:
          "action 0 (deposit): field 'dest' names unknown 1005"),
         ({"script": HAPPY_SCRIPT[:4] + [dict(HAPPY_SCRIPT[4], actor="mallory")]},
          "action 4 (withdraw): field 'actor' names unknown 'mallory'"),
+        ({"window": 0}, "field 'window' must be at least 1, got 0"),
+        ({"chains": [1002], "script": []},
+         "field 'chains' must list at least two chains, got [1002]"),
+        ({"oracle": {"mode": "censor_chain", "censor_chain": 1005}},
+         "field 'oracle.censor_chain' names unknown 1005"),
+        ({"oracle": {"mode": "censor_chain"}},
+         "field 'oracle.censor_chain' names unknown 0"),
+        ({"oracle": {"mode": "censor_dapp", "censor_dapp": True}},
+         "unknown oracle config fields: ['censor_dapp']"),
     ], ids=["unknown_wallet", "undefined_label", "missing_field", "string_seed",
             "mistyped_field", "unknown_field", "zero_blocks", "negative_blocks",
             "mistyped_dapp_field", "boolean_dapp_count", "boolean_depth",
             "unknown_oracle_mode", "reuse_proof_before_any_proof",
             "duplicate_label", "label_taken_by_default_name",
-            "label_of_failed_deposit", "unknown_dest", "unknown_withdraw_actor"])
+            "label_of_failed_deposit", "unknown_dest", "unknown_withdraw_actor",
+            "zero_window", "one_chain", "unknown_censored_chain",
+            "censor_chain_left_out", "censor_dapp_flag"])
     def test_malformed_input_is_config_invalid(self, tmp_path, capsys,
                                                mutation, message):
         data = {"seed": 1, "name": "malformed", "script": HAPPY_SCRIPT}
@@ -595,6 +627,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigInvalid: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("data,message", [
+        ({"builtin": "nosuch"}, "unknown builtin scenario 'nosuch'"),
+        ({"builtin": "double_spend", "wallets": ["bob"]},
+         "builtin 'double_spend' needs wallet 'alice', got ['bob']"),
+        ({"builtin": "double_spend", "chains": [1001, 1002]},
+         "builtin 'double_spend' needs chains 1001 and 1003, got [1001, 1002]"),
+    ], ids=["unknown_builtin", "no_alice", "no_dest_chain"])
+    def test_builtin_file_the_driver_cannot_run_exits_two(self, tmp_path, capsys,
+                                                         data, message):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(data))
+        assert main(["run", str(scenario)]) == 2
+        assert capsys.readouterr().err == f"error: ConfigInvalid: {message}\n"
+
     def test_env_seed_override(self, monkeypatch, capsys):
         monkeypatch.setenv("ANONBRIDGE_SEED", "123")
         assert main(["run", "settlement_happy_path"]) == 0
@@ -613,19 +659,22 @@ class TestCli:
             fh.write('{"i":999,"kind":"event","op":"bogus"}\n')
         assert main(["replay", str(path)]) == 1
 
-    @pytest.mark.parametrize("content", [
-        None, "not json\n", "", "[1]\n", '{"i":0,"kind":"call"}\n',
-        '{"i":0,"kind":"header","config":"5"}\n',
+    @pytest.mark.parametrize("content,named", [
+        (None, ""), ("not json\n", ""), ("", ""), ("[1]\n", ""),
+        ('{"i":0,"kind":"call"}\n', ""),
+        ('{"i":0,"kind":"header","config":"5"}\n', ""),
+        (OLD_TRANSCRIPT, f"unknown config fields: {REMOVED_FIELDS}"),
     ], ids=["missing", "not_json", "empty", "not_a_record", "no_header",
-            "config_not_an_object"])
+            "config_not_an_object", "config_with_removed_field"])
     def test_replay_of_unreadable_transcript_exits_two(self, tmp_path, capsys,
-                                                        content):
+                                                        content, named):
         path = tmp_path / "transcript.jsonl"
         if content is not None:
             path.write_text(content)
         assert main(["replay", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
     def test_sweep_prints_table(self, capsys):
         assert main(["sweep", "--depths", "2,4"]) == 0

@@ -5,10 +5,13 @@ depth sweep, against checked-in fixtures.
 ``builtin_pins.json`` holds what ``compute_pins()`` returned before the
 tree began to defer its hashing; ``script_pins.json`` holds what
 ``compute_script_pins()`` returned before the script interpreter became
-a dispatch by name. Both were regenerated once since, when the wallet
-stopped re-hashing the TPC on every proof build: that moved only the
-``keccak_blocks`` of ``router_withdraw``, ``router_revert_mark`` and
-``total``, by 2 per proof built. A host-side optimisation or a refactor
+a dispatch by name. Both were regenerated twice since. The first time,
+the wallet stopped re-hashing the TPC on every proof build: that moved
+only the ``keccak_blocks`` of ``router_withdraw``, ``router_revert_mark``
+and ``total``, by 2 per proof built. The second time, the config lost its
+revert cool-down and revert fee fields and the oracle's censored-dApp
+flag: that moved only the digests, since every header embeds the config;
+no op count, verdict or sweep row changed. A host-side optimisation or a refactor
 must leave every figure unchanged. The fixtures are regenerated only by hand, after
 a deliberate protocol change:
 

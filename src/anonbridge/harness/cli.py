@@ -46,6 +46,10 @@ def _load_config(target: str, seed) -> ScenarioConfig:
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8
             raise ConfigInvalid(f"cannot read {target!r}: {exc}") from None
         config = ScenarioConfig.from_json(text)
+        if config.builtin in BUILTINS:
+            # the builtin's defaults, as builtin_config gives them, under
+            # the file's own fields
+            config = builtin_config(config.builtin, **json.loads(text))
         if seed is not None:
             config.seed = seed
         return config.validate()

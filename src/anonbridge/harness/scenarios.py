@@ -1,5 +1,6 @@
 """Scenario runner, builtin attack library, and invariant verdicts."""
 
+import copy
 from dataclasses import dataclass, replace as dc_replace
 
 from .. import ops
@@ -334,12 +335,14 @@ ATTACK_MATRIX = [
 ]
 
 
-def builtin_config(name: str, seed: int = 0, **overrides) -> ScenarioConfig:
+def builtin_config(name: str, /, seed: int = 0, **overrides) -> ScenarioConfig:
+    """The builtin's config: a copy of its ``BUILTINS`` defaults under
+    ``overrides``, which may also set the config's ``name``."""
     if name not in BUILTINS:
         raise ConfigInvalid(f"unknown builtin scenario {name!r}")
     _, defaults = BUILTINS[name]
-    return ScenarioConfig(seed=seed, name=name, builtin=name,
-                          **dict(defaults, **overrides))
+    return ScenarioConfig(**{"seed": seed, "name": name, "builtin": name,
+                             **copy.deepcopy(defaults), **overrides})
 
 
 # -- declarative script interpreter -----------------------------------------------

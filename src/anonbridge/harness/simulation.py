@@ -124,9 +124,8 @@ class Simulation:
 
     def deploy_extra_dapp(self, tag: str) -> DappSigner:
         """Second dApp for wrong-dApp and registration-attack scenarios."""
-        with ops.counting(self.ops):
-            signer = DappSigner(tag, self.rng.child(f"{tag}-keys"))
-            self._deploy_and_register(signer, tag)
+        signer = DappSigner(tag, self.rng.child(f"{tag}-keys"))
+        self._deploy_and_register(signer, tag)
         return signer
 
     # -- logging / metrics wrapper ----------------------------------------------
@@ -169,8 +168,7 @@ class Simulation:
         self._n_deposits += 1
         w = self.wallets[wallet]
         if payload is None:
-            with ops.counting(self.ops):
-                payload = self.rng.child(f"payload/{label}").bytes(32)
+            payload = self.rng.child(f"payload/{label}").bytes(32)
         contract = self.dapp.contracts[source]
 
         def _do():

@@ -3,30 +3,43 @@
 One root seed per scenario; every actor derives an independent child
 stream by domain-separated hashing, so the scheduler order of draws in
 one stream never affects another.
+
+This is harness randomness (keys, notes, payloads, seed-chosen
+interleavings), not protocol work: it is drawn with the stdlib's
+``hashlib.blake2b``, charges no op and never enters a simulation's hash
+table. Every protocol hash stays on ``keccak.keccak256``.
 """
 
 import random
+from hashlib import blake2b
 
-from .keccak import keccak256
+
+def _hash(data: bytes) -> bytes:
+    return blake2b(data, digest_size=32).digest()
 
 
 class SeededRng:
-    """Counter-mode keccak stream over a 32-byte state."""
+    """Counter-mode blake2b stream over a 32-byte state."""
 
     def __init__(self, seed):
         if isinstance(seed, int):
             seed = seed.to_bytes(32, "big", signed=False)
-        self._state = keccak256(b"anonbridge/rng" + bytes(seed))
+        self._start(_hash(b"anonbridge/rng" + bytes(seed)))
+
+    def _start(self, state: bytes) -> None:
+        self._state = state
         self._counter = 0
         self._buf = b""
 
     def child(self, label: str) -> "SeededRng":
         """Independent stream derived from this one's seed and a label."""
-        return SeededRng(keccak256(self._state + label.encode()))
+        rng = SeededRng.__new__(SeededRng)
+        rng._start(_hash(self._state + label.encode()))
+        return rng
 
     def bytes(self, n: int) -> bytes:
         while len(self._buf) < n:
-            block = keccak256(self._state + self._counter.to_bytes(8, "big"))
+            block = _hash(self._state + self._counter.to_bytes(8, "big"))
             self._counter += 1
             self._buf += block
         out, self._buf = self._buf[:n], self._buf[n:]

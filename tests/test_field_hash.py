@@ -1,5 +1,7 @@
 """Field arithmetic, keccak, the sponge permutation, rng, and signatures."""
 
+from hashlib import blake2b
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -219,6 +221,22 @@ class TestRng:
     def test_random_field_31_in_field(self, seed):
         x = random_field_31(SeededRng(seed))
         assert 0 <= x < (1 << 248) < P
+
+    def test_known_answer(self):
+        def h(data):
+            return blake2b(data, digest_size=32).digest()
+
+        state = h(b"anonbridge/rng" + bytes(32))
+        child_state = h(state + b"x")
+        root = SeededRng(0)
+        assert root.bytes(32) == h(state + bytes(8))
+        assert root.child("x").bytes(8) == h(child_state + bytes(8))[:8]
+
+    def test_draws_are_off_the_books(self):
+        with ops.counting() as spent, ops.hash_table({}) as table:
+            SeededRng(1).child("x").bytes(64)
+        assert spent == ops.OpCounts()
+        assert table == {}
 
 
 # -- signatures ----------------------------------------------------------------------

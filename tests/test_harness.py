@@ -98,6 +98,7 @@ class TestConfig:
         a, b = builtin_config("double_spend"), builtin_config("oracle_replay")
         assert a.chains is not b.chains
         assert a.wallets is not b.wallets
+        assert b.oracle is not builtin_config("oracle_replay").oracle
 
     def test_unknown_builtin_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -404,6 +405,15 @@ class TestKeccakTable:
     """The Router's recomputes of the obfuscated data and the TPC, and the
     verifier's recompute of the MAC, hit the simulation's hash table."""
 
+    def test_deposit_adds_only_its_two_hash_inputs(self):
+        # the obfuscated data and the TPC input; the wallet's note draw
+        # is harness randomness and stays out of the table
+        sim = Simulation(script_config([], seed=0))
+        before = {key for key in sim.hash_table if isinstance(key, bytes)}
+        sim.deposit("alice", 1001, 1003)
+        new = {key for key in sim.hash_table if isinstance(key, bytes)} - before
+        assert len(new) == 2
+
     def test_withdraw_adds_only_its_mac(self):
         sim, (label, _) = _two_deposits()
         before = {key for key in sim.hash_table if isinstance(key, bytes)}
@@ -640,6 +650,14 @@ class TestCli:
         scenario.write_text(json.dumps(data))
         assert main(["run", str(scenario)]) == 2
         assert capsys.readouterr().err == f"error: ConfigInvalid: {message}\n"
+
+    @pytest.mark.parametrize("name", ["oracle_replay", "oracle_forged_root",
+                                      "oracle_censorship"])
+    def test_builtin_file_takes_the_builtin_defaults(self, tmp_path, capsys, name):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"builtin": name}))
+        assert main(["run", str(scenario)]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
 
     def test_env_seed_override(self, monkeypatch, capsys):
         monkeypatch.setenv("ANONBRIDGE_SEED", "123")

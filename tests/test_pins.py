@@ -5,13 +5,20 @@ depth sweep, against checked-in fixtures.
 ``builtin_pins.json`` holds what ``compute_pins()`` returned before the
 tree began to defer its hashing; ``script_pins.json`` holds what
 ``compute_script_pins()`` returned before the script interpreter became
-a dispatch by name. Both were regenerated twice since. The first time,
-the wallet stopped re-hashing the TPC on every proof build: that moved
-only the ``keccak_blocks`` of ``router_withdraw``, ``router_revert_mark``
-and ``total``, by 2 per proof built. The second time, the config lost its
-revert cool-down and revert fee fields and the oracle's censored-dApp
-flag: that moved only the digests, since every header embeds the config;
-no op count, verdict or sweep row changed. A host-side optimisation or a refactor
+a dispatch by name. Both were regenerated three times since. The first
+time, the wallet stopped re-hashing the TPC on every proof build: that
+moved only the ``keccak_blocks`` of ``router_withdraw``,
+``router_revert_mark`` and ``total``, by 2 per proof built. The second
+time, the config lost its revert cool-down and revert fee fields and the
+oracle's censored-dApp flag: that moved only the digests, since every
+header embeds the config; no op count, verdict or sweep row changed. The
+third time, the seeded RNG moved from keccak256 to uncharged blake2b:
+every key, note and payload changed, so every digest moved; the
+``keccak_blocks`` of each call that drew (``router_deposit``,
+``forged_settlement_attempt``) and of ``total`` dropped; and the
+seed-chosen interleavings (``double_spend/1``, ``withdraw_revert_race/0``
+and ``/2``) changed their per-op counts and verdict details. Every
+verdict still passed and no sweep row changed. A host-side optimisation or a refactor
 must leave every figure unchanged. The fixtures are regenerated only by hand, after
 a deliberate protocol change:
 
@@ -84,3 +91,11 @@ def test_scenario_scripts_match_the_pins():
     assert sorted(got) == sorted(pinned)
     for key, pins in pinned.items():
         assert got[key] == pins, key
+
+
+def test_pins_record_only_passing_verdicts():
+    pinned = list(_load("builtin_pins.json")["builtins"].items())
+    pinned += _load("script_pins.json").items()
+    for key, pins in pinned:
+        for name, passed, detail in pins["verdicts"]:
+            assert passed is True, (key, name, detail)

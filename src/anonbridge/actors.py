@@ -324,6 +324,7 @@ class DappSigner:
         self._tolerated: dict = {}     # nullifier hash -> height first let through
         self._own_leaves: set = set()  # leaf values of deposits through us
         self._cursors: dict = {}       # chain id -> next event index to scan
+        self._first_unsigned = 0       # mixer leaves below it all have a signature
 
     @property
     def verifying_key(self) -> bytes:
@@ -357,21 +358,27 @@ class DappSigner:
         """Sign every unsigned mixer leaf that originated from our dApp.
 
         A leaf with no matching source-chain deposit event is never
-        signed, whatever the mixer state claims.
+        signed, whatever the mixer state claims. A pass starts at the first
+        leaf the last pass left without a signature.
         """
         if self.offline:
             return []
         self._scan_own_deposits(chains)
         signed = []
-        tree = mixer_chain.mixer.tree
-        for index, leaf_value in enumerate(tree.leaves):
+        leaves = mixer_chain.mixer.tree.leaves
+        first_unsigned = len(leaves)
+        for index in range(self._first_unsigned, len(leaves)):
             if index in mixer_chain.mixer.leaf_signatures:
                 continue
+            leaf_value = leaves[index]
             if leaf_value not in self._own_leaves:
-                continue  # not ours, or never originated on a source chain
+                # not ours, or never originated on a source chain
+                first_unsigned = min(first_unsigned, index)
+                continue
             sig = self.threshold_sign(leaf_bytes(leaf_value))
             mixer_store_signature(mixer_chain, index, sig)
             signed.append(index)
+        self._first_unsigned = first_unsigned
         return signed
 
     def watch_reverts(self, chains: dict) -> list:

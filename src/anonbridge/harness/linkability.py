@@ -18,9 +18,33 @@ stripped before either view is scanned.
 Revert scenarios legitimately reveal the commitment on the source chain;
 the analyzer reports that linkage as expected leakage rather than a
 violation.
+
+The scan is one pass over the transcript. Each record is classified once
+by the views that hold it (``_views``); records of the same class are
+serialized together, once, and records no view holds are skipped. Each
+class's blob is then searched for its maximal runs of at least 64
+lowercase hex characters, and every 64-character window of a run is
+looked up in the set of secret words; a word found in a run is counted
+with ``run.count``. The cost is linear in the transcript, not in
+deposits times transcript.
+
+Precondition: every hidden field and commitment is encoded as a
+64-character lowercase hex word (a 32-byte value; ``secrets_for_analysis``
+gives them so). Any other encoding raises ``ValueError`` rather than going
+unseen.
+
+Exactness: a word made only of hex characters cannot straddle a non-hex
+byte, so each occurrence lies inside one maximal hex run. ``bytes.count``
+is greedy and non-overlapping from the left, and within a run it proceeds
+exactly as ``run.count`` does, so the sum of the per-run counts over a
+view's records equals ``count`` on that view's whole blob: hits at odd
+offsets, between hex neighbours and of self-overlapping words count as
+they would there.
 """
 
-import json
+from collections import defaultdict
+
+from .transcript import RECORD_ENCODER
 
 # destination-side calls the user submits itself; everything else is
 # observable by the oracle network in the course of relaying
@@ -28,27 +52,76 @@ _USER_DIRECT_OPS = {"router_withdraw", "router_revert_mark", "withdraw_censored"
 
 _HIDDEN_FIELDS = ("payload", "dest_chain_id", "salt", "secret", "nullifier")
 
+# view keys; a source view's key is its chain id
+_ORACLE, _REVERT = "oracle", "revert"
 
-def _record_bytes(records) -> bytes:
-    return "\n".join(
-        json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records
-    ).encode()
+# lowercase hex digits map to "1", every other byte to " "
+_HEX_MASK = bytes(ord("1") if c in b"0123456789abcdef" else ord(" ")
+                  for c in range(256))
+_WORD = 64                   # hex characters in a 32-byte word
+_WORD_RUN = b"1" * _WORD
 
 
-def _strip_public_chain_id(records: list) -> list:
-    """Drop each deposit event's last payload word: the id of the chain that
-    emitted it, public by design (``deposit_minimality`` checks it)."""
-    return [dict(r, payload=r["payload"][:-64]) if r.get("op") == "deposit_event"
-            else r for r in records]
+def _views(record: dict, source_chains) -> tuple:
+    """The views that hold ``record``: the oracle's, its chain's if that is
+    one of ``source_chains``, and the revert records' (where a deposit's
+    commitment is expected)."""
+    views = []
+    if record.get("kind") != "header" and record.get("op") not in _USER_DIRECT_OPS:
+        views.append(_ORACLE)
+    if record.get("chain") in source_chains:
+        views.append(record["chain"])
+    if "revert" in str(record.get("op", "")):
+        views.append(_REVERT)
+    return tuple(views)
 
 
 def oracle_view(records: list) -> list:
-    return [r for r in records
-            if r.get("kind") != "header" and r.get("op") not in _USER_DIRECT_OPS]
+    return [r for r in records if _ORACLE in _views(r, ())]
 
 
 def source_view(records: list, source_chain: int) -> list:
-    return [r for r in records if r.get("chain") == source_chain]
+    return [r for r in records if source_chain in _views(r, (source_chain,))]
+
+
+def _scanned(record: dict) -> dict:
+    """Drop a deposit event's last payload word: the id of the chain that
+    emitted it, public by design (``deposit_minimality`` checks it). No
+    revert record is a deposit event, so revert records stay whole."""
+    if record.get("op") == "deposit_event":
+        return dict(record, payload=record["payload"][:-_WORD])
+    return record
+
+
+def _word(value: str) -> bytes:
+    word = value.encode()
+    if word.translate(_HEX_MASK) != _WORD_RUN:
+        raise ValueError(f"not a 64-character lowercase hex word: {value!r}")
+    return word
+
+
+def _word_counts(blob: bytes, words: frozenset) -> dict:
+    """``blob.count(word)`` for every word of ``words`` that occurs in
+    ``blob``, found in one pass over its hex runs."""
+    counts = {}
+    mask = blob.translate(_HEX_MASK)
+    start = mask.find(_WORD_RUN)
+    while start >= 0:
+        end = mask.find(b" ", start + _WORD)
+        if end < 0:
+            end = len(blob)
+        run = blob[start:end]
+        size = end - start
+        if size == _WORD:  # a lone word: the common run, and one lookup
+            if run in words:
+                counts[run] = counts.get(run, 0) + 1
+        else:
+            windows = map(run.__getitem__,
+                          map(slice, range(size - _WORD + 1), range(_WORD, size + 1)))
+            for word in words.intersection(windows):
+                counts[word] = counts.get(word, 0) + run.count(word)
+        start = mask.find(_WORD_RUN, end)
+    return counts
 
 
 def analyze_linkability(records: list, deposit_secrets: list) -> dict:
@@ -59,31 +132,50 @@ def analyze_linkability(records: list, deposit_secrets: list) -> dict:
     itself). Returns per-view hit counts and the expected commitment
     leakage from revert flows.
     """
-    scanned = _strip_public_chain_id(records)
-    oracle_blob = _record_bytes(oracle_view(scanned))
-    src_blobs = {c: _record_bytes(source_view(scanned, c))
-                 for c in {sec["source_chain"] for sec in deposit_secrets}}
+    hidden = frozenset(_word(sec[name]) for sec in deposit_secrets
+                       for name in _HIDDEN_FIELDS)
     # the deposit event itself contains the commitment by design; the
     # linkage that matters is its reappearance in revert records
-    revert_blob = _record_bytes(
-        [r for r in records if "revert" in str(r.get("op", ""))]
-    )
+    commitments = frozenset(_word(sec["commitment"]) for sec in deposit_secrets)
+    source_chains = {sec["source_chain"] for sec in deposit_secrets}
+    classes = defaultdict(list)
+    for record in records:
+        views = _views(record, source_chains)
+        if views:
+            classes[views].append(_scanned(record))
+    hits = {}  # view -> word -> occurrences
+    for views, members in classes.items():
+        # hidden fields are sought in the oracle and source views,
+        # commitments in revert records
+        if _REVERT not in views:
+            words = hidden
+        elif views == (_REVERT,):
+            words = commitments
+        else:
+            words = hidden | commitments
+        # one JSON array per class: no hex run crosses the "},{" between
+        # two records, so the counts are those of the records apart
+        counts = _word_counts(RECORD_ENCODER.encode(members).encode(), words)
+        for view in views:
+            view_hits = hits.setdefault(view, {})
+            for word, n in counts.items():
+                view_hits[word] = view_hits.get(word, 0) + n
+
     report = {
         "deposits": [],
         "violations": 0,
         "expected_leakage": [],
     }
+    oracle, revert = hits.get(_ORACLE, {}), hits.get(_REVERT, {})
     for sec in deposit_secrets:
-        src_blob = src_blobs[sec["source_chain"]]
+        source = hits.get(sec["source_chain"], {})
         entry = {"label": sec["label"], "oracle_view": {}, "source_view": {}}
         for name in _HIDDEN_FIELDS:
-            enc = sec[name].encode()
-            hits_oracle = oracle_blob.count(enc)
-            hits_source = src_blob.count(enc)
-            entry["oracle_view"][name] = hits_oracle
-            entry["source_view"][name] = hits_source
-            report["violations"] += hits_oracle + hits_source
-        commitment_hits = revert_blob.count(sec["commitment"].encode())
+            word = sec[name].encode()
+            entry["oracle_view"][name] = oracle.get(word, 0)
+            entry["source_view"][name] = source.get(word, 0)
+            report["violations"] += oracle.get(word, 0) + source.get(word, 0)
+        commitment_hits = revert.get(sec["commitment"].encode(), 0)
         if commitment_hits:
             report["expected_leakage"].append(
                 {"label": sec["label"], "commitment_hits": commitment_hits}

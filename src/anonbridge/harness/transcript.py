@@ -3,6 +3,10 @@
 import hashlib
 import json
 
+# the one canonical encoding of a record, shared by the transcript file and
+# the leakage scan
+RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class Transcript:
     def __init__(self):
@@ -15,8 +19,7 @@ class Transcript:
         return rec
 
     def to_jsonl(self) -> bytes:
-        lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in self.records]
-        return ("\n".join(lines) + "\n").encode()
+        return ("\n".join(map(RECORD_ENCODER.encode, self.records)) + "\n").encode()
 
     def digest(self) -> str:
         # transcript identity, not a protocol hash; sha256 keeps it off the op-counter

@@ -225,6 +225,35 @@ class TestSignerOrigination:
         sim.relay()
         assert sim.sign() == [1]
 
+    def test_pass_starts_at_first_unsigned_leaf(self):
+        class CountingSignatures(dict):
+            checks = 0
+
+            def __contains__(self, index):
+                self.checks += 1
+                return super().__contains__(index)
+
+        sim = make_sim()
+        for _ in range(3):
+            for _ in range(4):
+                sim.deposit("alice", 1001, 1003)
+            sim.relay()
+            sim.sign()
+        mixer = sim.mixer_chain.mixer
+        mixer.leaf_signatures = CountingSignatures(mixer.leaf_signatures)
+        mixer.tree.insert(777)  # unoriginated: stays unsigned
+        sim.deposit("alice", 1003, 1001)
+        sim.relay()
+        # one check per leaf the pass visits, one more as the store takes
+        # the signature: the pass visits leaves 12 and 13 only
+        assert sim.sign() == [13]
+        assert mixer.leaf_signatures.checks == 2 + 1
+        # the next pass starts at the unsigned leaf 12 again: 12, 13, 14
+        sim.deposit("alice", 1001, 1003)
+        sim.relay()
+        assert sim.sign() == [14]
+        assert mixer.leaf_signatures.checks == 3 + 3 + 1
+
     def test_ignores_other_dapps_deposits(self):
         sim = make_sim()
         other = sim.deploy_extra_dapp("other")

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,9 +25,12 @@ from anonbridge.harness import (
     run_scenario,
     sweep_depths,
 )
+from anonbridge.harness import linkability
 from anonbridge.harness.cli import main
 from anonbridge.harness.config import ACTION_FIELDS, DAPP_FIELDS, ORACLE_FIELDS
+from anonbridge.harness.linkability import oracle_view, source_view
 from anonbridge.harness.simulation import Simulation, UnexpectedOutcome
+from anonbridge.harness.transcript import RECORD_ENCODER
 from anonbridge.merkle import MAX_DEPTH, MerklePath
 
 
@@ -503,6 +507,62 @@ class TestTranscript:
         assert t1.digest() != t2.digest()
 
 
+HIDDEN_FIELDS = ("payload", "dest_chain_id", "salt", "secret", "nullifier")
+
+
+def naive_linkability(records, secrets):
+    """The analyzer's report by one ``bytes.count`` per secret and view."""
+    def blob(rs):
+        return "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
+                         for r in rs).encode()
+
+    scanned = [dict(r, payload=r["payload"][:-64]) if r.get("op") == "deposit_event"
+               else r for r in records]
+    oracle = blob(oracle_view(scanned))
+    revert = blob(r for r in records if "revert" in str(r.get("op", "")))
+    report = {"deposits": [], "violations": 0, "expected_leakage": []}
+    for sec in secrets:
+        source = blob(source_view(scanned, sec["source_chain"]))
+        entry = {"label": sec["label"],
+                 "oracle_view": {n: oracle.count(sec[n].encode()) for n in HIDDEN_FIELDS},
+                 "source_view": {n: source.count(sec[n].encode()) for n in HIDDEN_FIELDS}}
+        report["violations"] += (sum(entry["oracle_view"].values())
+                                 + sum(entry["source_view"].values()))
+        hits = revert.count(sec["commitment"].encode())
+        if hits:
+            report["expected_leakage"].append({"label": sec["label"],
+                                               "commitment_hits": hits})
+        report["deposits"].append(entry)
+    return report
+
+
+def traffic_script(n):
+    """``n`` deposits alternating 1001 -> 1003 and 1003 -> 1001, all settled."""
+    deposits = [{"op": "deposit", "wallet": "alice", "source": 1001 + 2 * (k % 2),
+                 "dest": 1003 - 2 * (k % 2), "label": f"d{k}"} for k in range(n)]
+    return deposits + [{"op": "relay"}, {"op": "sign"}, {"op": "push_root"}] + [
+        {"op": "withdraw", "deposit": f"d{k}"} for k in range(n)]
+
+
+def bytes_count_calls(fn) -> int:
+    """Calls of ``bytes.count`` made while ``fn()`` runs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if (event == "c_call" and getattr(arg, "__name__", None) == "count"
+                and isinstance(getattr(arg, "__self__", None), bytes)):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
 class TestLinkability:
     def test_empty_transcript_empty_report(self):
         report = analyze_linkability([], [])
@@ -578,6 +638,89 @@ class TestLinkability:
         records.append(dict(record, i=len(records), oops=secrets[0]["dest_chain_id"]))
         report = analyze_linkability(records, secrets)
         assert report["deposits"][0][view]["dest_chain_id"] > 0
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_matches_per_secret_count(self, name):
+        result = run_scenario(builtin_config(name, seed=0))
+        records, secrets = result.transcript.records, result.sim.secrets_for_analysis()
+        assert analyze_linkability(records, secrets) == naive_linkability(records, secrets)
+
+    def test_planted_words_count_as_bytes_count_does(self):
+        result = run_scenario(script_config(self.TWO_WAY_SCRIPT))
+        secrets = result.sim.secrets_for_analysis()
+        s0, s1 = secrets
+        records = list(result.transcript.records) + [
+            # odd offset inside a longer hex run
+            {"kind": "event", "op": "oracle_relay", "chain": 1002,
+             "oops": "abc" + s0["salt"] + s1["payload"][:9]},
+            # between hex-letter neighbours, twice in one run
+            {"kind": "call", "op": "router_withdraw", "chain": 1001,
+             "oops": "f" + s0["secret"] + s0["secret"] + "e"},
+            # a revert record repeating a commitment inside one run
+            {"kind": "event", "op": "revert_relay", "chain": 1003,
+             "x": "d" + s1["commitment"] * 3, "y": s0["commitment"][:63]},
+        ]
+        report = analyze_linkability(records, secrets)
+        assert report == naive_linkability(records, secrets)
+        d0 = report["deposits"][0]
+        assert d0["oracle_view"]["salt"] == 1
+        assert d0["source_view"]["secret"] == 2
+        assert report["expected_leakage"] == [{"label": "d1", "commitment_hits": 3}]
+
+    def test_self_overlapping_word_counts_non_overlapping(self):
+        result = run_scenario(builtin_config("settlement_happy_path", seed=0))
+        secret = dict(result.sim.secrets_for_analysis()[0], payload="ab" * 32,
+                      source_chain=1001)
+        records = [{"i": 0, "kind": "event", "op": "oracle_relay", "chain": 1001,
+                    "p": "ab" * 64}]
+        report = analyze_linkability(records, [secret])
+        assert report == naive_linkability(records, [secret])
+        assert report["deposits"][0]["oracle_view"]["payload"] == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("salt", "ab" * 31),             # too short
+        ("payload", "AB" * 32),          # upper case
+        ("commitment", "0x" + "1" * 62),
+        ("nullifier", "1" * 65),
+    ], ids=["short", "upper_case", "prefixed", "long"])
+    def test_non_word_secret_raises(self, field, value):
+        result = run_scenario(builtin_config("settlement_happy_path", seed=0))
+        secret = dict(result.sim.secrets_for_analysis()[0], **{field: value})
+        with pytest.raises(ValueError, match="64-character lowercase hex word"):
+            analyze_linkability(result.transcript.records, [secret])
+
+    @pytest.mark.parametrize("deposits", [1, 6])
+    def test_each_observed_record_encoded_once(self, monkeypatch, deposits):
+        encoded = []
+
+        class CountingEncoder:
+            def encode(self, obj):
+                encoded.extend(obj if isinstance(obj, list) else [obj])
+                return RECORD_ENCODER.encode(obj)
+
+        result = run_scenario(script_config(traffic_script(deposits)))
+        records, secrets = result.transcript.records, result.sim.secrets_for_analysis()
+        monkeypatch.setattr(linkability, "RECORD_ENCODER", CountingEncoder())
+        analyze_linkability(records, secrets)
+        observed = {r["i"] for r in oracle_view(records)}
+        observed |= {r["i"] for r in records if "revert" in str(r.get("op", ""))}
+        for source in {sec["source_chain"] for sec in secrets}:
+            observed |= {r["i"] for r in source_view(records, source)}
+        assert sorted(r["i"] for r in encoded) == sorted(observed)
+
+    def test_count_calls_do_not_grow_with_deposits(self):
+        calls = []
+        for deposits in (1, 6):
+            result = run_scenario(script_config(traffic_script(deposits)))
+            records = result.transcript.records
+            secrets = result.sim.secrets_for_analysis()
+            assert analyze_linkability(records, secrets)["violations"] == 0
+            calls.append(bytes_count_calls(lambda: analyze_linkability(records, secrets)))
+        assert calls[0] == calls[1]
+        # the profile sees the calls a leak makes
+        leaked = list(records) + [{"kind": "event", "op": "oracle_relay",
+                                   "chain": 1002, "oops": "a" + secrets[0]["salt"]}]
+        assert bytes_count_calls(lambda: analyze_linkability(leaked, secrets)) > calls[0]
 
 
 class TestBuiltins:

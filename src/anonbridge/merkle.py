@@ -1,13 +1,20 @@
 """Fixed-depth incremental Merkle tree.
 
-Tornado-style construction: empty positions padded with precomputed zero
-nodes. An insert is charged exactly ``depth`` hash calls but hashes
-nothing; the next read of ``root`` or ``path()`` hashes the right spine
-those inserts changed, once. Every node is kept in one list per level, so
-a path is read from the stored level nodes and costs no hashing.
+Tornado-style construction: empty positions padded with zero nodes,
+``zeros[l+1] = H(zeros[l], zeros[l])``. A zero node depends only on its
+level, so like ``ZERO`` it is a per-process constant: ``zero_node``
+derives each level once per process, on first use, uncharged and outside
+every hash table. Every tree is still charged ``depth`` permutations for
+its zero nodes when it is built.
+
+An insert is charged exactly ``depth`` hash calls but hashes nothing; the
+next read of ``root`` or ``path()`` hashes the right spine those inserts
+changed, once. Every node is kept in one list per level, so a path is
+read from the stored level nodes and costs no hashing.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import ops
 from .errors import DepthOutOfRange, IndexUnknown, TreeFull
@@ -19,6 +26,20 @@ MAX_DEPTH = 32
 
 # nothing-up-my-sleeve constant for the empty leaf
 ZERO = reduce_bytes(keccak256(b"anonbridge/empty-leaf"))
+
+
+@cache
+def zero_node(level: int) -> int:
+    """Root of an empty subtree of height ``level``; level 0 is ``ZERO``.
+    Derived once per process and level, charged to no counter and stored
+    in no hash table: at most ``MAX_DEPTH + 1`` constants."""
+    if not 0 <= level <= MAX_DEPTH:
+        raise DepthOutOfRange(f"level must be in 0..{MAX_DEPTH}, got {level}")
+    if level == 0:
+        return ZERO
+    z = zero_node(level - 1)
+    with ops.counting(), ops.hash_table(None):
+        return mimc_hash2(z, z)
 
 
 @dataclass
@@ -44,10 +65,10 @@ class MerkleTree:
         self.leaf_index: dict = {}  # leaf value -> index of its first insert
         self._folded = 0
         # zero node per level: zeros[0] = empty leaf, zeros[i+1] = H(z, z).
-        # Charged once here, `depth` permutations.
-        self.zeros = [ZERO]
-        for _ in range(depth):
-            self.zeros.append(mimc_hash2(self.zeros[-1], self.zeros[-1]))
+        # Per-process constants, hashed at most once by zero_node; every
+        # tree is still charged for them here, `depth` permutations.
+        ops.charge_permutation(depth)
+        self.zeros = [zero_node(level) for level in range(depth + 1)]
         self._top = [self.zeros[depth]]  # level `depth`: the root alone
 
     @property

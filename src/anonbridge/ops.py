@@ -65,7 +65,8 @@ active_table = _table.get
 def hash_table(table: dict):
     """Remember every hash of the block in ``table`` and yield it: a MiMC
     permutation under its input pair, a keccak256 digest under its input
-    bytes. Blocks nest; only the innermost table is consulted."""
+    bytes. Blocks nest; only the innermost table is consulted, and a
+    ``None`` table turns the outer ones off for the block."""
     token = _table.set(table)
     try:
         yield table

@@ -31,7 +31,7 @@ from anonbridge.harness.config import ACTION_FIELDS, DAPP_FIELDS, ORACLE_FIELDS
 from anonbridge.harness.linkability import oracle_view, source_view
 from anonbridge.harness.simulation import Simulation, UnexpectedOutcome
 from anonbridge.harness.transcript import RECORD_ENCODER
-from anonbridge.merkle import MAX_DEPTH, MerklePath
+from anonbridge.merkle import MAX_DEPTH, MerklePath, zero_node
 
 
 def script_config(script, seed=1, **over):
@@ -320,6 +320,39 @@ class TestOpCounter:
         in_calls = sum(c["constraint_evals"]
                        for c in result.metrics["per_op"].values())
         assert result.metrics["total"]["constraint_evals"] > in_calls
+
+
+def _run_state(name: str) -> tuple:
+    result = run_scenario(builtin_config(name, seed=1))
+    sim = result.sim
+    return (sim.ops, result.metrics, sim.hash_table, result.transcript.digest(),
+            [(v.name, v.passed, v.detail) for v in result.verdicts])
+
+
+class TestZeroNodeCache:
+    """A run that derives the zero nodes and one that finds them derived
+    charge, hash and log the same."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_cold_and_warm_runs_are_identical(self, name):
+        zero_node.cache_clear()
+        cold = _run_state(name)
+        assert cold == _run_state(name)
+
+    def test_forged_tree_leaves_no_zero_pair_in_the_table(self):
+        # the oracle builds its forged tree inside a contract call
+        zero_node.cache_clear()
+        sim = run_scenario(builtin_config("oracle_forged_root", seed=1)).sim
+        depth = sim.config.merkle_depth
+        assert sim.oracle.forged_root
+        pairs = {(zero_node(level), zero_node(level)) for level in range(depth)}
+        assert not pairs & sim.hash_table.keys()
+
+    def test_sweep_rows_cold_and_warm(self):
+        zero_node.cache_clear()
+        cold = sweep_depths([4, 8, 16])
+        assert cold == sweep_depths([4, 8, 16])
+        assert [row["setup_permutations"] for row in cold] == [4, 8, 16]
 
 
 def _settled(seed=0, depth=16):

@@ -1,15 +1,25 @@
 """Incremental Merkle tree against the naive recursive oracle."""
 
+import ast
 import copy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference as ref
-from anonbridge import ops
+import anonbridge
+from anonbridge import hashing, ops
 from anonbridge.errors import DepthOutOfRange, IndexUnknown, NotInField, TreeFull
 from anonbridge.field import P
-from anonbridge.merkle import MAX_DEPTH, ZERO, MerklePath, MerkleTree, verify_path
+from anonbridge.merkle import (
+    MAX_DEPTH,
+    ZERO,
+    MerklePath,
+    MerkleTree,
+    verify_path,
+    zero_node,
+)
 from anonbridge.rng import SeededRng
 
 
@@ -45,6 +55,77 @@ class TestConstruction:
         tree.insert(2)
         with pytest.raises(TreeFull):
             tree.insert(3)
+
+
+class TestZeroNodes:
+    """Zero nodes are per-process constants: each level is hashed once,
+    uncharged, while every tree is still charged ``depth`` for them."""
+
+    def test_every_depth_matches_the_oracle(self):
+        for depth in range(1, MAX_DEPTH + 1):
+            tree = MerkleTree(depth)
+            assert tree.root == ref.naive_root((), depth)
+            assert tree.zeros == [zero_node(level) for level in range(depth + 1)]
+
+    def test_level_bounds(self):
+        assert zero_node(0) == ZERO
+        for bad in (-1, MAX_DEPTH + 1):
+            with pytest.raises(DepthOutOfRange):
+                zero_node(bad)
+
+    def test_each_level_is_hashed_once_per_process(self, monkeypatch):
+        runs = 0
+        real = hashing.permute
+
+        def counted(x_left, x_right):
+            nonlocal runs
+            runs += 1
+            return real(x_left, x_right)
+
+        monkeypatch.setattr(hashing, "permute", counted)
+        zero_node.cache_clear()
+        # (depth, permutations computed); each tree is charged its depth
+        for depth, n_runs in [(16, 16), (16, 0), (20, 4)]:
+            runs = 0
+            with ops.counting() as c:
+                MerkleTree(depth)
+            assert (runs, c.permutations) == (n_runs, depth), depth
+
+    def test_derivation_leaves_no_hash_table_entry(self):
+        zero_node.cache_clear()
+        with ops.counting() as c, ops.hash_table({}) as table:
+            cold = MerkleTree(8)
+            warm = MerkleTree(8)
+        assert table == {}
+        assert cold.zeros == warm.zeros
+        assert c.permutations == 16
+
+
+MEMOS = {"cache", "lru_cache"}
+
+
+def _memo(decorator) -> bool:
+    """Whether ``decorator`` is ``cache`` or ``lru_cache``, bare or as a
+    ``functools`` attribute, called or not."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Attribute):
+        return decorator.attr in MEMOS
+    return isinstance(decorator, ast.Name) and decorator.id in MEMOS
+
+
+def test_zero_node_is_the_only_process_wide_memo():
+    # a process-wide memo outlives every Simulation; each one is a reviewed
+    # decision, bounded and pure, never an accident
+    src = Path(anonbridge.__file__).parent
+    memoised = []
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                memoised += [f"{module}.{node.name}"
+                             for d in node.decorator_list if _memo(d)]
+    assert memoised == ["merkle.zero_node"]
 
 
 class TestOracleEquivalence:

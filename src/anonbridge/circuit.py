@@ -7,20 +7,29 @@ the prove/verify seam is exactly where a real SNARK backend would slot
 in, and the proof object carries nothing witness-derived beyond the
 public signals.
 
+The MAC stands in for a SNARK, so it is host work, not a protocol hash:
+the stdlib's keyed BLAKE2b (RFC 7693 keyed mode) under the deity key
+over circuit_id byte || canonical public signals, a 32-byte tag. Prove
+and verify each charge the keccak blocks of the Keccak-256 MAC the
+op-count model prices, over deity_key || circuit_id byte || publics.
+The tag never enters a simulation's hash table: ``verify`` recomputes it.
+
 Serialization: circuit_id byte || canonical public signals || 32-byte
 attestation. Settlement publics are nullifier_hash (32) || merkle_root
 (32) || tpc (32) || verifying_key (32); revert publics are commitment
 (32) || source_chain (32) || nullifier_hash (32) || merkle_root (32).
 """
 
+import hmac
 from dataclasses import dataclass
+from hashlib import blake2b
 
 from . import ops
 from .dact import make_leaf, leaf_bytes, validate_chain_id
 from .errors import ConstraintViolation, InvalidProof
 from .field import to_bytes32
 from .hashing import commit, nullifier_hash
-from .keccak import keccak256
+from .keccak import n_blocks
 from .merkle import MerklePath, verify_path
 from .signing import verify as verify_signature
 
@@ -144,9 +153,10 @@ class ProofSystem:
         self._keys = {cid: rng.bytes(32) for cid in _CIRCUIT_IDS}
 
     def _mac(self, circuit_id: int, public) -> bytes:
-        return keccak256(
-            self._keys[circuit_id] + bytes([circuit_id]) + public.canonical_bytes()
-        )
+        key = self._keys[circuit_id]
+        data = bytes([circuit_id]) + public.canonical_bytes()
+        ops.charge_keccak_blocks(n_blocks(len(key) + len(data)))
+        return blake2b(data, key=key, digest_size=32).digest()
 
     def prove(self, circuit_id: int, witness, public) -> Proof:
         """MAC the public signals iff the circuit constraints hold."""
@@ -163,4 +173,4 @@ class ProofSystem:
         ops.charge_proof_verify()
         if proof.circuit_id != circuit_id:
             return False
-        return self._mac(circuit_id, proof.public) == proof.attestation
+        return hmac.compare_digest(self._mac(circuit_id, proof.public), proof.attestation)

@@ -7,7 +7,9 @@ every call (also kept per operation) and the scenario code charge it.
 It also owns one hash table, active inside every call, so a call does
 not recompute a MiMC permutation or a keccak256 digest that an earlier
 call, or an earlier step of the same call, already computed (see
-``hashing``); op counts are the same with or without it.
+``hashing``); op counts are the same with or without it. The proof
+attestation, keyed BLAKE2b charged as the keccak256 MAC it stands for,
+never enters the table: the verifier recomputes it.
 """
 
 from dataclasses import dataclass

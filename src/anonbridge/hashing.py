@@ -13,10 +13,12 @@ with each other or with tree nodes.
 Hash table. ``permute`` and ``keccak.keccak256`` are pure functions, and
 a simulation hashes the same inputs many times: a settlement or revert
 proof re-folds a Merkle path whose nodes the tree's spine fold already
-hashed, the wallet recomputes its commitment and nullifier hash, the
+hashed, the wallet recomputes its commitment and nullifier hash, and the
 destination Router recomputes the obfuscated data and the TPC the
-deposit already hashed, and ``ProofSystem.verify`` recomputes the MAC
-that ``prove`` computed. Inside an ``ops.hash_table(table)`` block (a
+deposit already hashed. The proof attestation is no protocol hash: it is
+keyed BLAKE2b, charged as the keccak256 MAC the op-count model prices,
+kept out of the table and recomputed by ``ProofSystem.verify`` (see
+``circuit``). Inside an ``ops.hash_table(table)`` block (a
 PEP 567 context variable, the idiom of ``ops.counting``) both cores
 return the output stored in ``table`` for an input they have seen, and
 store every output they compute. ``permute`` keys on its input pair (a

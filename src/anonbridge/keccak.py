@@ -142,12 +142,17 @@ def _keccak_f(a: list) -> None:
     )
 
 
+def n_blocks(length: int) -> int:
+    """Rate blocks in the padded form of a ``length``-byte input."""
+    return length // _RATE + 1
+
+
 def keccak256(data: bytes) -> bytes:
     """Keccak-256 digest of ``data`` (legacy 0x01 padding). Cost: one unit
     per rate block of the padded input, charged also when the active hash
     table already holds the digest (see ``hashing``)."""
-    n_blocks = len(data) // _RATE + 1
-    ops.charge_keccak_blocks(n_blocks)
+    blocks = n_blocks(len(data))
+    ops.charge_keccak_blocks(blocks)
     table = ops.active_table()
     if table is not None:
         key = bytes(data)
@@ -155,12 +160,12 @@ def keccak256(data: bytes) -> bytes:
             return out
 
     padded = bytearray(data)
-    padded += b"\x00" * (n_blocks * _RATE - len(data))
+    padded += b"\x00" * (blocks * _RATE - len(data))
     padded[len(data)] ^= 0x01
     padded[-1] ^= 0x80
 
     state = [0] * 25
-    for blk in range(n_blocks):
+    for blk in range(blocks):
         off = blk * _RATE
         for i in range(_RATE // 8):
             state[i] ^= int.from_bytes(padded[off + 8 * i: off + 8 * i + 8], "little")

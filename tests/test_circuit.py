@@ -2,8 +2,9 @@
 
 import pytest
 from dataclasses import replace
+from hashlib import blake2b
 
-from anonbridge import ops
+from anonbridge import keccak, ops
 from anonbridge.circuit import (
     REVERT,
     SETTLEMENT,
@@ -50,6 +51,12 @@ def build_case(seed=0, depth=8, source=1001):
     rw = RevertWitness(nullifier, secret, path, tpc)
     rp = RevertPublic(c, source, nullifier_hash(nullifier), tree.root)
     return sw, sp, rw, rp, rng
+
+
+def _circuits(seed):
+    """``(circuit_id, witness, public)`` for each circuit, and the rng."""
+    sw, sp, rw, rp, rng = build_case(seed)
+    return [(SETTLEMENT, sw, sp), (REVERT, rw, rp)], rng
 
 
 class TestConstraints:
@@ -128,11 +135,14 @@ class TestProver:
         assert not proofs.verify(SETTLEMENT, tampered)
 
     def test_different_key_holders_incompatible(self):
-        sw, sp, *_, _ = build_case(7)
+        cases, _ = _circuits(7)
         a, b = ProofSystem(SeededRng(1)), ProofSystem(SeededRng(2))
-        proof = a.prove(SETTLEMENT, sw, sp)
-        assert a.verify(SETTLEMENT, proof)
-        assert not b.verify(SETTLEMENT, proof)
+        for cid, witness, public in cases:
+            assert a._keys[cid] != b._keys[cid]
+            for prover, other in ((a, b), (b, a)):
+                proof = prover.prove(cid, witness, public)
+                assert prover.verify(cid, proof)
+                assert not other.verify(cid, proof)
 
     def test_serialization_layout(self):
         sw, sp, *_, rng = build_case(8)
@@ -145,6 +155,57 @@ class TestProver:
         assert blob[65:97] == to_bytes32(sp.tpc)
         assert blob[97:129] == sp.dapp_verifying_key
         assert blob[129:] == proof.attestation and len(proof.attestation) == 32
+
+
+class TestMac:
+    """The attestation is keyed BLAKE2b under the circuit's deity key,
+    charged as the Keccak-256 MAC the op-count model prices."""
+
+    def test_prove_and_verify_charge_the_mac_blocks_and_run_no_keccak(self, monkeypatch):
+        runs = 0
+        real = keccak._keccak_f
+
+        def counted(state):
+            nonlocal runs
+            runs += 1
+            real(state)
+
+        monkeypatch.setattr(keccak, "_keccak_f", counted)
+        cases, rng = _circuits(9)
+        proofs = ProofSystem(rng.child("keys"))
+        for cid, witness, public in cases:
+            # a 32-byte deity key, the circuit id byte, the publics
+            blocks = keccak.n_blocks(32 + 1 + len(public.canonical_bytes()))
+            assert blocks == 2
+            with ops.counting() as prove:
+                proof = proofs.prove(cid, witness, public)
+            with ops.counting() as verify:
+                assert proofs.verify(cid, proof)
+            assert (prove.keccak_blocks, verify.keccak_blocks) == (blocks, blocks)
+        assert runs == 0
+
+    def test_attestation_is_keyed_blake2b(self):
+        cases, rng = _circuits(10)
+        proofs = ProofSystem(rng.child("keys"))
+        for cid, witness, public in cases:
+            proof = proofs.prove(cid, witness, public)
+            data = bytes([cid]) + public.canonical_bytes()
+            key = proofs._keys[cid]
+            assert proof.attestation == blake2b(data, key=key, digest_size=32).digest()
+
+    def test_any_flipped_attestation_byte_fails_verify(self):
+        cases, rng = _circuits(11)
+        proofs = ProofSystem(rng.child("keys"))
+        for cid, witness, public in cases:
+            proof = proofs.prove(cid, witness, public)
+            for i in range(len(proof.attestation)):
+                for bit in (0x01, 0x80):
+                    flipped = bytearray(proof.attestation)
+                    flipped[i] ^= bit
+                    assert not proofs.verify(
+                        cid, replace(proof, attestation=bytes(flipped))), (cid, i, bit)
+            for wrong_length in (proof.attestation[:-1], proof.attestation + b"\x00", b""):
+                assert not proofs.verify(cid, replace(proof, attestation=wrong_length))
 
 
 class TestHiding:

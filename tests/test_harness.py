@@ -439,8 +439,9 @@ def _two_deposits():
 
 
 class TestKeccakTable:
-    """The Router's recomputes of the obfuscated data and the TPC, and the
-    verifier's recompute of the MAC, hit the simulation's hash table."""
+    """The Router's recomputes of the obfuscated data and the TPC hit the
+    simulation's hash table. The proof MAC is keyed BLAKE2b, not keccak:
+    it stays out of the table and the verifier recomputes it."""
 
     def test_deposit_adds_only_its_two_hash_inputs(self):
         # the obfuscated data and the TPC input; the wallet's note draw
@@ -451,13 +452,14 @@ class TestKeccakTable:
         new = {key for key in sim.hash_table if isinstance(key, bytes)} - before
         assert len(new) == 2
 
-    def test_withdraw_adds_only_its_mac(self):
+    def test_withdraw_adds_no_keccak_input(self):
         sim, (label, _) = _two_deposits()
         before = {key for key in sim.hash_table if isinstance(key, bytes)}
         sim.withdraw(label)
+        assert sim.settled(label)
         new = {key for key in sim.hash_table if isinstance(key, bytes)} - before
-        assert len(new) == 1
-        assert sim.hash_table[new.pop()] == sim.deposits[label].settlement.attestation
+        assert new == set()
+        assert sim.deposits[label].settlement.attestation not in sim.hash_table.values()
 
     def test_keccak_permutations_run_only_for_new_inputs(self, monkeypatch):
         runs = 0
@@ -471,10 +473,11 @@ class TestKeccakTable:
         monkeypatch.setattr(keccak, "_keccak_f", counted)
         sim, (settle, revert) = _two_deposits()
         # (call, its op, keccak-f runs, keccak blocks charged); without the
-        # table each call runs one keccak-f per block it is charged
+        # table each call runs one keccak-f per block it is charged, less
+        # the proof MAC's two, which keyed BLAKE2b computes
         for call, op, n_runs, blocks in [
-            (lambda: sim.withdraw(settle), "router_withdraw", 2, 6),
-            (lambda: sim.revert_mark(revert), "router_revert_mark", 2, 6),
+            (lambda: sim.withdraw(settle), "router_withdraw", 0, 6),
+            (lambda: sim.revert_mark(revert), "router_revert_mark", 0, 6),
             (lambda: sim.revert_init(revert), "router_revert_initiate", 0, 2),
         ]:
             runs = 0
@@ -492,7 +495,7 @@ class TestKeccakTable:
         sim, label = _settled()
         proof = sim.deposits[label].settlement
         with ops.hash_table(sim.hash_table):
-            assert sim.proofs.verify(SETTLEMENT, proof)  # the MAC is a hit
+            assert sim.proofs.verify(SETTLEMENT, proof)  # recomputed, not looked up
             assert not sim.proofs.verify(
                 SETTLEMENT, replace(proof, attestation=bytes(32)))
 

@@ -114,18 +114,63 @@ def _memo(decorator) -> bool:
     return isinstance(decorator, ast.Name) and decorator.id in MEMOS
 
 
+def _modules():
+    """``(dotted module name, parsed AST)`` for every source module."""
+    src = Path(anonbridge.__file__).parent
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        yield module, ast.parse(path.read_text(), str(path))
+
+
 def test_zero_node_is_the_only_process_wide_memo():
     # a process-wide memo outlives every Simulation; each one is a reviewed
     # decision, bounded and pure, never an accident
-    src = Path(anonbridge.__file__).parent
     memoised = []
-    for path in sorted(src.rglob("*.py")):
-        module = ".".join(path.relative_to(src).with_suffix("").parts)
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for module, tree in _modules():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 memoised += [f"{module}.{node.name}"
                              for d in node.decorator_list if _memo(d)]
     assert memoised == ["merkle.zero_node"]
+
+
+def _keccak_uses(node, scope: str) -> list:
+    """The scope of every read of ``keccak256`` under ``node``, or import
+    of it under another name: the enclosing function or class, or the
+    module-level name assigned."""
+    uses = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            uses += _keccak_uses(child, f"{scope}.{child.name}")
+            continue
+        if (isinstance(node, ast.Module) and isinstance(child, ast.Assign)
+                and len(child.targets) == 1 and isinstance(child.targets[0], ast.Name)):
+            uses += _keccak_uses(child, f"{scope}.{child.targets[0].id}")
+            continue
+        if (isinstance(child, ast.Name) and child.id == "keccak256"
+                or isinstance(child, ast.Attribute) and child.attr == "keccak256"
+                or isinstance(child, ast.alias) and child.name == "keccak256"
+                and child.asname is not None):
+            uses.append(scope)
+        uses += _keccak_uses(child, scope)
+    return uses
+
+
+def test_keccak256_serves_only_protocol_hashes():
+    # keccak256 is charged and tabled as protocol work; harness randomness
+    # and the simulated prover's MAC run on stdlib blake2b instead
+    uses = sorted(use for module, tree in _modules()
+                  for use in _keccak_uses(tree, module))
+    assert uses == [
+        "dact.dapp_global_hash",
+        "dact.obfuscate",
+        "dact.trustless_public_commitment",
+        "hashing.DOMAIN_COMMIT",
+        "hashing.DOMAIN_NULLIFIER",
+        "hashing._round_constants",
+        "hashing._round_constants",
+        "merkle.ZERO",
+    ]
 
 
 class TestOracleEquivalence:

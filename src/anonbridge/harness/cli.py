@@ -9,9 +9,10 @@ Subcommands:
 
 Exit status is 0 iff every verdict passed, and 2 when a scenario file or
 a transcript to replay cannot be read, a scenario is neither a file nor
-a builtin, ``attacks`` names no scenario, the config, a script action or
-a sweep depth is malformed, or a transcript has no header. ANONBRIDGE_SEED
-overrides the scenario seed.
+a builtin, ``attacks`` names no scenario, the config, a script action,
+a sweep depth or a seed is malformed (a seed must be in [0, 2^256), for
+``sweep`` too), or a transcript has no header. ANONBRIDGE_SEED overrides
+the scenario seed.
 """
 
 import argparse
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from ..errors import ConfigInvalid
 from ..merkle import MAX_DEPTH
-from .config import ScenarioConfig
+from .config import ScenarioConfig, check_seed
 from .metrics import sweep_depths
 from .scenarios import ATTACK_MATRIX, BUILTINS, builtin_config, run_scenario
 from .transcript import Transcript
@@ -95,6 +96,7 @@ def cmd_sweep(args) -> int:
               f"got {args.depths!r}", file=sys.stderr)
         return 2
     seed = _env_seed(args.seed) or 0
+    check_seed(seed)
     rows = sweep_depths(depths, seed=seed)
     cols = list(rows[0])
     print("  ".join(f"{c:>20}" for c in cols))

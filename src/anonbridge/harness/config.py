@@ -57,6 +57,13 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed ``SeededRng`` cannot take: it encodes the seed as 32
+    unsigned bytes."""
+    if not 0 <= seed < 1 << 256:
+        raise ConfigInvalid(f"field 'seed' must be in [0, 2^256), got {seed}")
+
+
 def _check_action(i: int, action, config: "ScenarioConfig") -> None:
     """Reject a script action the interpreter could not run as written."""
     if not isinstance(action, dict):
@@ -125,8 +132,7 @@ class ScenarioConfig:
             if not (_is_a(value, f.type) or value is None and f.default is None):
                 raise ConfigInvalid(f"field {f.name!r} must be "
                                     f"{f.type.__name__}, got {value!r}")
-        if not 0 <= self.seed < 1 << 256:
-            raise ConfigInvalid(f"field 'seed' must be in [0, 2^256), got {self.seed}")
+        check_seed(self.seed)
         if not all(_is_a(cid, int) for cid in self.chains):
             raise ConfigInvalid(f"field 'chains' must list integers, got {self.chains!r}")
         try:

@@ -399,7 +399,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         _check_builtin(config)
     sim = Simulation(config)
     try:
-        with ops.counting(sim.ops):  # also direct wallet calls in a scenario
+        # also a driver's direct wallet calls: they charge the run's counter
+        # and hit the hashes its contract calls already stored
+        with ops.counting(sim.ops), ops.hash_table(sim.hash_table):
             if config.builtin is not None:
                 driver, _ = BUILTINS[config.builtin]
                 driver(sim)

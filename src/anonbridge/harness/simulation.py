@@ -7,7 +7,9 @@ every call (also kept per operation) and the scenario code charge it.
 It also owns one hash table, active inside every call, so a call does
 not recompute a MiMC permutation or a keccak256 digest that an earlier
 call, or an earlier step of the same call, already computed (see
-``hashing``); op counts are the same with or without it. The proof
+``hashing``); op counts are the same with or without it.
+``run_scenario`` enters the table around the scenario driver too, so a
+proof the driver builds outside a call hits it as well. The proof
 attestation, keyed BLAKE2b charged as the keccak256 MAC it stands for,
 never enters the table: the verifier recomputes it.
 """
@@ -64,7 +66,7 @@ class Simulation:
         self.config = config
         self.ops = ops.OpCounts()       # set-up, every call, the scenario
         self.metrics: dict = {}         # op name -> OpCounts of its calls
-        self.hash_table: dict = {}      # hash input -> output, calls only
+        self.hash_table: dict = {}      # hash input -> output, calls, driver
         self.transcript = Transcript()
         self.verdicts: list = []
         self.deposits: dict = {}        # label -> its wallet's NoteRecord

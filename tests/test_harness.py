@@ -506,6 +506,98 @@ class TestKeccakTable:
         sim.revert_mark(second)
 
 
+SCENARIO_FILES = sorted(
+    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+
+
+def _warm_zero_nodes():
+    """Derive every zero node now: each is derived once per process, under
+    no table, by whichever run first needs it."""
+    for level in range(MAX_DEPTH + 1):
+        zero_node(level)
+
+
+@pytest.fixture
+def untabled(monkeypatch):
+    """Count the hash-core calls that find no active table."""
+    _warm_zero_nodes()
+    count = [0]
+    real = ops.active_table
+
+    def counted():
+        table = real()
+        count[0] += table is None
+        return table
+
+    monkeypatch.setattr(ops, "active_table", counted)
+    return count
+
+
+def _computed_permutations(monkeypatch) -> list:
+    """Count the ``hashing.permute`` calls the active table misses."""
+    _warm_zero_nodes()
+    count = [0]
+    real = hashing.permute
+
+    def counted(x_left, x_right):
+        table = ops.active_table()
+        count[0] += table is None or (x_left, x_right) not in table
+        return real(x_left, x_right)
+
+    monkeypatch.setattr(hashing, "permute", counted)
+    return count
+
+
+class TestNoUntabledHashes:
+    """Every hash of a run goes through its simulation's table: a driver's
+    own wallet calls, outside every contract call, as well as the calls."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_builtin(self, untabled, name, seed):
+        run_scenario(builtin_config(name, seed=seed))
+        assert untabled[0] == 0
+
+    @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.name)
+    def test_script(self, untabled, path):
+        assert len(SCENARIO_FILES) == 3
+        run_scenario(ScenarioConfig.from_json(path.read_text()))
+        assert untabled[0] == 0
+
+    def test_wrong_dapp_call_proof_is_all_hits(self, monkeypatch):
+        # its driver builds a settlement proof straight from the wallet: one
+        # deposit at depth 16 computes 2 + 1 + 16 permutations, nothing more
+        computed = _computed_permutations(monkeypatch)
+        run_scenario(builtin_config("wrong_dapp_call", seed=7))
+        assert computed[0] == 19
+
+    def test_no_table_after_a_failing_script(self):
+        script = HAPPY_SCRIPT + [{"op": "withdraw", "deposit": "d0",
+                                  "expect": "TpcMismatch"}]
+        result = run_scenario(script_config(script))
+        completed = [v for v in result.verdicts if v.name == "scenario_completed"]
+        assert [v.passed for v in completed] == [False]
+        assert ops.active_table() is None
+
+    def test_no_table_after_a_config_invalid_script(self):
+        script = [{"op": "withdraw", "deposit": "never_made"}]
+        with pytest.raises(ConfigInvalid, match="names no deposit"):
+            run_scenario(script_config(script))
+        assert ops.active_table() is None
+
+
+class TestSweepTable:
+    @pytest.mark.parametrize("depth", [4, 8, 16])
+    def test_measure_depth_computes_each_hash_once(self, monkeypatch, depth):
+        # commitment 2, nullifier hash 1, insert fold d; the proof's
+        # recomputes of all three are hits, still charged
+        computed = _computed_permutations(monkeypatch)
+        row = sweep_depths([depth])[0]
+        assert computed[0] == depth + 3
+        assert row["prove_permutations"] == depth + 3
+        assert ops.active_table() is None
+
+
 class TestProofMissing:
     """Reusing a proof that was never built is a failed call, not a crash."""
 
@@ -883,6 +975,26 @@ class TestCli:
         assert main(["sweep", "--depths", depths]) == 2
         assert capsys.readouterr().err == (
             f"error: --depths must list integers in 1..{MAX_DEPTH}, got {depths!r}\n")
+
+    @pytest.mark.parametrize("flag_seed, env_seed, bad", [
+        ("-1", None, -1),
+        (None, "-2", -2),
+        (str(1 << 256), None, 1 << 256),
+    ], ids=["flag_negative", "env_negative", "flag_2_256"])
+    def test_sweep_rejects_bad_seed(self, capsys, monkeypatch,
+                                    flag_seed, env_seed, bad):
+        if env_seed is None:
+            monkeypatch.delenv("ANONBRIDGE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ANONBRIDGE_SEED", env_seed)
+        argv = ["sweep", "--depths", "4"]
+        if flag_seed is not None:
+            argv += ["--seed", flag_seed]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ConfigInvalid: field 'seed' must be in [0, 2^256), got {bad}\n")
 
     def test_attacks_all(self, capsys):
         assert main(["attacks", "--all"]) == 0

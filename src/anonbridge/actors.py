@@ -41,7 +41,6 @@ from .errors import (
     DuplicateCommitment,
     InvalidValue,
     SignatureMissing,
-    ThresholdUnmet,
     UnknownCommitment,
 )
 from .hashing import commit, nullifier_hash
@@ -295,15 +294,8 @@ class Oracle:
 
 @dataclass
 class ResilienceRules:
-    """The fields of a scenario's ``dapp`` section, with their defaults.
-
-    scheme: "single" or "threshold"; threshold signing is simulated as
-    k-of-n share collection gating one ordinary signature. The rest are
-    the revert watcher's rate and value limits.
-    """
-    scheme: str = "single"
-    n: int = 1
-    k: int = 1
+    """The fields of a scenario's ``dapp`` section, with their defaults:
+    the revert watcher's rate and value limits."""
     max_reverts_per_period: int = 1000
     period_blocks: int = 1000
     max_value_per_revert: int = 10**9
@@ -317,31 +309,20 @@ class DappSigner:
         self.name = name
         self.key = KeyPair.generate(rng)
         self.resilience = ResilienceRules(**rules)
-        self.online_shares = set(range(self.resilience.n))
         self.offline = False
         self.contracts: dict = {}   # chain id -> DappContract
         self.ghash: bytes = b""
         self._tolerated: dict = {}     # nullifier hash -> height first let through
-        self._own_leaves: set = set()  # leaf values of deposits through us
+        self._pending: set = set()     # own leaf values no pass has handled yet
         self._cursors: dict = {}       # chain id -> next event index to scan
-        self._first_unsigned = 0       # mixer leaves below it all have a signature
 
     @property
     def verifying_key(self) -> bytes:
         return self.key.verifying_key
 
-    def threshold_sign(self, message: bytes) -> bytes:
-        """Aggregate signature; fails when fewer than k shares are online."""
-        rules = self.resilience
-        if rules.scheme == "threshold" and len(self.online_shares) < rules.k:
-            raise ThresholdUnmet(
-                f"{len(self.online_shares)} shares online, need {rules.k} of {rules.n}"
-            )
-        return self.key.sign(message)
-
     def _scan_own_deposits(self, chains: dict) -> None:
         """Add the leaves of new deposits through our contracts to
-        ``_own_leaves``; each event is decoded once."""
+        ``_pending``; each event is decoded once."""
         own_addresses = {c.address.hex() for c in self.contracts.values()}
         for cid in sorted(chains):
             log = chains[cid].event_log
@@ -351,34 +332,31 @@ class DappSigner:
                 if ev.context.get("dapp_address") not in own_addresses:
                     continue
                 commitment, tpc, src = decode_deposit_event(ev.payload)
-                self._own_leaves.add(make_leaf(commitment, tpc, src).value)
+                self._pending.add(make_leaf(commitment, tpc, src).value)
             self._cursors[cid] = len(log)
 
     def scan_and_sign(self, chains: dict, mixer_chain: Chain) -> list:
-        """Sign every unsigned mixer leaf that originated from our dApp.
+        """Sign the mixer leaves of our new deposits, in index order.
 
-        A leaf with no matching source-chain deposit event is never
-        signed, whatever the mixer state claims. A pass starts at the first
-        leaf the last pass left without a signature.
+        Only a leaf that matches one of our source-chain deposit events is
+        ever signed, whatever the mixer state claims. A pass looks each
+        pending leaf up in the tree's leaf index and handles it once: it
+        signs it unless the leaf already has a signature. A leaf not
+        relayed yet waits for a later pass.
         """
         if self.offline:
             return []
         self._scan_own_deposits(chains)
+        leaf_index = mixer_chain.mixer.tree.leaf_index
+        relayed = sorted((leaf_index[leaf], leaf) for leaf in self._pending
+                         if leaf in leaf_index)
         signed = []
-        leaves = mixer_chain.mixer.tree.leaves
-        first_unsigned = len(leaves)
-        for index in range(self._first_unsigned, len(leaves)):
-            if index in mixer_chain.mixer.leaf_signatures:
-                continue
-            leaf_value = leaves[index]
-            if leaf_value not in self._own_leaves:
-                # not ours, or never originated on a source chain
-                first_unsigned = min(first_unsigned, index)
-                continue
-            sig = self.threshold_sign(leaf_bytes(leaf_value))
-            mixer_store_signature(mixer_chain, index, sig)
-            signed.append(index)
-        self._first_unsigned = first_unsigned
+        for index, leaf_value in relayed:
+            if index not in mixer_chain.mixer.leaf_signatures:
+                mixer_store_signature(mixer_chain, index,
+                                      self.key.sign(leaf_bytes(leaf_value)))
+                signed.append(index)
+            self._pending.discard(leaf_value)
         return signed
 
     def watch_reverts(self, chains: dict) -> list:

@@ -136,10 +136,6 @@ class ProofMissing(SimError):
     """A proof the call reuses was never built."""
 
 
-class ThresholdUnmet(SimError):
-    pass
-
-
 # -- harness -----------------------------------------------------------------
 
 class ConfigInvalid(SimError):

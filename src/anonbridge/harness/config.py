@@ -153,13 +153,6 @@ class ScenarioConfig:
         if self.window < 1:
             raise ConfigInvalid(f"field 'window' must be at least 1, got {self.window}")
         _check_section("dapp", self.dapp, DAPP_FIELDS)
-        rules = ResilienceRules(**self.dapp)
-        if rules.scheme not in ("single", "threshold"):
-            raise ConfigInvalid("field 'dapp.scheme' must be 'single' or "
-                                f"'threshold', got {rules.scheme!r}")
-        if not 1 <= rules.k <= rules.n:
-            raise ConfigInvalid(f"fields 'dapp.n' and 'dapp.k' must satisfy "
-                                f"1 <= k <= n, got n={rules.n}, k={rules.k}")
         _check_section("oracle", self.oracle, ORACLE_FIELDS)
         policy = OraclePolicy(**self.oracle)
         if policy.mode not in ORACLE_MODES:

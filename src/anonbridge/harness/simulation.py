@@ -373,8 +373,20 @@ class Simulation:
     # -- inspection helpers ---------------------------------------------------------
 
     def settled(self, label: str) -> bool:
+        """Whether this deposit's own nullifier hash settled on its
+        destination: spent there, and not by a revert mark."""
         rec = self.deposits[label]
-        return rec.payload in self.dapp.contracts[rec.dest].received_payloads
+        if rec.settlement is None:
+            return False
+        dest = self.chains[rec.dest]
+        nh = rec.settlement.public.nullifier_hash
+        if nh not in dest.router.nullifier_reverted:
+            return nh in dest.router.nullifier_spent
+        # a mark spends and reverts at once; only a same-chain deposit can
+        # also be reverted there by an executed revert after it settled
+        return rec.source == rec.dest and any(
+            ev.kind == "settled" and ev.payload == to_bytes32(nh)
+            for ev in dest.event_log)
 
     def reverted(self, label: str) -> bool:
         rec = self.deposits[label]

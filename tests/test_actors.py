@@ -1,18 +1,19 @@
-"""Wallet, oracle policies, dApp signer quorum, and the revert watcher."""
+"""Wallet, oracle policies, dApp signer, and the revert watcher."""
 
-from dataclasses import asdict
+import ast
+from dataclasses import asdict, fields
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 import _reference as ref
-from anonbridge import ops
+from anonbridge import actors, ops
 from anonbridge.actors import DappSigner, Oracle, OraclePolicy, ResilienceRules
-from anonbridge.dact import DepositRequest
+from anonbridge.dact import DepositRequest, PayloadIntent
 from anonbridge.errors import (
     ConstraintViolation,
     SignatureMissing,
-    ThresholdUnmet,
     UnknownCommitment,
 )
 from anonbridge.harness import ScenarioConfig, Simulation
@@ -173,35 +174,6 @@ class TestOracle:
         assert sim.settled(honest)
 
 
-class TestSignerQuorum:
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_threshold_boundary_exhaustive(self, n):
-        for k in range(1, n + 1):
-            for online in range(0, n + 1):
-                signer = DappSigner("d", SeededRng(1), scheme="threshold", n=n, k=k)
-                signer.online_shares = set(range(online))
-                if online >= k:
-                    assert len(signer.threshold_sign(b"m")) == 64
-                else:
-                    with pytest.raises(ThresholdUnmet):
-                        signer.threshold_sign(b"m")
-
-    def test_single_scheme_ignores_shares(self):
-        signer = DappSigner("d", SeededRng(1), scheme="single")
-        signer.online_shares = set()
-        assert len(signer.threshold_sign(b"m")) == 64
-
-    def test_threshold_signing_blocks_scan(self):
-        sim = make_sim(dapp={"scheme": "threshold", "n": 3, "k": 2})
-        sim.deposit("alice", 1001, 1003)
-        sim.relay()
-        sim.dapp.online_shares = {0}
-        with pytest.raises(ThresholdUnmet):
-            sim.dapp.scan_and_sign(sim.chains, sim.mixer_chain)
-        sim.dapp.online_shares = {0, 2}
-        assert sim.dapp.scan_and_sign(sim.chains, sim.mixer_chain) == [0]
-
-
 class TestSignerOrigination:
     def test_never_signs_unoriginated_leaves(self):
         """A leaf injected into the mixer without a matching source-chain
@@ -225,7 +197,10 @@ class TestSignerOrigination:
         sim.relay()
         assert sim.sign() == [1]
 
-    def test_pass_starts_at_first_unsigned_leaf(self):
+    def test_pass_checks_only_new_own_leaves(self):
+        """A pass makes one signature check per new own leaf and one more
+        as the store takes it: signed leaves, an unoriginated leaf and
+        another dApp's leaf that its signer never signs are not visited."""
         class CountingSignatures(dict):
             checks = 0
 
@@ -241,18 +216,27 @@ class TestSignerOrigination:
             sim.sign()
         mixer = sim.mixer_chain.mixer
         mixer.leaf_signatures = CountingSignatures(mixer.leaf_signatures)
-        mixer.tree.insert(777)  # unoriginated: stays unsigned
+        mixer.tree.insert(777)  # leaf 12, unoriginated: stays unsigned
+        lagging = sim.deploy_extra_dapp("lagging")
+        sim.wallets["alice"].deposit(
+            sim.chains[1001], lagging.contracts[1001], lagging.ghash,
+            PayloadIntent(b"\x01" * 32, 1003), 1)
         sim.deposit("alice", 1003, 1001)
-        sim.relay()
-        # one check per leaf the pass visits, one more as the store takes
-        # the signature: the pass visits leaves 12 and 13 only
-        assert sim.sign() == [13]
-        assert mixer.leaf_signatures.checks == 2 + 1
-        # the next pass starts at the unsigned leaf 12 again: 12, 13, 14
+        sim.relay()  # leaf 13 is the lagging dApp's, leaf 14 ours
+        assert sim.sign() == [14]
+        assert mixer.leaf_signatures.checks == 2
+        sim.deposit("alice", 1001, 1003)
         sim.deposit("alice", 1001, 1003)
         sim.relay()
-        assert sim.sign() == [14]
-        assert mixer.leaf_signatures.checks == 3 + 3 + 1
+        assert sim.sign() == [15, 16]
+        assert mixer.leaf_signatures.checks == 2 + 4
+        sim.deposit("alice", 1001, 1003)
+        assert sim.sign() == []  # not relayed yet: no check
+        assert mixer.leaf_signatures.checks == 2 + 4
+        sim.relay()
+        assert sim.sign() == [17]
+        assert mixer.leaf_signatures.checks == 2 + 4 + 2
+        assert 12 not in mixer.leaf_signatures and 13 not in mixer.leaf_signatures
 
     def test_ignores_other_dapps_deposits(self):
         sim = make_sim()
@@ -347,10 +331,28 @@ class TestResilienceDefaults:
         assert rules.max_value_per_revert >= 10**9
 
     def test_every_dapp_field_reaches_the_signer(self):
-        dapp = {"scheme": "threshold", "n": 3, "k": 2, "max_value_per_revert": 5}
+        dapp = {"max_reverts_per_period": 3, "period_blocks": 7,
+                "max_value_per_revert": 5}
         sim = make_sim(dapp=dapp)
         assert asdict(sim.dapp.resilience) == dict(asdict(ResilienceRules()), **dapp)
-        assert sim.dapp.online_shares == {0, 1, 2}
+
+    def test_every_rule_is_read_by_a_signer_pass(self):
+        """A ``dapp`` knob no path reads is dead: every ``ResilienceRules``
+        field is read as ``self.resilience.<field>`` in a ``DappSigner``
+        method other than ``__init__``."""
+        tree = ast.parse(Path(actors.__file__).read_text())
+        signer = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "DappSigner")
+        read = {node.attr
+                for method in signer.body
+                if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+                for node in ast.walk(method)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "resilience"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "self"}
+        assert {f.name for f in fields(ResilienceRules)} <= read
 
     def test_empty_dapp_section_and_extra_dapp_take_the_defaults(self):
         sim = make_sim(dapp={})

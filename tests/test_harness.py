@@ -95,8 +95,7 @@ class TestConfig:
             "wallets", "oracle", "dapp", "script", "builtin"]
         assert list(ORACLE_FIELDS) == ["mode", "censor_chain"]
         assert list(DAPP_FIELDS) == [
-            "scheme", "n", "k", "max_reverts_per_period", "period_blocks",
-            "max_value_per_revert"]
+            "max_reverts_per_period", "period_blocks", "max_value_per_revert"]
 
     def test_builtin_configs_own_their_lists(self):
         a, b = builtin_config("double_spend"), builtin_config("oracle_replay")
@@ -115,9 +114,9 @@ class TestConfig:
             Simulation(script_config([], oracle=oracle))
 
     @pytest.mark.parametrize("dapp,field", [
-        ({"scheme": "multi"}, "dapp.scheme"),
-        ({"n": 2, "k": 3}, "dapp.k"),
-        ({"k": 0}, "dapp.k"),
+        ({"max_reverts_per_period": "1"}, "dapp.max_reverts_per_period"),
+        ({"max_value_per_revert": True}, "dapp.max_value_per_revert"),
+        ({"k": 1}, "unknown dapp config fields"),
         ({"period_blocks": 1.5}, "dapp.period_blocks"),
         ({"bogus": 1}, "unknown dapp config fields"),
     ])
@@ -141,8 +140,10 @@ class TestConfig:
          "action 0 (advance): field 'blocks' must be at least 1, got 0"),
         ({"script": [{"op": "advance", "blocks": -3}]},
          "action 0 (advance): field 'blocks' must be at least 1, got -3"),
-        ({"dapp": {"n": "x"}}, "field 'dapp.n' must be int, got 'x'"),
-        ({"dapp": {"n": True}}, "field 'dapp.n' must be int, got True"),
+        ({"dapp": {"period_blocks": "x"}},
+         "field 'dapp.period_blocks' must be int, got 'x'"),
+        ({"dapp": {"max_reverts_per_period": True}},
+         "field 'dapp.max_reverts_per_period' must be int, got True"),
         ({"merkle_depth": True}, "field 'merkle_depth' must be int, got True"),
         ({"oracle": {"mode": "honset"}},
          "field 'oracle.mode' must be one of honest, forge_root, censor_dapp, "
@@ -173,6 +174,7 @@ class TestConfig:
          "field 'oracle.censor_chain' names unknown 0"),
         ({"oracle": {"mode": "censor_dapp", "censor_dapp": True}},
          "unknown oracle config fields: ['censor_dapp']"),
+        ({"dapp": {"scheme": "single"}}, "unknown dapp config fields: ['scheme']"),
     ], ids=["unknown_wallet", "undefined_label", "missing_field", "string_seed",
             "mistyped_field", "unknown_field", "zero_blocks", "negative_blocks",
             "mistyped_dapp_field", "boolean_dapp_count", "boolean_depth",
@@ -180,7 +182,7 @@ class TestConfig:
             "duplicate_label", "label_taken_by_default_name",
             "label_of_failed_deposit", "unknown_dest", "unknown_withdraw_actor",
             "zero_window", "one_chain", "unknown_censored_chain",
-            "censor_chain_left_out", "censor_dapp_flag"])
+            "censor_chain_left_out", "censor_dapp_flag", "threshold_scheme"])
     def test_malformed_input_is_config_invalid(self, tmp_path, capsys,
                                                mutation, message):
         data = {"seed": 1, "name": "malformed", "script": HAPPY_SCRIPT}
@@ -219,6 +221,39 @@ class TestScriptInterpreter:
         result = run_scenario(script_config(HAPPY_SCRIPT))
         assert result.passed
         assert result.sim.settled("d0")
+
+    def test_settled_is_per_deposit_not_per_payload(self):
+        """Two deposits with one payload: only the withdrawn one settled."""
+        same = {"op": "deposit", "wallet": "alice", "source": 1001, "dest": 1003,
+                "payload": "ab" * 32}
+        script = [dict(same, label="a"), dict(same, label="b"), {"op": "relay"},
+                  {"op": "sign"}, {"op": "push_root"},
+                  {"op": "withdraw", "deposit": "a"}]
+        result = run_scenario(script_config(script))
+        assert result.passed
+        assert result.sim.settled("a")
+        assert not result.sim.settled("b")
+
+    def test_settled_same_chain_deposit(self):
+        """On one chain an executed revert flags the nullifier hash reverted
+        as a mark does: a settlement before it still counts, a mark does
+        not."""
+        same = {"op": "deposit", "wallet": "alice", "source": 1001, "dest": 1001}
+        script = [dict(same, label="d"), dict(same, label="m"), {"op": "relay"},
+                  {"op": "sign"}, {"op": "push_root"},
+                  {"op": "withdraw", "deposit": "d"},
+                  {"op": "revert_mark", "deposit": "m"},
+                  {"op": "withdraw", "deposit": "m", "expect": "DoubleSpend"},
+                  {"op": "go_offline", "actor": "dapp"},
+                  {"op": "revert_init", "deposit": "d"},
+                  {"op": "advance", "blocks": 100},
+                  {"op": "execute", "deposit": "d"}]
+        result = run_scenario(script_config(script))
+        # the script ran to its end; the refund after the settlement is the
+        # double outcome the verdict reports
+        assert [v.name for v in result.verdicts if not v.passed] == ["settle_xor_revert"]
+        assert result.sim.settled("d") and result.sim.reverted("d")
+        assert not result.sim.settled("m")
 
     def test_expect_mismatch_fails_the_run(self):
         script = HAPPY_SCRIPT[:-1] + [

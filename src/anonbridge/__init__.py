@@ -12,12 +12,10 @@ from .circuit import (
     RevertWitness,
     SettlementPublic,
     SettlementWitness,
-    revert_constraints,
-    settlement_constraints,
+    constraints_hold,
 )
 from .dact import (
     DepositRequest,
-    Leaf,
     Note,
     PayloadIntent,
     dapp_global_hash,
@@ -49,7 +47,6 @@ __all__ = [
     "verify_path",
     "Note",
     "PayloadIntent",
-    "Leaf",
     "DepositRequest",
     "note_new",
     "obfuscate",
@@ -66,7 +63,6 @@ __all__ = [
     "SettlementPublic",
     "RevertWitness",
     "RevertPublic",
-    "settlement_constraints",
-    "revert_constraints",
+    "constraints_hold",
     "__version__",
 ]

@@ -41,7 +41,9 @@ from .errors import (
     DuplicateCommitment,
     InvalidValue,
     SignatureMissing,
+    SimError,
     UnknownCommitment,
+    WrongChain,
 )
 from .hashing import commit, nullifier_hash
 from .merkle import MerklePath, MerkleTree
@@ -121,7 +123,10 @@ class Wallet:
 
     def deposit(self, chain: Chain, dapp_contract: DappContract, ghash: bytes,
                 intent: PayloadIntent, version: int, value: int = 1) -> NoteRecord:
-        """Create a note, submit it via the dApp, and keep its record."""
+        """Create a note, submit it via the dApp, and keep its record; a
+        destination equal to ``chain`` raises ``WrongChain`` before either."""
+        if intent.dest_chain_id == chain.chain_id:
+            raise WrongChain(f"destination {intent.dest_chain_id} is the source chain")
         note = note_new(self.rng)
         c = commit(note.secret, note.nullifier)
         od = obfuscate(intent, note.salt)
@@ -130,7 +135,7 @@ class Wallet:
         _, tpc, source = decode_deposit_event(event.payload)
         self.notes[c] = rec = NoteRecord(
             self.name, c, note, intent.payload, source, intent.dest_chain_id,
-            version, ghash, tpc, make_leaf(c, tpc, source).value)
+            version, ghash, tpc, make_leaf(c, tpc, source))
         return rec
 
     def _locate_leaf(self, commitment: int, mixer_chain: Chain) -> tuple:
@@ -233,7 +238,7 @@ class Oracle:
                     try:
                         mixer_submit(mixer_chain, ev)
                         actions.append(("replay_accepted", cid, index))
-                    except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                    except SimError as exc:
                         actions.append(("replay_rejected", cid, type(exc).__name__))
             self._cursors[cid] = len(chain.event_log)
         return actions
@@ -278,10 +283,10 @@ class Oracle:
         tpc = int.from_bytes(self.rng.bytes(9), "big") & TPC_MASK
         leaf = make_leaf(c, tpc, source_chain)
         tree = MerkleTree(depth)
-        index = tree.insert(leaf.value)
+        index = tree.insert(leaf)
         path = tree.path(index)
         self.forged_root = tree.root
-        forged_sig = KeyPair.generate(self.rng).sign(leaf_bytes(leaf.value))
+        forged_sig = KeyPair.generate(self.rng).sign(leaf_bytes(leaf))
         public = SettlementPublic(
             nullifier_hash(nullifier), tree.root, tpc, victim_vk
         )
@@ -305,8 +310,7 @@ class DappSigner:
     """Signs recognized leaves and polices revert windows under its
     ``ResilienceRules``."""
 
-    def __init__(self, name: str, rng: SeededRng, **rules):
-        self.name = name
+    def __init__(self, rng: SeededRng, **rules):
         self.key = KeyPair.generate(rng)
         self.resilience = ResilienceRules(**rules)
         self.offline = False
@@ -332,7 +336,7 @@ class DappSigner:
                 if ev.context.get("dapp_address") not in own_addresses:
                     continue
                 commitment, tpc, src = decode_deposit_event(ev.payload)
-                self._pending.add(make_leaf(commitment, tpc, src).value)
+                self._pending.add(make_leaf(commitment, tpc, src))
             self._cursors[cid] = len(log)
 
     def scan_and_sign(self, chains: dict, mixer_chain: Chain) -> list:
@@ -375,17 +379,17 @@ class DappSigner:
             for nh, pending in list(chain.router.pending_reverts.items()):
                 if pending.halted or chain.height >= pending.window_end:
                     continue
-                if chain.router.commitment_log.get(pending.commitment) != contract.address:
+                escrowed = contract.escrow.get(pending.commitment)  # (value, wallet)
+                if escrowed is None:
                     continue  # another dApp's transaction
-                spent = [c.router for other, c in chains.items()
-                         if other != cid and nh in c.router.nullifier_spent]
-                value = contract.escrow.get(pending.commitment, (0, None))[0]
+                spent = [c.router for c in chains.values()
+                         if nh in c.router.nullifier_spent]
                 reason = None
                 if any(nh not in router.nullifier_reverted for router in spent):
                     reason = "spent_without_revert"
                 elif not spent:
                     reason = "no_destination_mark"
-                elif value > self.resilience.max_value_per_revert:
+                elif escrowed[0] > self.resilience.max_value_per_revert:
                     reason = "value_threshold"
                 elif nh not in self._tolerated and self._rate_exceeded(chain.height):
                     reason = "rate_threshold"

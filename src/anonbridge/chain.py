@@ -48,7 +48,6 @@ REVERT_FEE = 1              # collected by the source Router per revert initiate
 class Event:
     kind: str
     payload: bytes          # canonical protocol fields only
-    emitting_chain: int
     block: int
     context: dict = field(default_factory=dict)  # observable tx metadata
 
@@ -94,6 +93,9 @@ class MixerState:
 
 
 class Chain:
+    """One blockchain: block clock, event log, Router, the Mixer on the
+    multiplexer, and ``dapps``, its deployed dApp contracts by address."""
+
     def __init__(self, chain_id: int, depth: int = None, oracle_auth: bytes = b""):
         validate_chain_id(chain_id)
         self.chain_id = chain_id
@@ -102,11 +104,10 @@ class Chain:
         self.router = RouterState()
         self.mixer = MixerState(depth) if depth is not None else None
         self.oracle_auth = oracle_auth
-        self.deployed_dapps: set = set()   # addresses allowed to call register
-        self.dapp_hooks: dict = {}         # address -> hook object
+        self.dapps: dict = {}              # address -> deployed dApp contract
 
     def emit(self, kind: str, payload: bytes, **context) -> Event:
-        ev = Event(kind, payload, self.chain_id, self.height, context)
+        ev = Event(kind, payload, self.height, context)
         self.event_log.append(ev)
         return ev
 
@@ -125,7 +126,7 @@ def router_register_dapp(chain: Chain, caller: bytes, other_addresses: list,
     hash squatting. First writer wins; a registered hash, and the global
     hash a verifying key is bound to, are permanent.
     """
-    if caller not in chain.deployed_dapps:
+    if caller not in chain.dapps:
         raise Unauthorized(f"{caller.hex()} is not a dApp contract on chain {chain.chain_id}")
     home = home_address if home_address is not None else caller
     if home != caller and caller not in other_addresses:
@@ -167,9 +168,9 @@ def mixer_submit(chain: Chain, event: Event) -> int:
     if commitment in mixer.commitments_seen:
         raise DuplicateCommitment(f"commitment {commitment} already in the tree")
     leaf = make_leaf(commitment, tpc, source_chain)
-    index = mixer.tree.insert(leaf.value)
+    index = mixer.tree.insert(leaf)
     mixer.commitments_seen.add(commitment)
-    chain.emit("leaf_inserted", to_bytes32(leaf.value) + to_bytes32(index))
+    chain.emit("leaf_inserted", to_bytes32(leaf) + to_bytes32(index))
     return index
 
 
@@ -229,9 +230,7 @@ def router_withdraw(chain: Chain, proof, payload: bytes, salt: int,
     dapp_address = router.dapp_registry[ghash]
     router.nullifier_spent.add(public.nullifier_hash)
     chain.emit("settled", to_bytes32(public.nullifier_hash), dapp_address=dapp_address.hex())
-    hook = chain.dapp_hooks.get(dapp_address)
-    if hook is not None:
-        hook.on_settle(payload)
+    chain.dapps[dapp_address].on_settle(payload)
     return SettlementOutcome(dapp_address, payload, public.nullifier_hash)
 
 
@@ -261,7 +260,7 @@ def router_revert_mark_destination(chain: Chain, proof, payload: bytes, salt: in
     od = obfuscate(PayloadIntent(payload, chain.chain_id), salt)
     tpc = trustless_public_commitment(ghash, version, od)
     leaf = make_leaf(public.commitment, tpc, public.source_chain)
-    if not verify_path(public.merkle_root, leaf.value, path):
+    if not verify_path(public.merkle_root, leaf, path):
         raise TpcMismatch("this chain is not the destination bound in the intent")
     router.nullifier_spent.add(public.nullifier_hash)
     router.nullifier_reverted.add(public.nullifier_hash)
@@ -326,9 +325,7 @@ def router_revert_execute(chain: Chain, nullifier_hash: int) -> None:
     del router.pending_reverts[nullifier_hash]
     chain.emit("revert_executed", to_bytes32(nullifier_hash),
                dapp_address=dapp_address.hex())
-    hook = chain.dapp_hooks.get(dapp_address)
-    if hook is not None:
-        hook.on_revert(pending.commitment)
+    chain.dapps[dapp_address].on_revert(pending.commitment)
 
 
 def advance_blocks(chain: Chain, n: int) -> int:

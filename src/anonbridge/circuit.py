@@ -36,8 +36,6 @@ from .signing import verify as verify_signature
 SETTLEMENT = 1
 REVERT = 2
 
-_CIRCUIT_IDS = (SETTLEMENT, REVERT)
-
 
 @dataclass(frozen=True)
 class SettlementWitness:
@@ -98,41 +96,24 @@ class Proof:
         return bytes([self.circuit_id]) + self.public.canonical_bytes() + self.attestation
 
 
-def settlement_constraints(w: SettlementWitness, p: SettlementPublic) -> bool:
-    """All four settlement constraints, in order; boolean, never raises."""
-    try:
-        _check_settlement(w, p)
-        return True
-    except ConstraintViolation:
-        return False
-
-
 def _check_settlement(w: SettlementWitness, p: SettlementPublic) -> None:
+    """All four settlement constraints, in order."""
     validate_chain_id(w.source_chain)
     ops.charge_constraint()
     if nullifier_hash(w.nullifier) != p.nullifier_hash:
         raise ConstraintViolation("nullifier_hash")
     ops.charge_constraint()
-    c = commit(w.secret, w.nullifier)
-    leaf = make_leaf(c, p.tpc, w.source_chain)
+    leaf = make_leaf(commit(w.secret, w.nullifier), p.tpc, w.source_chain)
     ops.charge_constraint(len(w.path.elements))
-    if not verify_path(p.merkle_root, leaf.value, w.path):
+    if not verify_path(p.merkle_root, leaf, w.path):
         raise ConstraintViolation("merkle_path")
     ops.charge_constraint()
-    if not verify_signature(p.dapp_verifying_key, leaf_bytes(leaf.value), w.leaf_signature):
+    if not verify_signature(p.dapp_verifying_key, leaf_bytes(leaf), w.leaf_signature):
         raise ConstraintViolation("signature")
 
 
-def revert_constraints(w: RevertWitness, p: RevertPublic) -> bool:
-    """Revert circuit: no signature check; commitment and source public."""
-    try:
-        _check_revert(w, p)
-        return True
-    except ConstraintViolation:
-        return False
-
-
 def _check_revert(w: RevertWitness, p: RevertPublic) -> None:
+    """Revert circuit: no signature check; commitment and source public."""
     validate_chain_id(p.source_chain)
     ops.charge_constraint()
     if commit(w.secret, w.nullifier) != p.commitment:
@@ -142,15 +123,28 @@ def _check_revert(w: RevertWitness, p: RevertPublic) -> None:
         raise ConstraintViolation("nullifier_hash")
     leaf = make_leaf(p.commitment, w.tpc, p.source_chain)
     ops.charge_constraint(len(w.path.elements))
-    if not verify_path(p.merkle_root, leaf.value, w.path):
+    if not verify_path(p.merkle_root, leaf, w.path):
         raise ConstraintViolation("merkle_path")
+
+
+# circuit id -> its constraint check, which raises ConstraintViolation
+_CONSTRAINTS = {SETTLEMENT: _check_settlement, REVERT: _check_revert}
+
+
+def constraints_hold(circuit_id: int, witness, public) -> bool:
+    """Whether every constraint of ``circuit_id`` holds, as a boolean."""
+    try:
+        _CONSTRAINTS[circuit_id](witness, public)
+        return True
+    except ConstraintViolation:
+        return False
 
 
 class ProofSystem:
     """Holds the per-circuit deity keys; one instance per scenario."""
 
     def __init__(self, rng):
-        self._keys = {cid: rng.bytes(32) for cid in _CIRCUIT_IDS}
+        self._keys = {cid: rng.bytes(32) for cid in _CONSTRAINTS}
 
     def _mac(self, circuit_id: int, public) -> bytes:
         key = self._keys[circuit_id]
@@ -160,12 +154,10 @@ class ProofSystem:
 
     def prove(self, circuit_id: int, witness, public) -> Proof:
         """MAC the public signals iff the circuit constraints hold."""
-        if circuit_id == SETTLEMENT:
-            _check_settlement(witness, public)
-        elif circuit_id == REVERT:
-            _check_revert(witness, public)
-        else:
+        check = _CONSTRAINTS.get(circuit_id)
+        if check is None:
             raise InvalidProof(f"unknown circuit id {circuit_id}")
+        check(witness, public)
         return Proof(circuit_id, public, self._mac(circuit_id, public))
 
     def verify(self, circuit_id: int, proof: Proof) -> bool:

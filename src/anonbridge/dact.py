@@ -74,14 +74,6 @@ class PayloadIntent:
 
 
 @dataclass(frozen=True)
-class Leaf:
-    value: int
-    commitment: int
-    tpc: int
-    source_chain: int
-
-
-@dataclass(frozen=True)
 class DepositRequest:
     commitment: int
     obfuscated_data: bytes
@@ -126,12 +118,12 @@ def trustless_public_commitment(global_hash: bytes, version: int, obfuscated_dat
     return int.from_bytes(digest, "big") & TPC_MASK
 
 
-def make_leaf(commitment: int, tpc: int, source_chain: int) -> Leaf:
-    """Field addition of the three leaf components, mod P."""
+def make_leaf(commitment: int, tpc: int, source_chain: int) -> int:
+    """The leaf value: field addition of the three components, mod P."""
     validate_chain_id(source_chain)
     if tpc >> TPC_BITS:
         raise MalformedDeposit(f"tpc wider than {TPC_BITS} bits")
-    return Leaf((commitment + tpc + source_chain) % P, commitment, tpc, source_chain)
+    return (commitment + tpc + source_chain) % P
 
 
 def leaf_bytes(leaf_value: int) -> bytes:

@@ -9,7 +9,6 @@ from .scenarios import (
     BUILTINS,
     RunResult,
     builtin_config,
-    run_attacks,
     run_scenario,
 )
 from .simulation import Simulation, Verdict
@@ -26,7 +25,6 @@ __all__ = [
     "RunResult",
     "builtin_config",
     "run_scenario",
-    "run_attacks",
     "measure_depth",
     "sweep_depths",
     "analyze_linkability",

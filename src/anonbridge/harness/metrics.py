@@ -32,10 +32,10 @@ def measure_depth(depth: int, seed: int = 0) -> dict:
         leaf = make_leaf(c, tpc, source_chain)
 
         with ops.counting() as insert:
-            index = tree.insert(leaf.value)
+            index = tree.insert(leaf)
 
         signer = KeyPair.generate(rng)
-        signature = signer.sign(leaf.value.to_bytes(32, "big"))
+        signature = signer.sign(leaf.to_bytes(32, "big"))
         path = tree.path(index)
         proofs = ProofSystem(rng.child("deity"))
         public = SettlementPublic(nullifier_hash(nullifier), tree.root, tpc,

@@ -416,8 +416,3 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         {"name": v.name, "passed": v.passed} for v in sim.verdicts
     ])
     return RunResult(config, sim.transcript, sim.metrics_report(), sim.verdicts, sim)
-
-
-def run_attacks(seed: int = 0) -> list:
-    """The full attack matrix; every verdict must pass."""
-    return [run_scenario(builtin_config(name, seed=seed)) for name in ATTACK_MATRIX]

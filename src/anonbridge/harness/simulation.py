@@ -85,7 +85,7 @@ class Simulation:
             self.transcript.log("header", config=config.to_json())
 
             # one dApp spanning every chain; validate() checked both sections
-            self.dapp = DappSigner("dapp", self.rng.child("dapp-keys"), **config.dapp)
+            self.dapp = DappSigner(self.rng.child("dapp-keys"), **config.dapp)
             self._deploy_and_register(self.dapp, "dapp")
 
             # a censoring oracle censors this scenario's dApp
@@ -104,9 +104,7 @@ class Simulation:
         for cid in self.config.chains:
             contract = DappContract(addr_rng.bytes(20))
             signer.contracts[cid] = contract
-            chain = self.chains[cid]
-            chain.deployed_dapps.add(contract.address)
-            chain.dapp_hooks[contract.address] = contract
+            self.chains[cid].dapps[contract.address] = contract
         # home chain registers first and fixes the global hash; the other
         # chains submit the same array plus the home address
         home_cid = self.config.chains[0]
@@ -128,7 +126,7 @@ class Simulation:
 
     def deploy_extra_dapp(self, tag: str) -> DappSigner:
         """Second dApp for wrong-dApp and registration-attack scenarios."""
-        signer = DappSigner(tag, self.rng.child(f"{tag}-keys"))
+        signer = DappSigner(self.rng.child(f"{tag}-keys"))
         self._deploy_and_register(signer, tag)
         return signer
 
@@ -374,19 +372,14 @@ class Simulation:
 
     def settled(self, label: str) -> bool:
         """Whether this deposit's own nullifier hash settled on its
-        destination: spent there, and not by a revert mark."""
+        destination: spent there, and not by a revert mark, which flags it
+        reverted too. An executed revert flags only the source chain."""
         rec = self.deposits[label]
         if rec.settlement is None:
             return False
-        dest = self.chains[rec.dest]
+        router = self.chains[rec.dest].router
         nh = rec.settlement.public.nullifier_hash
-        if nh not in dest.router.nullifier_reverted:
-            return nh in dest.router.nullifier_spent
-        # a mark spends and reverts at once; only a same-chain deposit can
-        # also be reverted there by an executed revert after it settled
-        return rec.source == rec.dest and any(
-            ev.kind == "settled" and ev.payload == to_bytes32(nh)
-            for ev in dest.event_log)
+        return nh in router.nullifier_spent and nh not in router.nullifier_reverted
 
     def reverted(self, label: str) -> bool:
         rec = self.deposits[label]

@@ -10,11 +10,13 @@ import pytest
 import _reference as ref
 from anonbridge import actors, ops
 from anonbridge.actors import DappSigner, Oracle, OraclePolicy, ResilienceRules
+from anonbridge.chain import router_revert_initiate_source
 from anonbridge.dact import DepositRequest, PayloadIntent
 from anonbridge.errors import (
     ConstraintViolation,
     SignatureMissing,
     UnknownCommitment,
+    WrongChain,
 )
 from anonbridge.harness import ScenarioConfig, Simulation
 from anonbridge.rng import SeededRng
@@ -40,6 +42,15 @@ class TestWallet:
         assert w.balance == 95
         info = sim.deposits[d]
         assert sim.dapp.contracts[1001].escrow[info.commitment] == (5, w)
+
+    def test_same_chain_deposit_is_refused_before_a_note_is_drawn(self):
+        refused, clean = make_sim(), make_sim()
+        with pytest.raises(WrongChain):
+            refused.deposit("alice", 1001, 1001)
+        payload = b"\x01" * 32
+        after = refused.deposit("alice", 1001, 1003, payload=payload)
+        first = clean.deposit("alice", 1001, 1003, payload=payload)
+        assert refused.deposits[after].note == clean.deposits[first].note
 
     def test_unknown_commitment(self):
         sim = make_sim()
@@ -316,6 +327,24 @@ class TestWatcher:
         sim.advance(sim.config.window)
         sim.execute(d)
         assert sim.reverted(d)
+
+    def test_another_dapps_revert_is_left_to_its_watcher(self):
+        """A pending revert of a deposit through another dApp's contract is
+        not in our escrow: our watcher skips it, its own halts it."""
+        sim = make_sim()
+        other = sim.deploy_extra_dapp("other")
+        wallet = sim.wallets["alice"]
+        rec = wallet.deposit(sim.chains[1001], other.contracts[1001], other.ghash,
+                             PayloadIntent(b"\x01" * 32, 1003), 1)
+        sim.relay()
+        other.scan_and_sign(sim.chains, sim.mixer_chain)
+        sim.push_root()
+        proof = wallet.build_revert(rec.commitment, sim.mixer_chain, sim.proofs)
+        router_revert_initiate_source(sim.chains[1001], proof, sim.proofs,
+                                      sim.config.window)  # no destination mark
+        assert sim.dapp.watch_reverts(sim.chains) == []
+        nh = proof.public.nullifier_hash
+        assert other.watch_reverts(sim.chains) == [(1001, nh, "no_destination_mark")]
 
     def test_offline_watcher_issues_nothing(self):
         sim = make_sim()

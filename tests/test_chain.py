@@ -51,6 +51,20 @@ from anonbridge.signing import KeyPair
 AUTH = b"\xaa" * 32
 
 
+class StubDapp:
+    """A deployed dApp contract that records the Router's hook calls."""
+
+    def __init__(self):
+        self.settled: list = []     # payloads, in call order
+        self.reverted: list = []    # commitments, in call order
+
+    def on_settle(self, payload: bytes) -> None:
+        self.settled.append(payload)
+
+    def on_revert(self, commitment: int) -> None:
+        self.reverted.append(commitment)
+
+
 class Harness:
     """Minimal two-chain rig: source 1001, multiplexer+destination 1002."""
 
@@ -62,7 +76,7 @@ class Harness:
         self.addr_src = self.rng.bytes(20)
         self.addr_dst = self.rng.bytes(20)
         for chain, addr in ((self.src, self.addr_src), (self.dst, self.addr_dst)):
-            chain.deployed_dapps.add(addr)
+            chain.dapps[addr] = StubDapp()
         self.key = KeyPair.generate(self.rng.child("dapp"))
         self.ghash = router_register_dapp(
             self.src, self.addr_src, [self.addr_dst], self.key.verifying_key
@@ -92,7 +106,7 @@ class Harness:
         index = mixer_submit(self.dst, event)
         _, tpc, source = decode_deposit_event(event.payload)
         leaf = make_leaf(req.commitment, tpc, source)
-        sig = self.key.sign(leaf_bytes(leaf.value))
+        sig = self.key.sign(leaf_bytes(leaf))
         mixer_store_signature(self.dst, index, sig)
         tree = self.dst.mixer.tree
         router_update_root(self.src, tree.root, AUTH)
@@ -112,7 +126,7 @@ class Harness:
 
         tree = self.dst.mixer.tree
         leaf = make_leaf(req.commitment, tpc, 1001)
-        index = tree.leaves.index(leaf.value)
+        index = tree.leaves.index(leaf)
         public = RevertPublic(req.commitment, 1001, nullifier_hash(note.nullifier),
                               tree.root)
         witness = RevertWitness(note.nullifier, note.secret, tree.path(index), tpc)
@@ -142,7 +156,7 @@ class TestRegistration:
     def test_remote_caller_must_be_in_array(self):
         h = Harness()
         intruder = h.rng.bytes(20)
-        h.dst.deployed_dapps.add(intruder)
+        h.dst.dapps[intruder] = StubDapp()
         with pytest.raises(Unauthorized):
             router_register_dapp(h.dst, intruder, [h.addr_dst], b"\x02" * 32,
                                  home_address=h.addr_src)
@@ -152,7 +166,7 @@ class TestRegistration:
         global hash is refused before it writes anything."""
         h = Harness()
         squatter = h.rng.bytes(20)
-        h.dst.deployed_dapps.add(squatter)
+        h.dst.dapps[squatter] = StubDapp()
         vk = h.key.verifying_key
         with pytest.raises(AlreadyRegistered):
             router_register_dapp(h.dst, squatter, [h.addr_src], vk)
@@ -219,13 +233,9 @@ class TestRootSync:
 class TestWithdraw:
     def test_happy_path_invokes_hook(self):
         h = Harness()
-        received = []
-        h.dst.dapp_hooks[h.addr_dst] = type(
-            "Hook", (), {"on_settle": staticmethod(received.append)}
-        )
         note, payload, req, proof, tpc = h.settle_case()
         out = router_withdraw(h.dst, proof, payload, note.salt, 1002, 1, h.proofs)
-        assert out.payload == payload and received == [payload]
+        assert out.payload == payload and h.dst.dapps[h.addr_dst].settled == [payload]
         assert proof.public.nullifier_hash in h.dst.router.nullifier_spent
 
     def test_check_order(self):
@@ -338,6 +348,7 @@ class TestRevert:
         router_revert_execute(h.src, nh)  # exactly at window end
         assert nh not in h.src.router.pending_reverts
         assert nh in h.src.router.nullifier_reverted
+        assert h.src.dapps[h.addr_src].reverted == [req.commitment]
 
     def test_halt_blocks_execution(self):
         h = Harness()
@@ -354,7 +365,7 @@ class TestRevert:
         # a second registered dApp cannot block the first dApp's revert
         h = Harness()
         other = b"\x02" * 20
-        h.src.deployed_dapps.add(other)
+        h.src.dapps[other] = StubDapp()
         router_register_dapp(h.src, other, [b"\x03" * 20],
                              KeyPair.generate(h.rng.child("other")).verifying_key)
         note, payload, req, rproof, _ = self._pending(h)

@@ -14,8 +14,7 @@ from anonbridge.circuit import (
     RevertWitness,
     SettlementPublic,
     SettlementWitness,
-    revert_constraints,
-    settlement_constraints,
+    constraints_hold,
 )
 from anonbridge.dact import leaf_bytes, make_leaf
 from anonbridge.errors import ConstraintViolation, InvalidProof
@@ -40,12 +39,12 @@ def build_case(seed=0, depth=8, source=1001):
     post = r.randint(0, min(5, tree.capacity - pre - 1))
     for _ in range(pre):
         tree.insert(random_field_31(rng))
-    index = tree.insert(leaf.value)
+    index = tree.insert(leaf)
     for _ in range(post):
         tree.insert(random_field_31(rng))
     path = tree.path(index)
     dapp = KeyPair.generate(rng)
-    sig = dapp.sign(leaf_bytes(leaf.value))
+    sig = dapp.sign(leaf_bytes(leaf))
     sw = SettlementWitness(nullifier, secret, path, source, sig)
     sp = SettlementPublic(nullifier_hash(nullifier), tree.root, tpc, dapp.verifying_key)
     rw = RevertWitness(nullifier, secret, path, tpc)
@@ -63,8 +62,8 @@ class TestConstraints:
     def test_honest_cases_satisfy_both_circuits(self):
         for seed in range(5):
             sw, sp, rw, rp, _ = build_case(seed)
-            assert settlement_constraints(sw, sp)
-            assert revert_constraints(rw, rp)
+            assert constraints_hold(SETTLEMENT, sw, sp)
+            assert constraints_hold(REVERT, rw, rp)
 
     def test_settlement_failure_names(self):
         sw, sp, rw, rp, _ = build_case(1)
@@ -77,7 +76,7 @@ class TestConstraints:
             (sp, replace(sw, leaf_signature=bytes(64)), "signature"),
         ]
         for public, witness, name in cases:
-            assert not settlement_constraints(witness, public)
+            assert not constraints_hold(SETTLEMENT, witness, public)
             with pytest.raises(ConstraintViolation) as err:
                 proofs.prove(SETTLEMENT, witness, public)
             assert err.value.constraint == name
@@ -92,14 +91,14 @@ class TestConstraints:
             (rp, replace(rw, tpc=rw.tpc ^ 1), "merkle_path"),
         ]
         for public, witness, name in cases:
-            assert not revert_constraints(witness, public)
+            assert not constraints_hold(REVERT, witness, public)
             with pytest.raises(ConstraintViolation) as err:
                 proofs.prove(REVERT, witness, public)
             assert err.value.constraint == name
 
     def test_wrong_source_chain_rejected(self):
         sw, sp, _, _, _ = build_case(3)
-        assert not settlement_constraints(replace(sw, source_chain=1002), sp)
+        assert not constraints_hold(SETTLEMENT, replace(sw, source_chain=1002), sp)
 
 
 class TestProver:

@@ -155,9 +155,8 @@ class TestTpcAndLeaf:
 
     def test_leaf_is_field_sum(self):
         leaf = make_leaf(123, 45, 1002)
-        assert leaf.value == (123 + 45 + 1002) % P
-        assert leaf.commitment == 123 and leaf.tpc == 45 and leaf.source_chain == 1002
-        assert leaf_bytes(leaf.value) == leaf.value.to_bytes(32, "big")
+        assert leaf == (123 + 45 + 1002) % P
+        assert leaf_bytes(leaf) == leaf.to_bytes(32, "big")
 
     def test_leaf_guards(self):
         with pytest.raises(ChainIdOutOfTier):
@@ -169,7 +168,7 @@ class TestTpcAndLeaf:
         v = golden["dact"][0]
         note_c = 987654321
         leaf = make_leaf(note_c, int(v["tpc"], 16), 1001)
-        assert leaf.value == (note_c + int(v["tpc"], 16) + 1001) % ref.P
+        assert leaf == (note_c + int(v["tpc"], 16) + 1001) % ref.P
 
 
 class TestWireFormat:

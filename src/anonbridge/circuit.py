@@ -8,9 +8,11 @@ in, and the proof object carries nothing witness-derived beyond the
 public signals.
 
 The MAC stands in for a SNARK, so it is host work, not a protocol hash:
-the stdlib's keyed BLAKE2b (RFC 7693 keyed mode) under the deity key
-over circuit_id byte || canonical public signals, a 32-byte tag. Prove
-and verify each charge the keccak blocks of the Keccak-256 MAC the
+CPython's built-in keyed BLAKE2b (``_blake2.blake2b``, RFC 7693 keyed
+mode) under the deity key over circuit_id byte || canonical public
+signals, a 32-byte tag, compared in constant time by
+``_operator._compare_digest`` (``hmac.compare_digest`` without OpenSSL).
+Prove and verify each charge the keccak blocks of the Keccak-256 MAC the
 op-count model prices, over deity_key || circuit_id byte || publics.
 The tag never enters a simulation's hash table: ``verify`` recomputes it.
 
@@ -20,9 +22,9 @@ attestation. Settlement publics are nullifier_hash (32) || merkle_root
 (32) || source_chain (32) || nullifier_hash (32) || merkle_root (32).
 """
 
-import hmac
+from _blake2 import blake2b
+from _operator import _compare_digest
 from dataclasses import dataclass
-from hashlib import blake2b
 
 from . import ops
 from .dact import make_leaf, leaf_bytes, validate_chain_id
@@ -165,4 +167,4 @@ class ProofSystem:
         ops.charge_proof_verify()
         if proof.circuit_id != circuit_id:
             return False
-        return hmac.compare_digest(self._mac(circuit_id, proof.public), proof.attestation)
+        return _compare_digest(self._mac(circuit_id, proof.public), proof.attestation)

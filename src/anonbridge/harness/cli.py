@@ -11,8 +11,9 @@ Exit status is 0 iff every verdict passed, and 2 when a scenario file or
 a transcript to replay cannot be read, a scenario is neither a file nor
 a builtin, ``attacks`` names no scenario, the config, a script action,
 a sweep depth or a seed is malformed (a seed must be in [0, 2^256), for
-``sweep`` too), or a transcript has no header. ANONBRIDGE_SEED overrides
-the scenario seed.
+``sweep`` too), a transcript has no header, or ``--out`` cannot be
+written (it names an existing file, say). ANONBRIDGE_SEED overrides the
+scenario seed.
 """
 
 import argparse
@@ -60,11 +61,29 @@ def _load_config(target: str, seed) -> ScenarioConfig:
                         f"(builtins: {', '.join(sorted(BUILTINS))})")
 
 
-def _write_outputs(result, out_dir: str) -> None:
+class OutputUnwritable(Exception):
+    """An ``--out`` directory or file could not be written."""
+
+
+def _write_files(out_dir, files: dict) -> None:
+    """Write each name -> bytes into ``out_dir``, making the directory."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    result.transcript.save(out / "transcript.jsonl")
-    (out / "metrics.json").write_text(json.dumps(result.metrics, indent=2) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            (out / name).write_bytes(data)
+    except OSError as exc:
+        path = str(exc.filename or out)
+        raise OutputUnwritable(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
+def _as_json(value) -> bytes:
+    return (json.dumps(value, indent=2) + "\n").encode()
+
+
+def _write_outputs(result, out_dir) -> None:
+    _write_files(out_dir, {"transcript.jsonl": result.transcript.to_jsonl(),
+                           "metrics.json": _as_json(result.metrics)})
 
 
 def _print_verdicts(name: str, verdicts) -> bool:
@@ -103,9 +122,7 @@ def cmd_sweep(args) -> int:
     for row in rows:
         print("  ".join(f"{row[c]:>20}" for c in cols))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.json").write_text(json.dumps(rows, indent=2) + "\n")
+        _write_files(args.out, {"sweep.json": _as_json(rows)})
     return 0
 
 
@@ -183,6 +200,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigInvalid as exc:
         print(f"error: ConfigInvalid: {exc}", file=sys.stderr)
+        return 2
+    except OutputUnwritable as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

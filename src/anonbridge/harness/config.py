@@ -148,6 +148,10 @@ class ScenarioConfig:
             # the dApp's global hash is over its addresses on the other chains
             raise ConfigInvalid(f"field 'chains' must list at least two chains, "
                                 f"got {self.chains!r}")
+        if not all(isinstance(name, str) for name in self.wallets):
+            raise ConfigInvalid(f"field 'wallets' must list strings, got {self.wallets!r}")
+        if len(set(self.wallets)) != len(self.wallets):
+            raise ConfigInvalid(f"duplicate wallet names in {self.wallets!r}")
         if not 1 <= self.merkle_depth <= MAX_DEPTH:
             raise ConfigInvalid(f"merkle_depth must be in 1..{MAX_DEPTH}")
         if self.window < 1:

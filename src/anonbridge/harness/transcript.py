@@ -1,7 +1,8 @@
 """Ordered, replayable transcript of every actor action and contract call."""
 
-import hashlib
 import json
+
+from cryptography.hazmat.primitives.hashes import SHA256, Hash
 
 # the one canonical encoding of a record, shared by the transcript file and
 # the leakage scan
@@ -22,8 +23,12 @@ class Transcript:
         return ("\n".join(map(RECORD_ENCODER.encode, self.records)) + "\n").encode()
 
     def digest(self) -> str:
-        # transcript identity, not a protocol hash; sha256 keeps it off the op-counter
-        return hashlib.sha256(self.to_jsonl()).hexdigest()
+        # transcript identity, not a protocol hash; sha256 keeps it off the
+        # op-counter, and cryptography's (already loaded for Ed25519) keeps a
+        # second OpenSSL, hashlib's, out of the process
+        h = Hash(SHA256())
+        h.update(self.to_jsonl())
+        return h.finalize().hex()
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:

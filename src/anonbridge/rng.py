@@ -5,13 +5,16 @@ stream by domain-separated hashing, so the scheduler order of draws in
 one stream never affects another.
 
 This is harness randomness (keys, notes, payloads, seed-chosen
-interleavings), not protocol work: it is drawn with the stdlib's
-``hashlib.blake2b``, charges no op and never enters a simulation's hash
-table. Every protocol hash stays on ``keccak.keccak256``.
+interleavings), not protocol work: it is drawn with CPython's built-in
+``_blake2.blake2b`` (the class ``hashlib.blake2b`` names, taken from its
+own module so that no OpenSSL-backed ``hashlib`` is loaded), charges no op
+and never enters a simulation's hash table. Every protocol hash stays on
+``keccak.keccak256``.
 """
 
 import random
-from hashlib import blake2b
+
+from _blake2 import blake2b
 
 
 def _hash(data: bytes) -> bytes:

@@ -6,7 +6,6 @@ circuit-friendliness constraint applies here.
 """
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -20,9 +19,7 @@ class KeyPair:
         if len(signing_seed) != 32:
             raise ValueError("signing seed must be 32 bytes")
         self._sk = Ed25519PrivateKey.from_private_bytes(signing_seed)
-        self.verifying_key = self._sk.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
+        self.verifying_key = self._sk.public_key().public_bytes_raw()
 
     @classmethod
     def generate(cls, rng) -> "KeyPair":

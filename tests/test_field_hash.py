@@ -271,6 +271,17 @@ class TestSigning:
             verify(kp.verifying_key, b"x", sig)
         assert c.sig_verifies == 1
 
+    def test_rfc8032_test_1(self):
+        # RFC 8032 section 7.1, TEST 1: the raw verifying key and the
+        # signature of the empty message
+        kp = KeyPair(bytes.fromhex(
+            "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60"))
+        assert kp.verifying_key == bytes.fromhex(
+            "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a")
+        assert kp.sign(b"") == bytes.fromhex(
+            "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065224901555"
+            "fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b")
+
     def test_bad_seed_length(self):
         with pytest.raises(ValueError):
             KeyPair(b"short")

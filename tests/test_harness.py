@@ -185,6 +185,10 @@ class TestConfig:
         ({"oracle": {"mode": "censor_dapp", "censor_dapp": True}},
          "unknown oracle config fields: ['censor_dapp']"),
         ({"dapp": {"scheme": "single"}}, "unknown dapp config fields: ['scheme']"),
+        ({"wallets": [[1]], "script": []},
+         "field 'wallets' must list strings, got [[1]]"),
+        ({"wallets": ["alice", "alice"]},
+         "duplicate wallet names in ['alice', 'alice']"),
     ], ids=["unknown_wallet", "undefined_label", "missing_field", "string_seed",
             "mistyped_field", "unknown_field", "zero_blocks", "negative_blocks",
             "mistyped_dapp_field", "boolean_dapp_count", "boolean_depth",
@@ -192,7 +196,8 @@ class TestConfig:
             "duplicate_label", "label_taken_by_default_name",
             "label_of_failed_deposit", "unknown_dest", "unknown_withdraw_actor",
             "zero_window", "one_chain", "unknown_censored_chain",
-            "censor_chain_left_out", "censor_dapp_flag", "threshold_scheme"])
+            "censor_chain_left_out", "censor_dapp_flag", "threshold_scheme",
+            "unhashable_wallet", "duplicate_wallet"])
     def test_malformed_input_is_config_invalid(self, tmp_path, capsys,
                                                mutation, message):
         data = {"seed": 1, "name": "malformed", "script": HAPPY_SCRIPT}
@@ -998,6 +1003,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize("argv,subdir", [
+        (["run", "settlement_happy_path"], None),
+        (["sweep", "--depths", "4"], None),
+        (["attacks", "--all"], ATTACK_MATRIX[0]),
+    ], ids=["run", "sweep", "attacks"])
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys, argv, subdir):
+        path = tmp_path / "taken"
+        path.write_text("keep\n")
+        assert main(argv + ["--out", str(path)]) == 2
+        named = path / subdir if subdir else path
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(named)!r}: ")
+        assert err.count("\n") == 1
+        assert path.read_text() == "keep\n"
 
     def test_sweep_prints_table(self, capsys):
         assert main(["sweep", "--depths", "2,4"]) == 0

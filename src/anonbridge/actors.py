@@ -364,11 +364,11 @@ class DappSigner:
         return signed
 
     def watch_reverts(self, chains: dict) -> list:
-        """Halt pending reverts that fail the destination-flag audit.
+        """Halt our pending reverts whose value or rate rule trips.
 
-        Halts when another chain shows the nullifier Spent without
-        Reverted, when none shows it Spent, or when the value or rate rule
-        trips; a revert let through once counts against the rate once.
+        The source Router opens a window only over a destination mark, so
+        settle-XOR-revert needs no watcher; a revert let through once
+        counts against the rate once.
         """
         if self.offline:
             return []
@@ -382,14 +382,8 @@ class DappSigner:
                 escrowed = contract.escrow.get(pending.commitment)  # (value, wallet)
                 if escrowed is None:
                     continue  # another dApp's transaction
-                spent = [c.router for c in chains.values()
-                         if nh in c.router.nullifier_spent]
                 reason = None
-                if any(nh not in router.nullifier_reverted for router in spent):
-                    reason = "spent_without_revert"
-                elif not spent:
-                    reason = "no_destination_mark"
-                elif escrowed[0] > self.resilience.max_value_per_revert:
+                if escrowed[0] > self.resilience.max_value_per_revert:
                     reason = "value_threshold"
                 elif nh not in self._tolerated and self._rate_exceeded(chain.height):
                     reason = "rate_threshold"

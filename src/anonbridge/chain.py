@@ -28,6 +28,7 @@ from .errors import (
     IndexUnknown,
     InvalidProof,
     NoPending,
+    NotMarked,
     TpcMismatch,
     Unauthorized,
     UnknownCommitment,
@@ -41,7 +42,6 @@ from .field import to_bytes32
 from .merkle import MerkleTree, MerklePath, verify_path
 
 ROUTER_ROOT_WINDOW = 2      # a Router only remembers the latest two roots
-REVERT_FEE = 1              # collected by the source Router per revert initiate
 
 
 @dataclass
@@ -79,10 +79,9 @@ class RouterState:
         self.dapp_ghash: dict = {}         # local dApp address -> its first global hash
         self.known_roots: list = []        # latest two, oldest first
         self.nullifier_spent: set = set()
-        self.nullifier_reverted: set = set()
+        self.nullifier_reverted: dict = {}  # nullifier_hash -> reverted commitment
         self.pending_reverts: dict = {}    # nullifier_hash -> PendingRevert
         self.commitment_log: dict = {}     # commitment -> dApp address (source side)
-        self.fees_collected: int = 0
 
 
 class MixerState:
@@ -263,12 +262,14 @@ def router_revert_mark_destination(chain: Chain, proof, payload: bytes, salt: in
     if not verify_path(public.merkle_root, leaf, path):
         raise TpcMismatch("this chain is not the destination bound in the intent")
     router.nullifier_spent.add(public.nullifier_hash)
-    router.nullifier_reverted.add(public.nullifier_hash)
+    router.nullifier_reverted[public.nullifier_hash] = public.commitment
     chain.emit("revert_marked", to_bytes32(public.nullifier_hash))
 
 
-def router_revert_initiate_source(chain: Chain, proof, proofs, window: int) -> int:
-    """Open the revert time window on the source chain; returns window end."""
+def router_revert_initiate_source(chain: Chain, dest: Chain, proof, proofs, window: int) -> int:
+    """Open the revert window on the source chain over ``dest``'s revert
+    mark of this commitment; returns window end. The cross-chain read
+    stands in for a state proof of the mark."""
     router = chain.router
     public = proof.public
     if not proofs.verify(circuit_mod.REVERT, proof):
@@ -283,11 +284,12 @@ def router_revert_initiate_source(chain: Chain, proof, proofs, window: int) -> i
         raise AlreadyPending(f"revert for {public.nullifier_hash} already pending")
     if public.nullifier_hash in router.nullifier_reverted:
         raise AlreadyPending(f"revert for {public.nullifier_hash} already executed")
+    if dest.router.nullifier_reverted.get(public.nullifier_hash) != public.commitment:
+        raise NotMarked(f"no revert mark for {public.commitment} on {dest.chain_id}")
     window_end = chain.height + window
     router.pending_reverts[public.nullifier_hash] = PendingRevert(
         public.commitment, window_end
     )
-    router.fees_collected += REVERT_FEE
     chain.emit(
         "revert_initiated",
         to_bytes32(public.commitment) + to_bytes32(public.nullifier_hash),
@@ -320,7 +322,7 @@ def router_revert_execute(chain: Chain, nullifier_hash: int) -> None:
         raise Halted("revert was halted by the dApp")
     if chain.height < pending.window_end:
         raise WindowActive(f"window open until block {pending.window_end}")
-    router.nullifier_reverted.add(nullifier_hash)
+    router.nullifier_reverted[nullifier_hash] = pending.commitment
     dapp_address = router.commitment_log[pending.commitment]
     del router.pending_reverts[nullifier_hash]
     chain.emit("revert_executed", to_bytes32(nullifier_hash),

@@ -110,6 +110,10 @@ class NoPending(SimError):
     pass
 
 
+class NotMarked(SimError):
+    """The destination holds no revert mark for the commitment."""
+
+
 class WindowExpired(SimError):
     pass
 

@@ -138,7 +138,7 @@ def oracle_censorship(sim: Simulation):
     sim.check("not_settled", not sim.settled(d))
     sim.revert_mark(d)
     sim.revert_init(d)
-    sim.halt()  # honest revert: the watcher sees the destination mark, no halt
+    sim.halt()  # honest revert: inside the value and rate rules, no halt
     sim.advance(sim.config.window)
     sim.execute(d)
     wallet = sim.wallets["alice"]
@@ -206,16 +206,15 @@ def unsigned_leaf_settlement(sim: Simulation):
 
 def settle_then_revert(sim: Simulation):
     """Double spend through the settlement-revert logic, stopped by the
-    chained destination flags and the vigilant dApp."""
+    contracts alone: no mark after settlement, no window without a mark."""
     d = _drive_happy_path(sim)
     sim.withdraw(d)
     sim.revert_mark(d, expect="DoubleSpend")
-    sim.revert_init(d)  # the source contract cannot see the destination spend
-    halts = sim.halt()
-    sim.check("watcher_halts_spent_revert",
-              bool(halts) and halts[0][2] == "spent_without_revert")
+    sim.go_offline("dapp")
+    sim.revert_init(d, expect="NotMarked")
+    sim.check("no_revert_pending", not sim.chains[SOURCE].router.pending_reverts)
     sim.advance(sim.config.window)
-    sim.execute(d, expect="Halted")
+    sim.execute(d, expect="NoPending")
     sim.check("settled_not_reverted",
               sim.settled(d) and not sim.reverted(d))
 
@@ -231,7 +230,7 @@ def withdraw_revert_race(sim: Simulation):
         lambda: sim.revert_init(d),
         sim.halt,
         lambda: sim.advance(sim.config.window),
-        # the dApp stays vigilant up to execution
+        # a last watcher pass before execution
         lambda: (sim.halt(), sim.execute(d)),
     ]
     merged = []

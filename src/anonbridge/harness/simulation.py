@@ -316,8 +316,8 @@ class Simulation:
 
         def _do():
             return router_revert_initiate_source(
-                src_chain, self._revert_proof(rec), self.proofs, self.config.window
-            )
+                src_chain, self.chains[rec.dest], self._revert_proof(rec), self.proofs,
+                self.config.window)
 
         return self._call(
             "router_revert_initiate", src_chain.chain_id, _do, expect=expect,
@@ -338,7 +338,7 @@ class Simulation:
                           expect=expect, deposit=label)
 
     def halt(self, expect=None):
-        """The dApp watcher pass; issues halts where the audit fails."""
+        """The dApp watcher pass; halts where the value or rate rule trips."""
         halts = self._call(
             "dapp_watch_reverts", None,
             lambda: self.dapp.watch_reverts(self.chains),

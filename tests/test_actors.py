@@ -10,7 +10,7 @@ import pytest
 import _reference as ref
 from anonbridge import actors, ops
 from anonbridge.actors import DappSigner, Oracle, OraclePolicy, ResilienceRules
-from anonbridge.chain import router_revert_initiate_source
+from anonbridge.chain import router_revert_initiate_source, router_revert_mark_destination
 from anonbridge.dact import DepositRequest, PayloadIntent
 from anonbridge.errors import (
     ConstraintViolation,
@@ -258,44 +258,19 @@ class TestSignerOrigination:
 
 
 class TestWatcher:
-    def _revert_pending(self, sim, mark=True):
+    def _revert_pending(self, sim):
         d = sim.deposit("alice", 1001, 1003)
         sim.relay()
         sim.sign()
         sim.push_root()
-        if mark:
-            sim.revert_mark(d)
-        else:
-            # initiate without the destination mark: build the proof only;
-            # it stays on the deposit's record for revert_init
-            sim.wallets["alice"].build_revert(
-                sim.deposits[d].commitment, sim.mixer_chain, sim.proofs
-            )
+        sim.revert_mark(d)
         sim.revert_init(d)
         return d
 
     def test_honest_revert_not_halted(self):
         sim = make_sim()
-        self._revert_pending(sim, mark=True)
+        self._revert_pending(sim)
         assert sim.dapp.watch_reverts(sim.chains) == []
-
-    def test_no_destination_mark_halts(self):
-        sim = make_sim()
-        self._revert_pending(sim, mark=False)
-        halts = sim.dapp.watch_reverts(sim.chains)
-        assert [h[2] for h in halts] == ["no_destination_mark"]
-
-    def test_spent_without_revert_halts(self):
-        sim = make_sim()
-        d = sim.deposit("alice", 1001, 1003)
-        sim.relay(); sim.sign(); sim.push_root()
-        sim.withdraw(d)
-        sim.wallets["alice"].build_revert(
-            sim.deposits[d].commitment, sim.mixer_chain, sim.proofs
-        )
-        sim.revert_init(d)
-        halts = sim.dapp.watch_reverts(sim.chains)
-        assert [h[2] for h in halts] == ["spent_without_revert"]
 
     def test_value_threshold_halts(self):
         sim = make_sim(dapp={"max_value_per_revert": 3})
@@ -308,7 +283,7 @@ class TestWatcher:
 
     def test_rate_threshold_halts(self):
         sim = make_sim(dapp={"max_reverts_per_period": 1, "period_blocks": 1000})
-        d0 = self._revert_pending(sim, mark=True)
+        d0 = self._revert_pending(sim)
         assert sim.dapp.watch_reverts(sim.chains) == []  # first one tolerated
         d1 = sim.deposit("alice", 1001, 1003)
         sim.relay(); sim.sign(); sim.push_root()
@@ -321,7 +296,7 @@ class TestWatcher:
         # each pass sees the same honest revert; only the first counts
         # against a rate of one per period
         sim = make_sim(dapp={"max_reverts_per_period": 1, "period_blocks": 1000})
-        d = self._revert_pending(sim, mark=True)
+        d = self._revert_pending(sim)
         assert sim.halt() == []
         assert sim.halt() == []
         sim.advance(sim.config.window)
@@ -330,9 +305,11 @@ class TestWatcher:
 
     def test_another_dapps_revert_is_left_to_its_watcher(self):
         """A pending revert of a deposit through another dApp's contract is
-        not in our escrow: our watcher skips it, its own halts it."""
-        sim = make_sim()
+        not in our escrow: our watcher skips it, its own halts it. Both
+        watchers' value rules trip on it."""
+        sim = make_sim(dapp={"max_value_per_revert": 0})
         other = sim.deploy_extra_dapp("other")
+        other.resilience.max_value_per_revert = 0
         wallet = sim.wallets["alice"]
         rec = wallet.deposit(sim.chains[1001], other.contracts[1001], other.ghash,
                              PayloadIntent(b"\x01" * 32, 1003), 1)
@@ -340,17 +317,22 @@ class TestWatcher:
         other.scan_and_sign(sim.chains, sim.mixer_chain)
         sim.push_root()
         proof = wallet.build_revert(rec.commitment, sim.mixer_chain, sim.proofs)
-        router_revert_initiate_source(sim.chains[1001], proof, sim.proofs,
-                                      sim.config.window)  # no destination mark
+        router_revert_mark_destination(sim.chains[1003], proof, rec.payload,
+                                       rec.note.salt, rec.version, rec.ghash,
+                                       rec.revert_path, sim.proofs)
+        router_revert_initiate_source(sim.chains[1001], sim.chains[1003], proof,
+                                      sim.proofs, sim.config.window)
         assert sim.dapp.watch_reverts(sim.chains) == []
         nh = proof.public.nullifier_hash
-        assert other.watch_reverts(sim.chains) == [(1001, nh, "no_destination_mark")]
+        assert other.watch_reverts(sim.chains) == [(1001, nh, "value_threshold")]
 
     def test_offline_watcher_issues_nothing(self):
-        sim = make_sim()
-        self._revert_pending(sim, mark=False)
+        sim = make_sim(dapp={"max_value_per_revert": 0})
+        self._revert_pending(sim)  # value 1 trips the rule
         sim.dapp.offline = True
         assert sim.dapp.watch_reverts(sim.chains) == []
+        sim.dapp.offline = False
+        assert [h[2] for h in sim.dapp.watch_reverts(sim.chains)] == ["value_threshold"]
 
 
 class TestResilienceDefaults:

@@ -35,6 +35,7 @@ from anonbridge.errors import (
     Halted,
     IndexUnknown,
     NoPending,
+    NotMarked,
     TpcMismatch,
     Unauthorized,
     UnknownCommitment,
@@ -291,7 +292,7 @@ class TestRevert:
         rproof, path = h.revert_proof(note, req, tpc)
         router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1, h.ghash,
                                        path, h.proofs)
-        end = router_revert_initiate_source(h.src, rproof, h.proofs, self.WINDOW)
+        end = router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
         return note, payload, req, rproof, end
 
     def test_mark_sets_both_flags(self):
@@ -299,7 +300,7 @@ class TestRevert:
         note, payload, req, rproof, _ = self._pending(h)
         nh = rproof.public.nullifier_hash
         assert nh in h.dst.router.nullifier_spent
-        assert nh in h.dst.router.nullifier_reverted
+        assert h.dst.router.nullifier_reverted[nh] == req.commitment
 
     def test_mark_rejects_wrong_destination(self):
         """A chain whose id is not bound in the intent refuses the mark."""
@@ -324,17 +325,39 @@ class TestRevert:
         h = Harness()
         note, payload, req, rproof, _ = self._pending(h)
         with pytest.raises(AlreadyPending):
-            router_revert_initiate_source(h.src, rproof, h.proofs, self.WINDOW)
+            router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
         with pytest.raises(WrongChain):
-            router_revert_initiate_source(h.dst, rproof, h.proofs, self.WINDOW)
+            router_revert_initiate_source(h.dst, h.dst, rproof, h.proofs, self.WINDOW)
 
     def test_initiate_unknown_commitment(self):
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
         rproof, _ = h.revert_proof(note, req, tpc)
         h.src.router.commitment_log.clear()
-        with pytest.raises(UnknownCommitment):
-            router_revert_initiate_source(h.src, rproof, h.proofs, self.WINDOW)
+        with pytest.raises(UnknownCommitment):  # checked before the mark
+            router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
+
+    def test_initiate_without_mark_is_not_marked(self):
+        h = Harness()
+        note, payload, req, proof, tpc = h.settle_case()
+        rproof, _ = h.revert_proof(note, req, tpc)
+        with pytest.raises(NotMarked):
+            router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
+        assert h.src.router.pending_reverts == {}
+
+    def test_initiate_after_settlement_is_not_marked(self):
+        # the settled destination refuses the mark, so no window opens
+        h = Harness()
+        note, payload, req, proof, tpc = h.settle_case()
+        router_withdraw(h.dst, proof, payload, note.salt, 1002, 1, h.proofs)
+        rproof, path = h.revert_proof(note, req, tpc)
+        with pytest.raises(DoubleSpend):
+            router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1,
+                                           h.ghash, path, h.proofs)
+        with pytest.raises(NotMarked):
+            router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
+        assert h.src.router.pending_reverts == {}
+        assert h.src.dapps[h.addr_src].reverted == []
 
     def test_window_boundary_exact(self):
         h = Harness()
@@ -347,7 +370,7 @@ class TestRevert:
         assert h.src.chain_id and h.src.router.pending_reverts[nh].window_end == end
         router_revert_execute(h.src, nh)  # exactly at window end
         assert nh not in h.src.router.pending_reverts
-        assert nh in h.src.router.nullifier_reverted
+        assert h.src.router.nullifier_reverted[nh] == req.commitment
         assert h.src.dapps[h.addr_src].reverted == [req.commitment]
 
     def test_halt_blocks_execution(self):
@@ -399,12 +422,7 @@ class TestRevert:
         router_revert_execute(h.src, nh)
         advance_blocks(h.src, 10)
         with pytest.raises(AlreadyPending):
-            router_revert_initiate_source(h.src, rproof, h.proofs, self.WINDOW)
-
-    def test_fee_collected(self):
-        h = Harness()
-        self._pending(h)
-        assert h.src.router.fees_collected == 1
+            router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
 
 
 class TestClock:

@@ -18,7 +18,12 @@ every key, note and payload changed, so every digest moved; the
 ``forged_settlement_attempt``) and of ``total`` dropped; and the
 seed-chosen interleavings (``double_spend/1``, ``withdraw_revert_race/0``
 and ``/2``) changed their per-op counts and verdict details. Every
-verdict still passed and no sweep row changed. A host-side optimisation or a refactor
+verdict still passed and no sweep row changed. The builtin pins alone were
+regenerated a fourth time, when the source Router began to refuse a revert
+without the destination's mark (``NotMarked``): ``settle_then_revert``
+swapped its watcher pass and check for ``go_offline`` and
+``no_revert_pending``, and ``withdraw_revert_race/1``'s digest moved; no
+total op count changed. A host-side optimisation or a refactor
 must leave every figure unchanged. The fixtures are regenerated only by hand, after
 a deliberate protocol change:
 

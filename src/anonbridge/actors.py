@@ -5,6 +5,7 @@ scenario scheduler. Adversarial behavior lives in the oracle policy and
 in scenario drivers, never inside the contracts.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import circuit as circuit_mod
@@ -181,6 +182,21 @@ class Wallet:
         return rec.revert
 
 
+# -- event logs ------------------------------------------------------------------
+
+def new_events(chains: dict, cursors: dict, kind: str):
+    """Yield ``(chain, event)`` for each ``kind`` event past the chain's
+    cursor in ``cursors`` (chain id -> next index to read), chains in id
+    order. A chain's cursor moves to the end of its log only once the
+    chain has been read, so an exception leaves it where it was."""
+    for cid in sorted(chains):
+        chain = chains[cid]
+        for ev in chain.event_log[cursors.get(cid, 0):]:
+            if ev.kind == kind:
+                yield chain, ev
+        cursors[cid] = len(chain.event_log)
+
+
 # -- oracle network -------------------------------------------------------------
 
 ORACLE_MODES = ("honest", "forge_root", "censor_dapp", "censor_chain", "replay")
@@ -215,32 +231,27 @@ class Oracle:
         if self.offline:
             return []
         actions = []
-        for cid in sorted(chains):
-            chain = chains[cid]
-            start = self._cursors.get(cid, 0)
-            for ev in chain.event_log[start:]:
-                if ev.kind != "deposit":
-                    continue
-                if self.policy.mode == "censor_chain" and cid == self.policy.censor_chain:
-                    self.dropped.append(("deposit", cid))
-                    continue
+        for chain, ev in new_events(chains, self._cursors, "deposit"):
+            cid = chain.chain_id
+            if self.policy.mode == "censor_chain" and cid == self.policy.censor_chain:
+                self.dropped.append(("deposit", cid))
+                continue
+            try:
+                index = mixer_submit(mixer_chain, ev)
+            except DuplicateCommitment:
+                # the commitment is already in the tree (a copy deposited
+                # on another chain); the cursor must still pass it, or
+                # every later relay on this chain fails the same way
+                actions.append(("relay_rejected", cid, "DuplicateCommitment"))
+                continue
+            actions.append(("relayed", cid, index))
+            if self.policy.mode == "replay":
+                # resubmit the same event; the mixer must dedupe
                 try:
-                    index = mixer_submit(mixer_chain, ev)
-                except DuplicateCommitment:
-                    # the commitment is already in the tree (a copy deposited
-                    # on another chain); the cursor must still pass it, or
-                    # every later relay on this chain fails the same way
-                    actions.append(("relay_rejected", cid, "DuplicateCommitment"))
-                    continue
-                actions.append(("relayed", cid, index))
-                if self.policy.mode == "replay":
-                    # resubmit the same event; the mixer must dedupe
-                    try:
-                        mixer_submit(mixer_chain, ev)
-                        actions.append(("replay_accepted", cid, index))
-                    except SimError as exc:
-                        actions.append(("replay_rejected", cid, type(exc).__name__))
-            self._cursors[cid] = len(chain.event_log)
+                    mixer_submit(mixer_chain, ev)
+                    actions.append(("replay_accepted", cid, index))
+                except SimError as exc:
+                    actions.append(("replay_rejected", cid, type(exc).__name__))
         return actions
 
     def push_root(self, chains: dict, mixer_chain: Chain) -> int:
@@ -300,7 +311,8 @@ class Oracle:
 @dataclass
 class ResilienceRules:
     """The fields of a scenario's ``dapp`` section, with their defaults:
-    the revert watcher's rate and value limits."""
+    the revert watcher's rate and value limits. A trip delays a refund by
+    one window; the rate is counted per chain, in that chain's blocks."""
     max_reverts_per_period: int = 1000
     period_blocks: int = 1000
     max_value_per_revert: int = 10**9
@@ -316,41 +328,31 @@ class DappSigner:
         self.offline = False
         self.contracts: dict = {}   # chain id -> DappContract
         self.ghash: bytes = b""
-        self._tolerated: dict = {}     # nullifier hash -> height first let through
         self._pending: set = set()     # own leaf values no pass has handled yet
-        self._cursors: dict = {}       # chain id -> next event index to scan
+        self._let_through: dict = {}   # chain id -> deque of heights of reverts let through
+        self._deposit_cursors: dict = {}  # chain id -> next event index to read
+        self._revert_cursors: dict = {}   # the same, for revert initiations
 
     @property
     def verifying_key(self) -> bytes:
         return self.key.verifying_key
 
-    def _scan_own_deposits(self, chains: dict) -> None:
-        """Add the leaves of new deposits through our contracts to
-        ``_pending``; each event is decoded once."""
-        own_addresses = {c.address.hex() for c in self.contracts.values()}
-        for cid in sorted(chains):
-            log = chains[cid].event_log
-            for ev in log[self._cursors.get(cid, 0):]:
-                if ev.kind != "deposit":
-                    continue
-                if ev.context.get("dapp_address") not in own_addresses:
-                    continue
-                commitment, tpc, src = decode_deposit_event(ev.payload)
-                self._pending.add(make_leaf(commitment, tpc, src))
-            self._cursors[cid] = len(log)
-
     def scan_and_sign(self, chains: dict, mixer_chain: Chain) -> list:
         """Sign the mixer leaves of our new deposits, in index order.
 
         Only a leaf that matches one of our source-chain deposit events is
-        ever signed, whatever the mixer state claims. A pass looks each
-        pending leaf up in the tree's leaf index and handles it once: it
-        signs it unless the leaf already has a signature. A leaf not
-        relayed yet waits for a later pass.
+        ever signed, whatever the mixer state claims; each event is decoded
+        once. A pass looks each pending leaf up in the tree's leaf index
+        and handles it once: it signs it unless the leaf already has a
+        signature. A leaf not relayed yet waits for a later pass.
         """
         if self.offline:
             return []
-        self._scan_own_deposits(chains)
+        own_addresses = {c.address.hex() for c in self.contracts.values()}
+        for _, ev in new_events(chains, self._deposit_cursors, "deposit"):
+            if ev.context.get("dapp_address") in own_addresses:
+                commitment, tpc, src = decode_deposit_event(ev.payload)
+                self._pending.add(make_leaf(commitment, tpc, src))
         leaf_index = mixer_chain.mixer.tree.leaf_index
         relayed = sorted((leaf_index[leaf], leaf) for leaf in self._pending
                          if leaf in leaf_index)
@@ -364,37 +366,34 @@ class DappSigner:
         return signed
 
     def watch_reverts(self, chains: dict) -> list:
-        """Halt our pending reverts whose value or rate rule trips.
-
+        """Judge each revert once, on the first pass after its initiation:
+        skip it if no longer pending, its window has closed or it is not in
+        our escrow, else halt it if the value or rate rule trips. The rate
+        counts the reverts let through on its chain, in that chain's blocks.
         The source Router opens a window only over a destination mark, so
-        settle-XOR-revert needs no watcher; a revert let through once
-        counts against the rate once.
-        """
+        settle-XOR-revert needs no watcher."""
         if self.offline:
             return []
         halts = []
-        for cid in sorted(chains):
-            chain = chains[cid]
-            contract = self.contracts[cid]
-            for nh, pending in list(chain.router.pending_reverts.items()):
-                if pending.halted or chain.height >= pending.window_end:
-                    continue
-                escrowed = contract.escrow.get(pending.commitment)  # (value, wallet)
-                if escrowed is None:
-                    continue  # another dApp's transaction
-                reason = None
-                if escrowed[0] > self.resilience.max_value_per_revert:
-                    reason = "value_threshold"
-                elif nh not in self._tolerated and self._rate_exceeded(chain.height):
-                    reason = "rate_threshold"
-                if reason is None:
-                    self._tolerated.setdefault(nh, chain.height)
-                else:
-                    router_revert_halt(chain, nh, contract.address)
-                    halts.append((cid, nh, reason))
+        for chain, ev in new_events(chains, self._revert_cursors, "revert_initiated"):
+            nh = int.from_bytes(ev.payload[32:], "big")
+            pending = chain.router.pending_reverts.get(nh)
+            contract = self.contracts[chain.chain_id]
+            if pending is None or chain.height >= pending.window_end \
+                    or pending.commitment not in contract.escrow:
+                continue  # executed, expired, or another dApp's transaction
+            let_through = self._let_through.setdefault(chain.chain_id, deque())
+            start = chain.height - self.resilience.period_blocks
+            while let_through and let_through[0] <= start:
+                let_through.popleft()
+            value, _ = contract.escrow[pending.commitment]
+            if value > self.resilience.max_value_per_revert:
+                reason = "value_threshold"
+            elif len(let_through) >= self.resilience.max_reverts_per_period:
+                reason = "rate_threshold"
+            else:
+                let_through.append(chain.height)
+                continue
+            router_revert_halt(chain, nh, contract.address)
+            halts.append((chain.chain_id, nh, reason))
         return halts
-
-    def _rate_exceeded(self, height: int) -> bool:
-        start = height - self.resilience.period_blocks
-        recent = sum(1 for b in self._tolerated.values() if b > start)
-        return recent >= self.resilience.max_reverts_per_period

@@ -69,6 +69,7 @@ def decode_deposit_event(payload: bytes) -> tuple:
 class PendingRevert:
     commitment: int
     window_end: int
+    window: int             # the length it was opened with
     halted: bool = False
 
 
@@ -288,7 +289,7 @@ def router_revert_initiate_source(chain: Chain, dest: Chain, proof, proofs, wind
         raise NotMarked(f"no revert mark for {public.commitment} on {dest.chain_id}")
     window_end = chain.height + window
     router.pending_reverts[public.nullifier_hash] = PendingRevert(
-        public.commitment, window_end
+        public.commitment, window_end, window
     )
     chain.emit(
         "revert_initiated",
@@ -299,7 +300,8 @@ def router_revert_initiate_source(chain: Chain, dest: Chain, proof, proofs, wind
 
 
 def router_revert_halt(chain: Chain, nullifier_hash: int, caller: bytes) -> None:
-    """Halt by the commitment's own dApp inside the window; permanent."""
+    """Halt by the commitment's own dApp inside the window, once; it adds
+    one window, so the refund is delayed, never lost."""
     router = chain.router
     pending = router.pending_reverts.get(nullifier_hash)
     if pending is None:
@@ -308,18 +310,19 @@ def router_revert_halt(chain: Chain, nullifier_hash: int, caller: bytes) -> None
         raise Unauthorized("only the commitment's dApp may halt its revert")
     if chain.height >= pending.window_end:
         raise WindowExpired(f"window closed at block {pending.window_end}")
+    if pending.halted:
+        raise Halted("revert was already halted once")
     pending.halted = True
+    pending.window_end += pending.window
     chain.emit("revert_halted", to_bytes32(nullifier_hash))
 
 
 def router_revert_execute(chain: Chain, nullifier_hash: int) -> None:
-    """Anyone may execute an unhalted revert once the window expired."""
+    """Anyone may execute a revert once its window, halted or not, expired."""
     router = chain.router
     pending = router.pending_reverts.get(nullifier_hash)
     if pending is None:
         raise NoPending(f"no pending revert for {nullifier_hash}")
-    if pending.halted:
-        raise Halted("revert was halted by the dApp")
     if chain.height < pending.window_end:
         raise WindowActive(f"window open until block {pending.window_end}")
     router.nullifier_reverted[nullifier_hash] = pending.commitment

@@ -123,7 +123,7 @@ class WindowActive(SimError):
 
 
 class Halted(SimError):
-    pass
+    """The revert was already halted: a halt is allowed once per revert."""
 
 
 # -- actors ------------------------------------------------------------------

@@ -338,7 +338,7 @@ class Simulation:
                           expect=expect, deposit=label)
 
     def halt(self, expect=None):
-        """The dApp watcher pass; halts where the value or rate rule trips."""
+        """The dApp watcher pass; a halt where a rule trips delays a refund one window."""
         halts = self._call(
             "dapp_watch_reverts", None,
             lambda: self.dapp.watch_reverts(self.chains),

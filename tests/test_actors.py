@@ -257,6 +257,22 @@ class TestSignerOrigination:
         assert other.scan_and_sign(sim.chains, sim.mixer_chain) == []
 
 
+class TestEventLogReader:
+    def test_only_new_events_reads_an_event_log(self):
+        """Every event-log read in ``actors.py`` goes through one cursor
+        reader: only ``new_events`` names an ``event_log``, and the oracle
+        relay, the signer and the watcher each call it."""
+        tree = ast.parse(Path(actors.__file__).read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        readers = {func.name for func in functions for node in ast.walk(func)
+                   if isinstance(node, ast.Attribute) and node.attr == "event_log"}
+        assert readers == {"new_events"}
+        callers = {func.name for func in functions for node in ast.walk(func)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "new_events"}
+        assert callers == {"relay", "scan_and_sign", "watch_reverts"}
+
+
 class TestWatcher:
     def _revert_pending(self, sim):
         d = sim.deposit("alice", 1001, 1003)
@@ -325,6 +341,79 @@ class TestWatcher:
         assert sim.dapp.watch_reverts(sim.chains) == []
         nh = proof.public.nullifier_hash
         assert other.watch_reverts(sim.chains) == [(1001, nh, "value_threshold")]
+
+    def test_pass_reads_only_new_initiations(self):
+        """A pass reads one pending entry per revert initiated since the
+        last pass: executed and halted reverts are not visited again."""
+        class CountingReverts(dict):
+            reads = 0
+
+            def get(self, key, default=None):
+                self.reads += 1
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                self.reads += 1
+                return super().__getitem__(key)
+
+            def items(self):
+                self.reads += len(self)
+                return super().items()
+
+            def values(self):
+                self.reads += len(self)
+                return super().values()
+
+            def __iter__(self):
+                self.reads += len(self)
+                return super().__iter__()
+
+        def initiate(n, value):
+            labels = [sim.deposit("alice", 1001, 1003, value=value) for _ in range(n)]
+            sim.relay(); sim.sign(); sim.push_root()
+            for d in labels:
+                sim.revert_mark(d)
+                sim.revert_init(d)
+            return labels
+
+        sim = make_sim(dapp={"max_value_per_revert": 3})
+        router = sim.chains[1001].router
+        router.pending_reverts = CountingReverts()
+        executed = initiate(3, value=1)
+        assert sim.halt() == []
+        sim.advance(sim.config.window)
+        for d in executed:
+            sim.execute(d)
+        initiate(2, value=5)
+        assert [h[2] for h in sim.halt()] == ["value_threshold"] * 2
+        reads = router.pending_reverts.reads
+        assert sim.halt() == []
+        assert router.pending_reverts.reads == reads
+        initiate(4, value=1)
+        reads = router.pending_reverts.reads
+        assert sim.halt() == []
+        assert router.pending_reverts.reads == reads + 4
+
+    def test_rate_is_counted_per_chain_in_its_own_blocks(self):
+        """A revert let through on 1003 at its height 5000 does not count
+        against 1001 at height 0; 1001's own budget frees after
+        ``period_blocks`` of 1001's blocks."""
+        def revert(source, dest):
+            d = sim.deposit("alice", source, dest)
+            sim.relay(); sim.sign(); sim.push_root()
+            sim.revert_mark(d)
+            sim.revert_init(d)
+            return [h[2] for h in sim.halt()]
+
+        sim = make_sim(dapp={"max_reverts_per_period": 1, "period_blocks": 1000})
+        sim.advance(5000, chain=1003)
+        assert revert(1003, 1001) == []  # let through at 1003's height 5000
+        assert revert(1001, 1003) == []  # let through at 1001's height 0
+        assert revert(1001, 1003) == ["rate_threshold"]
+        sim.advance(999, chain=1001)
+        assert revert(1001, 1003) == ["rate_threshold"]
+        sim.advance(1, chain=1001)
+        assert revert(1001, 1003) == []
 
     def test_offline_watcher_issues_nothing(self):
         sim = make_sim(dapp={"max_value_per_revert": 0})

@@ -373,16 +373,29 @@ class TestRevert:
         assert h.src.router.nullifier_reverted[nh] == req.commitment
         assert h.src.dapps[h.addr_src].reverted == [req.commitment]
 
-    def test_halt_blocks_execution(self):
+    def test_halt_delays_execution_once(self):
+        """A halt adds one window to the end, once; it never blocks the
+        refund for good."""
         h = Harness()
-        note, payload, req, rproof, _ = self._pending(h)
+        note, payload, req, rproof, end = self._pending(h)
         nh = rproof.public.nullifier_hash
         with pytest.raises(Unauthorized):
             router_revert_halt(h.src, nh, b"\x01" * 20)
         router_revert_halt(h.src, nh, h.addr_src)
-        advance_blocks(h.src, self.WINDOW)
+        pending = h.src.router.pending_reverts[nh]
+        assert pending.halted and pending.window_end == end + self.WINDOW
         with pytest.raises(Halted):
+            router_revert_halt(h.src, nh, h.addr_src)
+        assert pending.window_end == end + self.WINDOW
+        advance_blocks(h.src, self.WINDOW)  # the original end
+        with pytest.raises(WindowActive):
             router_revert_execute(h.src, nh)
+        advance_blocks(h.src, self.WINDOW)
+        with pytest.raises(WindowExpired):
+            router_revert_halt(h.src, nh, h.addr_src)
+        router_revert_execute(h.src, nh)
+        assert h.src.router.nullifier_reverted[nh] == req.commitment
+        assert h.src.dapps[h.addr_src].reverted == [req.commitment]
 
     def test_only_the_commitments_dapp_may_halt(self):
         # a second registered dApp cannot block the first dApp's revert

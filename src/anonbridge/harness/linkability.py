@@ -19,14 +19,17 @@ Revert scenarios legitimately reveal the commitment on the source chain;
 the analyzer reports that linkage as expected leakage rather than a
 violation.
 
-The scan is one pass over the transcript. Each record is classified once
-by the views that hold it (``_views``); records of the same class are
-serialized together, once, and records no view holds are skipped. Each
-class's blob is then searched for its maximal runs of at least 64
-lowercase hex characters, and every 64-character window of a run is
-looked up in the set of secret words; a word found in a run is counted
-with ``run.count``. The cost is linear in the transcript, not in
-deposits times transcript.
+The scan is one pass over the transcript. Each record is classified by
+the views that hold it (``_views``), which reads only its kind, op and
+chain; one call asks ``_views`` once per distinct triple and keeps the
+answers for that call only. Records of the same class are serialized
+together, once, and records no view holds are skipped. Each class's blob
+is then searched for its maximal runs of at least 64 lowercase hex
+characters. A run of exactly 64 is one lookup in the set of secret
+words; a longer run is cut into the list of its 64-character windows,
+one per offset, and that list is intersected with the set. A word found
+in a run is counted with ``run.count``. The cost is linear in the
+transcript, not in deposits times transcript.
 
 Precondition: every hidden field and commitment is encoded as a
 64-character lowercase hex word (a 32-byte value; ``secrets_for_analysis``
@@ -65,7 +68,8 @@ _WORD_RUN = b"1" * _WORD
 def _views(record: dict, source_chains) -> tuple:
     """The views that hold ``record``: the oracle's, its chain's if that is
     one of ``source_chains``, and the revert records' (where a deposit's
-    commitment is expected)."""
+    commitment is expected). It reads no field but ``kind``, ``op`` and
+    ``chain``: ``analyze_linkability`` reuses one answer per triple."""
     views = []
     if record.get("kind") != "header" and record.get("op") not in _USER_DIRECT_OPS:
         views.append(_ORACLE)
@@ -116,8 +120,7 @@ def _word_counts(blob: bytes, words: frozenset) -> dict:
             if run in words:
                 counts[run] = counts.get(run, 0) + 1
         else:
-            windows = map(run.__getitem__,
-                          map(slice, range(size - _WORD + 1), range(_WORD, size + 1)))
+            windows = [run[i:i + _WORD] for i in range(size - _WORD + 1)]
             for word in words.intersection(windows):
                 counts[word] = counts.get(word, 0) + run.count(word)
         start = mask.find(_WORD_RUN, end)
@@ -139,8 +142,12 @@ def analyze_linkability(records: list, deposit_secrets: list) -> dict:
     commitments = frozenset(_word(sec["commitment"]) for sec in deposit_secrets)
     source_chains = {sec["source_chain"] for sec in deposit_secrets}
     classes = defaultdict(list)
+    views_of = {}  # (kind, op, chain) -> _views answer, for this call only
     for record in records:
-        views = _views(record, source_chains)
+        key = (record.get("kind"), record.get("op"), record.get("chain"))
+        views = views_of.get(key)
+        if views is None:
+            views = views_of[key] = _views(record, source_chains)
         if views:
             classes[views].append(_scanned(record))
     hits = {}  # view -> word -> occurrences

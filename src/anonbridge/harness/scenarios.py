@@ -61,9 +61,19 @@ def _check_deposit_minimality(sim: Simulation) -> Verdict:
 
 
 def _check_linkability(sim: Simulation) -> Verdict:
+    """No hidden field in the oracle or source-chain view; a failure names
+    the first deposit and field that leaked and its count in each view."""
     report = analyze_linkability(sim.transcript.records, sim.secrets_for_analysis())
-    return Verdict("no_hidden_field_leakage", report["violations"] == 0,
-                   f"violations={report['violations']}")
+    detail = f"violations={report['violations']}"
+    for entry in report["deposits"]:
+        oracle, source = entry["oracle_view"], entry["source_view"]
+        leaked = [name for name in oracle if oracle[name] or source[name]]
+        if leaked:
+            name = leaked[0]
+            detail += (f"; {entry['label']}.{name} oracle_view={oracle[name]}"
+                       f" source_view={source[name]}")
+            break
+    return Verdict("no_hidden_field_leakage", report["violations"] == 0, detail)
 
 
 def standard_verdicts(sim: Simulation) -> list:

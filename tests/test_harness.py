@@ -31,6 +31,7 @@ from anonbridge.harness import linkability
 from anonbridge.harness.cli import main
 from anonbridge.harness.config import ACTION_FIELDS, DAPP_FIELDS, ORACLE_FIELDS
 from anonbridge.harness.linkability import oracle_view, source_view
+from anonbridge.harness.scenarios import standard_verdicts
 from anonbridge.harness.simulation import Simulation, UnexpectedOutcome
 from anonbridge.harness.transcript import RECORD_ENCODER
 from anonbridge.merkle import MAX_DEPTH, MerklePath, zero_node
@@ -844,6 +845,25 @@ class TestLinkability:
         assert report == naive_linkability(records, [secret])
         assert report["deposits"][0]["oracle_view"]["payload"] == 2
 
+    @pytest.mark.parametrize("length", [65, 127, 128])
+    def test_word_at_every_offset_of_a_run(self, length):
+        result = run_scenario(script_config(self.TWO_WAY_SCRIPT))
+        secrets = result.sim.secrets_for_analysis()
+        s0, s1 = secrets
+        for offset in range(length - 64 + 1):
+            def planted(word):  # ``word`` at ``offset`` of a hex run
+                return "e" * offset + word + "e" * (length - 64 - offset)
+            records = list(result.transcript.records) + [
+                {"kind": "event", "op": "oracle_relay", "chain": 1002,
+                 "oops": planted(s0["salt"])},
+                {"kind": "event", "op": "revert_relay", "chain": 1003,
+                 "x": planted(s1["commitment"])},
+            ]
+            report = analyze_linkability(records, secrets)
+            assert report == naive_linkability(records, secrets), offset
+            assert report["deposits"][0]["oracle_view"]["salt"] == 1
+            assert report["expected_leakage"] == [{"label": "d1", "commitment_hits": 1}]
+
     @pytest.mark.parametrize("field,value", [
         ("salt", "ab" * 31),             # too short
         ("payload", "AB" * 32),          # upper case
@@ -888,6 +908,33 @@ class TestLinkability:
         leaked = list(records) + [{"kind": "event", "op": "oracle_relay",
                                    "chain": 1002, "oops": "a" + secrets[0]["salt"]}]
         assert bytes_count_calls(lambda: analyze_linkability(leaked, secrets)) > calls[0]
+
+    def test_classification_does_not_grow_with_records(self, monkeypatch):
+        runs = [run_scenario(script_config(traffic_script(deposits))) for deposits in (2, 6)]
+        views, classified = linkability._views, []
+
+        def counting_views(record, source_chains):
+            classified.append(record)
+            return views(record, source_chains)
+
+        monkeypatch.setattr(linkability, "_views", counting_views)
+        calls = []
+        for result in runs:
+            classified.clear()
+            analyze_linkability(result.transcript.records, result.sim.secrets_for_analysis())
+            calls.append(len(classified))
+        assert len(runs[0].transcript.records) < len(runs[1].transcript.records)
+        assert calls[0] == calls[1]
+
+    def test_failing_verdict_names_the_leak(self):
+        result = run_scenario(builtin_config("settlement_happy_path", seed=2))
+        sim = result.sim
+        salt = sim.secrets_for_analysis()[0]["salt"]
+        sim.transcript.records.append({"i": len(sim.transcript.records), "kind": "event",
+                                       "op": "oracle_relay", "chain": 1002, "oops": salt})
+        verdict = {v.name: v for v in standard_verdicts(sim)}["no_hidden_field_leakage"]
+        assert not verdict.passed
+        assert verdict.detail == "violations=1; d0.salt oracle_view=1 source_view=0"
 
 
 class TestBuiltins:

@@ -116,10 +116,10 @@ class NoteRecord:
 class Wallet:
     """Holds notes and builds proofs; note material never leaves here."""
 
-    def __init__(self, name: str, rng: SeededRng, balance: int = START_BALANCE):
+    def __init__(self, name: str, rng: SeededRng):
         self.name = name
         self.rng = rng
-        self.balance = balance
+        self.balance = START_BALANCE
         self.notes: dict = {}  # commitment -> NoteRecord
 
     def deposit(self, chain: Chain, dapp_contract: DappContract, ghash: bytes,
@@ -212,7 +212,9 @@ class Oracle:
     """Relays deposit events to the mixer and pushes roots to routers.
 
     In ``censor_dapp`` mode it drops the withdraws of the dApp whose global
-    hash is ``censored_dapp``.
+    hash is ``censored_dapp``; in ``censor_chain`` mode, the deposits made on
+    and the withdraws bound for chain ``policy.censor_chain``. ``relay``
+    reports each dropped deposit as a ``relay_censored`` action.
     """
 
     def __init__(self, policy: OraclePolicy, auth: bytes, rng: SeededRng,
@@ -223,7 +225,6 @@ class Oracle:
         self.rng = rng
         self.offline = False
         self._cursors: dict = {}     # chain id -> next event index to scan
-        self.dropped: list = []      # censored items, for transcript assertions
         self.forged_root = 0         # the root of the last forged tree
 
     def relay(self, chains: dict, mixer_chain: Chain) -> list:
@@ -234,7 +235,7 @@ class Oracle:
         for chain, ev in new_events(chains, self._cursors, "deposit"):
             cid = chain.chain_id
             if self.policy.mode == "censor_chain" and cid == self.policy.censor_chain:
-                self.dropped.append(("deposit", cid))
+                actions.append(("relay_censored", cid))
                 continue
             try:
                 index = mixer_submit(mixer_chain, ev)
@@ -272,10 +273,8 @@ class Oracle:
         if self.offline:
             return False
         if self.policy.mode == "censor_dapp" and ghash == self.censored_dapp:
-            self.dropped.append(("withdraw", ghash.hex()))
             return False
         if self.policy.mode == "censor_chain" and dest_chain == self.policy.censor_chain:
-            self.dropped.append(("withdraw", dest_chain))
             return False
         return True
 

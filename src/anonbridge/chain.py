@@ -196,15 +196,8 @@ def router_update_root(chain: Chain, root: int, oracle_auth: bytes) -> None:
     chain.emit("root_update", to_bytes32(root))
 
 
-@dataclass(frozen=True)
-class SettlementOutcome:
-    dapp_address: bytes
-    payload: bytes
-    nullifier_hash: int
-
-
 def router_withdraw(chain: Chain, proof, payload: bytes, salt: int,
-                    dest_chain_claim: int, version: int, proofs) -> SettlementOutcome:
+                    dest_chain_claim: int, version: int, proofs) -> None:
     """Destination-side settlement; the six contract checks, in order."""
     router = chain.router
     public = proof.public
@@ -231,7 +224,6 @@ def router_withdraw(chain: Chain, proof, payload: bytes, salt: int,
     router.nullifier_spent.add(public.nullifier_hash)
     chain.emit("settled", to_bytes32(public.nullifier_hash), dapp_address=dapp_address.hex())
     chain.dapps[dapp_address].on_settle(payload)
-    return SettlementOutcome(dapp_address, payload, public.nullifier_hash)
 
 
 # -- Router: revert -----------------------------------------------------------

@@ -21,7 +21,6 @@ from .errors import (
     VersionOutOfTier,
 )
 from .field import P, to_bytes32
-from .hashing import commit, nullifier_hash  # noqa: F401  (re-exported)
 from .keccak import keccak256
 from .rng import SeededRng, random_field_31
 

@@ -359,34 +359,28 @@ def builtin_config(name: str, /, seed: int = 0, **overrides) -> ScenarioConfig:
 def _run_script(sim: Simulation, script: list) -> None:
     """Run a script ``ScenarioConfig.validate`` accepted: each action calls
     the ``Simulation`` method of its name with its non-null fields, ``deposit``
-    as ``label``; the deposit labels and the proofs an action reuses are left
-    to check as it runs."""
-    labels = set()  # every deposit label taken so far, failed deposits' too
+    as ``label``. The ``Simulation`` judges the labels a deposit takes and an
+    action names; the proofs an action reuses are checked here, and either
+    refusal names the action."""
     for i, action in enumerate(script):
         fields = {name: value for name, value in action.items() if value is not None}
         op = fields.pop("op")
-        where = f"action {i} ({op})"
-        if op == "deposit":
-            new_label = fields.get("label", sim.next_label())
-            if new_label in labels:
-                raise ConfigInvalid(f"{where}: label {new_label!r} is already taken")
-            labels.add(new_label)
-        label = fields.pop("deposit", None)
-        if label is not None:
-            rec = sim.deposits.get(label)
-            if rec is None:
-                raise ConfigInvalid(f"{where}: field 'deposit' names no "
-                                    f"deposit made so far: {label!r}")
-            fields["label"] = label
-            if op == "execute" and rec.revert is None:
-                raise ConfigInvalid(f"{where}: deposit {label!r} has no revert "
-                                    f"proof; revert_mark or revert_init it first")
-            if fields.get("reuse_proof") and rec.settlement is None:
-                raise ConfigInvalid(f"{where}: deposit {label!r} has no settlement "
-                                    f"proof to reuse; withdraw it first")
-        if "payload" in fields:
-            fields["payload"] = bytes.fromhex(fields["payload"])
-        getattr(sim, op)(**fields)
+        try:
+            label = fields.pop("deposit", None)
+            if label is not None:
+                rec = sim._record(label)
+                fields["label"] = label
+                if op == "execute" and rec.revert is None:
+                    raise ConfigInvalid(f"deposit {label!r} has no revert proof; "
+                                        f"revert_mark or revert_init it first")
+                if fields.get("reuse_proof") and rec.settlement is None:
+                    raise ConfigInvalid(f"deposit {label!r} has no settlement "
+                                        f"proof to reuse; withdraw it first")
+            if "payload" in fields:
+                fields["payload"] = bytes.fromhex(fields["payload"])
+            getattr(sim, op)(**fields)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"action {i} ({op}): {exc}") from None
 
 
 def _check_builtin(config: ScenarioConfig) -> None:

@@ -70,7 +70,7 @@ class Simulation:
         self.transcript = Transcript()
         self.verdicts: list = []
         self.deposits: dict = {}        # label -> its wallet's NoteRecord
-        self._n_deposits = 0
+        self._labels: set = set()       # every label taken, failed deposits' too
         with ops.counting(self.ops):
             self.rng = SeededRng(config.seed)
             self.proofs = ProofSystem(self.rng.child("deity-keys"))
@@ -167,7 +167,9 @@ class Simulation:
                 expect=None) -> str:
         if label is None:
             label = self.next_label()
-        self._n_deposits += 1
+        if label in self._labels:
+            raise ConfigInvalid(f"label {label!r} is already taken")
+        self._labels.add(label)
         w = self.wallets[wallet]
         if payload is None:
             payload = self.rng.child(f"payload/{label}").bytes(32)
@@ -193,7 +195,15 @@ class Simulation:
 
     def next_label(self) -> str:
         """The label a deposit made without one takes."""
-        return f"d{self._n_deposits}"
+        return f"d{len(self._labels)}"
+
+    def _record(self, label: str) -> NoteRecord:
+        """The record of the deposit ``label`` names."""
+        rec = self.deposits.get(label)
+        if rec is None:
+            raise ConfigInvalid(f"field 'deposit' names no deposit made so far: "
+                                f"{label!r}")
+        return rec
 
     def relay(self, expect=None):
         def _do():
@@ -254,7 +264,7 @@ class Simulation:
             return self._call("forged_settlement_attempt", None, _forge,
                               expect=expect)
 
-        rec = self.deposits[label]
+        rec = self._record(label)
         w = self.wallets[rec.wallet]
         dest_chain = self.chains[chain if chain is not None else rec.dest]
         vk = verifying_key if verifying_key is not None else self.dapp.verifying_key
@@ -293,7 +303,7 @@ class Simulation:
         return rec.revert
 
     def revert_mark(self, label: str, expect=None, chain: int = None):
-        rec = self.deposits[label]
+        rec = self._record(label)
         dest_chain = self.chains[chain if chain is not None else rec.dest]
 
         def _do():
@@ -311,7 +321,7 @@ class Simulation:
         )
 
     def revert_init(self, label: str, expect=None, chain: int = None):
-        rec = self.deposits[label]
+        rec = self._record(label)
         src_chain = self.chains[chain if chain is not None else rec.source]
 
         def _do():
@@ -326,7 +336,7 @@ class Simulation:
         )
 
     def execute(self, label: str, expect=None):
-        rec = self.deposits[label]
+        rec = self._record(label)
         src_chain = self.chains[rec.source]
 
         def _do():
@@ -374,7 +384,7 @@ class Simulation:
         """Whether this deposit's own nullifier hash settled on its
         destination: spent there, and not by a revert mark, which flags it
         reverted too. An executed revert flags only the source chain."""
-        rec = self.deposits[label]
+        rec = self._record(label)
         if rec.settlement is None:
             return False
         router = self.chains[rec.dest].router
@@ -382,7 +392,7 @@ class Simulation:
         return nh in router.nullifier_spent and nh not in router.nullifier_reverted
 
     def reverted(self, label: str) -> bool:
-        rec = self.deposits[label]
+        rec = self._record(label)
         return rec.commitment not in self.dapp.contracts[rec.source].escrow \
             and rec.revert is not None
 

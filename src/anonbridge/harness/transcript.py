@@ -30,10 +30,6 @@ class Transcript:
         h.update(self.to_jsonl())
         return h.finalize().hex()
 
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_jsonl())
-
     @staticmethod
     def load_records(path) -> list:
         with open(path, "rb") as fh:

@@ -19,6 +19,7 @@ from anonbridge.errors import (
     WrongChain,
 )
 from anonbridge.harness import ScenarioConfig, Simulation
+from anonbridge.harness.scenarios import standard_verdicts
 from anonbridge.rng import SeededRng
 
 
@@ -142,8 +143,30 @@ class TestOracle:
     def test_censor_chain_drops_deposits(self):
         sim = make_sim(oracle={"mode": "censor_chain", "censor_chain": 1001})
         sim.deposit("alice", 1001, 1003)
-        assert sim.relay() == []
-        assert sim.oracle.dropped == [("deposit", 1001)]
+        assert sim.relay() == [("relay_censored", 1001)]
+        assert sim.mixer_chain.mixer.tree.next_index == 0
+        event = sim.transcript.records[-1]
+        assert (event["kind"], event["op"], event["chain"]) == (
+            "event", "relay_censored", 1002)
+
+    def test_censor_chain_logs_each_drop_once(self):
+        """Each censored deposit is one ``relay_censored`` event; a deposit
+        on another chain is relayed, and a later relay logs no drop again."""
+        sim = make_sim(oracle={"mode": "censor_chain", "censor_chain": 1001})
+        for source, dest in ((1001, 1003), (1003, 1001), (1001, 1002)):
+            sim.deposit("alice", source, dest)
+        sim.relay()
+
+        def censored():
+            return [r for r in sim.transcript.records
+                    if r.get("op") == "relay_censored"]
+
+        assert [r["detail"] for r in censored()] == ["(1001,)", "(1001,)"]
+        assert sim.mixer_chain.mixer.tree.next_index == 1
+        sim.relay()
+        assert len(censored()) == 2
+        leakage = standard_verdicts(sim)[-1]
+        assert leakage.name == "no_hidden_field_leakage" and leakage.passed
 
     def test_censor_dapp_drops_routed_withdraws(self):
         sim = make_sim(oracle={"mode": "censor_dapp"})

@@ -235,8 +235,8 @@ class TestWithdraw:
     def test_happy_path_invokes_hook(self):
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
-        out = router_withdraw(h.dst, proof, payload, note.salt, 1002, 1, h.proofs)
-        assert out.payload == payload and h.dst.dapps[h.addr_dst].settled == [payload]
+        router_withdraw(h.dst, proof, payload, note.salt, 1002, 1, h.proofs)
+        assert h.dst.dapps[h.addr_dst].settled == [payload]
         assert proof.public.nullifier_hash in h.dst.router.nullifier_spent
 
     def test_check_order(self):

@@ -666,6 +666,43 @@ class TestProofMissing:
             "router_revert_execute", False, "ProofMissing")
 
 
+class TestDepositLabels:
+    """The ``Simulation`` alone decides which labels are taken and which
+    deposit a label names; a script and a driver meet the same refusals."""
+
+    @staticmethod
+    def _state(sim: Simulation) -> tuple:
+        return (
+            {name: (w.balance, dict(w.notes)) for name, w in sim.wallets.items()},
+            {cid: dict(c.escrow) for cid, c in sim.dapp.contracts.items()},
+            {cid: list(c.event_log) for cid, c in sim.chains.items()},
+            dict(sim.deposits),
+            RECORD_ENCODER.encode(sim.transcript.records),
+            sim.next_label(),
+        )
+
+    def test_taken_label_is_refused_before_anything_happens(self):
+        sim = Simulation(script_config([], seed=0))
+        assert sim.deposit("alice", 1001, 1003, label="x") == "x"
+        before = self._state(sim)
+        with pytest.raises(ConfigInvalid) as info:
+            sim.deposit("alice", 1001, 1003, label="x")
+        assert str(info.value) == "label 'x' is already taken"
+        assert self._state(sim) == before
+        assert sim.wallets["alice"].balance == 99
+
+    @pytest.mark.parametrize("op", ["withdraw", "revert_mark", "revert_init",
+                                    "execute"])
+    def test_unknown_label_is_config_invalid(self, op):
+        sim, _ = _two_deposits()
+        before = self._state(sim)
+        with pytest.raises(ConfigInvalid) as info:
+            getattr(sim, op)("nope")
+        assert str(info.value) == ("field 'deposit' names no deposit made so "
+                                   "far: 'nope'")
+        assert self._state(sim) == before
+
+
 class TestTranscript:
     def test_indices_and_jsonl(self, tmp_path):
         t = Transcript()
@@ -673,7 +710,7 @@ class TestTranscript:
         t.log("b", y="z")
         assert [r["i"] for r in t.records] == [0, 1]
         path = tmp_path / "t.jsonl"
-        t.save(path)
+        path.write_bytes(t.to_jsonl())
         assert Transcript.load_records(path) == t.records
 
     def test_digest_sensitive_to_content(self):

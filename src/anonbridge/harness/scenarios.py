@@ -1,12 +1,10 @@
 """Scenario runner, builtin attack library, and invariant verdicts."""
 
 import copy
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 from .. import ops
 from ..actors import START_BALANCE
-from ..chain import router_register_dapp, router_withdraw
-from ..circuit import Proof
 from ..errors import ConfigInvalid, SimError
 from .config import ScenarioConfig
 from .linkability import analyze_linkability
@@ -179,26 +177,15 @@ def dapp_hash_squat(sim: Simulation):
     victim_home = victim.contracts[home_cid].address
     victim_others = [victim.contracts[c].address
                      for c in sim.config.chains if c != home_cid]
-    chain = sim.chains[DEST]
 
     # attacker's own contract claims the victim's array
-    sim._call(
-        "router_register_dapp", DEST,
-        lambda: router_register_dapp(
-            chain, attacker.contracts[DEST].address, victim_others,
-            attacker.verifying_key, home_address=victim_home,
-        ),
-        expect="Unauthorized",
-    )
+    sim.register_dapp(DEST, attacker.contracts[DEST].address, victim_others,
+                      attacker.verifying_key, home=victim_home,
+                      expect="Unauthorized")
     # exact duplicate of the victim's registration
-    sim._call(
-        "router_register_dapp", DEST,
-        lambda: router_register_dapp(
-            chain, victim.contracts[DEST].address, victim_others,
-            attacker.verifying_key, home_address=victim_home,
-        ),
-        expect="AlreadyRegistered",
-    )
+    sim.register_dapp(DEST, victim.contracts[DEST].address, victim_others,
+                      attacker.verifying_key, home=victim_home,
+                      expect="AlreadyRegistered")
     ok = all(
         c.router.dapp_registry.get(victim.ghash) == victim.contracts[cid].address
         for cid, c in sim.chains.items()
@@ -284,21 +271,7 @@ def wrong_dapp_call(sim: Simulation):
     sim.withdraw(d, verifying_key=other.verifying_key,
                  expect="ConstraintViolation:signature")
     # grafting B's key onto a valid proof breaks the TPC recomputation
-    rec = sim.deposits[d]
-    proof = sim.wallets[rec.wallet].build_settlement(
-        rec.commitment, sim.mixer_chain, sim.proofs, sim.dapp.verifying_key,
-    )
-    grafted = Proof(
-        proof.circuit_id,
-        dc_replace(proof.public, dapp_verifying_key=other.verifying_key),
-        proof.attestation,
-    )
-    sim._call(
-        "router_withdraw", DEST,
-        lambda: router_withdraw(sim.chains[DEST], grafted, rec.payload,
-                                rec.note.salt, DEST, rec.version, sim.proofs),
-        expect="TpcMismatch",
-    )
+    sim.withdraw_grafted(d, other.verifying_key, expect="TpcMismatch")
     sim.check("no_cross_dapp_delivery",
               not other.contracts[DEST].received_payloads)
 
@@ -357,27 +330,30 @@ def builtin_config(name: str, /, seed: int = 0, **overrides) -> ScenarioConfig:
 # -- declarative script interpreter -----------------------------------------------
 
 def _run_script(sim: Simulation, script: list) -> None:
-    """Run a script ``ScenarioConfig.validate`` accepted: each action calls
-    the ``Simulation`` method of its name with its non-null fields, ``deposit``
-    as ``label``. The ``Simulation`` judges the labels a deposit takes and an
-    action names; the proofs an action reuses are checked here, and either
-    refusal names the action."""
+    """Run a script whose shape ``ScenarioConfig.validate`` accepted: each
+    action calls the ``Simulation`` method of its name with its non-null
+    fields, ``deposit`` as ``label``, ``payload`` decoded from hex (a payload
+    not in hex, or a proof reused before it exists, is refused here). The
+    ``Simulation`` judges the names and labels an action gives as it runs;
+    each refusal names the action."""
     for i, action in enumerate(script):
         fields = {name: value for name, value in action.items() if value is not None}
         op = fields.pop("op")
         try:
             label = fields.pop("deposit", None)
             if label is not None:
-                rec = sim._record(label)
                 fields["label"] = label
-                if op == "execute" and rec.revert is None:
+                if op == "execute" and sim._record(label).revert is None:
                     raise ConfigInvalid(f"deposit {label!r} has no revert proof; "
                                         f"revert_mark or revert_init it first")
-                if fields.get("reuse_proof") and rec.settlement is None:
+                if fields.get("reuse_proof") and sim._record(label).settlement is None:
                     raise ConfigInvalid(f"deposit {label!r} has no settlement "
                                         f"proof to reuse; withdraw it first")
             if "payload" in fields:
-                fields["payload"] = bytes.fromhex(fields["payload"])
+                try:
+                    fields["payload"] = bytes.fromhex(fields["payload"])
+                except ValueError:
+                    raise ConfigInvalid("field 'payload' is not hex") from None
             getattr(sim, op)(**fields)
         except ConfigInvalid as exc:
             raise ConfigInvalid(f"action {i} ({op}): {exc}") from None

@@ -1,7 +1,9 @@
 """Deterministic scenario driver.
 
 Builds the chain topology, actors, and proof system from a config, then
-exposes one method per script action. Every action and contract call is
+exposes one method per action, the only way any caller reaches the
+contracts; each refuses an unknown wallet, chain or actor name with
+``ConfigInvalid``, before it acts or logs. Every action and contract call is
 logged to the transcript. Each simulation owns its op counter: set-up,
 every call (also kept per operation) and the scenario code charge it.
 It also owns one hash table, active inside every call, so a call does
@@ -14,7 +16,7 @@ attestation, keyed BLAKE2b charged as the keccak256 MAC it stands for,
 never enters the table: the verifier recomputes it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .. import ops
 from ..actors import (
@@ -39,7 +41,7 @@ from ..dact import PayloadIntent
 from ..errors import ConfigInvalid, ConstraintViolation, ProofMissing, SimError
 from ..field import to_bytes32
 from ..rng import SeededRng
-from .config import OFFLINE_ACTORS, ScenarioConfig
+from .config import ScenarioConfig
 from .transcript import Transcript
 
 
@@ -52,6 +54,18 @@ class Verdict:
 
 class UnexpectedOutcome(SimError):
     """A scripted action did not produce its expected result."""
+
+
+# the actors go_offline may name, each a Simulation attribute, and those
+# withdraw may name: the deposit's own wallet, or the oracle forging a proof
+OFFLINE_ACTORS = ("oracle", "dapp")
+WITHDRAW_ACTORS = ("wallet", "oracle")
+
+
+def _known(field: str, value, allowed) -> None:
+    """Refuse ``field`` naming what ``allowed`` lacks; None names nothing."""
+    if value is not None and value not in allowed:
+        raise ConfigInvalid(f"field {field!r} names unknown {value!r}")
 
 
 def _error_name(exc: Exception) -> str:
@@ -130,6 +144,18 @@ class Simulation:
         self._deploy_and_register(signer, tag)
         return signer
 
+    def register_dapp(self, chain: int, caller: bytes, others: list,
+                      verifying_key: bytes, home: bytes = None, expect=None):
+        """Contract ``caller`` registers a dApp spanning ``others`` on
+        ``chain``, a non-home chain when ``home`` is given."""
+        _known("chain", chain, self.chains)
+
+        def _do():
+            return router_register_dapp(self.chains[chain], caller, others,
+                                        verifying_key, home_address=home)
+
+        return self._call("router_register_dapp", chain, _do, expect=expect)
+
     # -- logging / metrics wrapper ----------------------------------------------
 
     def _call(self, op: str, chain, fn, expect=None, **logged):
@@ -165,6 +191,9 @@ class Simulation:
     def deposit(self, wallet: str, source: int, dest: int, label: str = None,
                 payload: bytes = None, version: int = 1, value: int = 1,
                 expect=None) -> str:
+        _known("wallet", wallet, self.wallets)
+        _known("source", source, self.chains)
+        _known("dest", dest, self.chains)
         if label is None:
             label = self.next_label()
         if label in self._labels:
@@ -252,6 +281,8 @@ class Simulation:
                  chain: int = None, claim_dest: int = None, via_oracle: bool = False,
                  tamper_payload: bool = False, reuse_proof: bool = False,
                  verifying_key: bytes = None):
+        _known("chain", chain, self.chains)
+        _known("actor", actor, WITHDRAW_ACTORS)
         if actor == "oracle":
             # network-abuse move: forge a tree, then attempt a settlement proof
             def _forge():
@@ -295,6 +326,23 @@ class Simulation:
                                 chain=dest_chain.chain_id, deposit=label)
         return result
 
+    def withdraw_grafted(self, label: str, verifying_key: bytes, expect=None):
+        """Withdraw with the deposit's honest settlement proof, built on the
+        simulation's counter and table outside the call, then re-bound to
+        ``verifying_key``: a proof grafted onto another dApp."""
+        rec = self._record(label)
+        with ops.counting(self.ops), ops.hash_table(self.hash_table):
+            proof = self.wallets[rec.wallet].build_settlement(
+                rec.commitment, self.mixer_chain, self.proofs, self.dapp.verifying_key)
+        grafted = replace(proof, public=replace(proof.public,
+                                                dapp_verifying_key=verifying_key))
+        return self._call(
+            "router_withdraw", rec.dest,
+            lambda: router_withdraw(self.chains[rec.dest], grafted, rec.payload,
+                                    rec.note.salt, rec.dest, rec.version, self.proofs),
+            expect=expect,
+        )
+
     def _revert_proof(self, rec: NoteRecord) -> Proof:
         """The deposit's revert proof, built once."""
         if rec.revert is None:
@@ -303,6 +351,7 @@ class Simulation:
         return rec.revert
 
     def revert_mark(self, label: str, expect=None, chain: int = None):
+        _known("chain", chain, self.chains)
         rec = self._record(label)
         dest_chain = self.chains[chain if chain is not None else rec.dest]
 
@@ -321,6 +370,7 @@ class Simulation:
         )
 
     def revert_init(self, label: str, expect=None, chain: int = None):
+        _known("chain", chain, self.chains)
         rec = self._record(label)
         src_chain = self.chains[chain if chain is not None else rec.source]
 
@@ -360,6 +410,9 @@ class Simulation:
         return halts
 
     def advance(self, blocks: int = 1, chain: int = None, expect=None):
+        if blocks < 1:
+            raise ConfigInvalid(f"field 'blocks' must be at least 1, got {blocks}")
+        _known("chain", chain, self.chains)
         targets = [chain] if chain is not None else sorted(self.chains)
 
         def _do():
@@ -371,9 +424,9 @@ class Simulation:
                           blocks=blocks)
 
     def go_offline(self, actor: str, expect=None):
+        _known("actor", actor, OFFLINE_ACTORS)
+
         def _do():
-            if actor not in OFFLINE_ACTORS:
-                raise ConfigInvalid(f"unknown actor {actor!r}")
             getattr(self, actor).offline = True
 
         return self._call("go_offline", None, _do, expect=expect, actor=actor)

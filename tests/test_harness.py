@@ -1,5 +1,6 @@
 """Scenario runner, config validation, transcripts, linkability, CLI."""
 
+import ast
 import dataclasses
 import inspect
 import json
@@ -27,7 +28,7 @@ from anonbridge.harness import (
     run_scenario,
     sweep_depths,
 )
-from anonbridge.harness import linkability
+from anonbridge.harness import linkability, scenarios
 from anonbridge.harness.cli import main
 from anonbridge.harness.config import ACTION_FIELDS, DAPP_FIELDS, ORACLE_FIELDS
 from anonbridge.harness.linkability import oracle_view, source_view
@@ -190,6 +191,23 @@ class TestConfig:
          "field 'wallets' must list strings, got [[1]]"),
         ({"wallets": ["alice", "alice"]},
          "duplicate wallet names in ['alice', 'alice']"),
+        ({"script": [dict(HAPPY_SCRIPT[0], payload="zz")]},
+         "action 0 (deposit): field 'payload' is not hex"),
+        ({"script": HAPPY_SCRIPT[:2] + [
+            {"op": "withdraw", "actor": "oracle", "chain": 1005}]},
+         "action 2 (withdraw): field 'chain' names unknown 1005"),
+        ({"script": [dict(HAPPY_SCRIPT[0], source=1005)]},
+         "action 0 (deposit): field 'source' names unknown 1005"),
+        ({"script": HAPPY_SCRIPT[:1] + [
+            {"op": "revert_mark", "deposit": "d0", "chain": 1005}]},
+         "action 1 (revert_mark): field 'chain' names unknown 1005"),
+        ({"script": HAPPY_SCRIPT[:1] + [
+            {"op": "revert_init", "deposit": "d0", "chain": 1005}]},
+         "action 1 (revert_init): field 'chain' names unknown 1005"),
+        ({"script": [{"op": "advance", "chain": 1005}]},
+         "action 0 (advance): field 'chain' names unknown 1005"),
+        ({"script": [{"op": "go_offline", "actor": "mallory"}]},
+         "action 0 (go_offline): field 'actor' names unknown 'mallory'"),
     ], ids=["unknown_wallet", "undefined_label", "missing_field", "string_seed",
             "mistyped_field", "unknown_field", "zero_blocks", "negative_blocks",
             "mistyped_dapp_field", "boolean_dapp_count", "boolean_depth",
@@ -198,7 +216,10 @@ class TestConfig:
             "label_of_failed_deposit", "unknown_dest", "unknown_withdraw_actor",
             "zero_window", "one_chain", "unknown_censored_chain",
             "censor_chain_left_out", "censor_dapp_flag", "threshold_scheme",
-            "unhashable_wallet", "duplicate_wallet"])
+            "unhashable_wallet", "duplicate_wallet", "non_hex_payload",
+            "oracle_withdraw_unknown_chain", "unknown_source",
+            "revert_mark_unknown_chain", "revert_init_unknown_chain",
+            "advance_unknown_chain", "unknown_offline_actor"])
     def test_malformed_input_is_config_invalid(self, tmp_path, capsys,
                                                mutation, message):
         data = {"seed": 1, "name": "malformed", "script": HAPPY_SCRIPT}
@@ -282,6 +303,16 @@ class TestScriptInterpreter:
              "expect": "DoubleSpend"},
         ]
         assert run_scenario(script_config(script)).passed
+
+    def test_each_action_is_judged_when_it_runs(self):
+        """A malformed action after an unexpected failure is never reached:
+        the run fails its verdict and raises nothing."""
+        script = [HAPPY_SCRIPT[0], {"op": "withdraw", "deposit": "d0"},
+                  {"op": "advance", "blocks": 0}]
+        result = run_scenario(script_config(script))
+        failed = [v for v in result.verdicts if not v.passed]
+        assert [v.name for v in failed] == ["scenario_completed"]
+        assert failed[0].detail.startswith("UnknownCommitment:")
 
     def test_unexpected_error_is_a_failed_verdict_not_a_crash(self):
         script = [{"op": "withdraw", "deposit": "missing"}]
@@ -666,41 +697,88 @@ class TestProofMissing:
             "router_revert_execute", False, "ProofMissing")
 
 
+def _state(sim: Simulation) -> tuple:
+    """What a refused action must leave as it was."""
+    return (
+        {name: (w.balance, dict(w.notes)) for name, w in sim.wallets.items()},
+        {cid: dict(c.escrow) for cid, c in sim.dapp.contracts.items()},
+        {cid: list(c.event_log) for cid, c in sim.chains.items()},
+        dict(sim.deposits),
+        RECORD_ENCODER.encode(sim.transcript.records),
+        sim.next_label(),
+    )
+
+
 class TestDepositLabels:
     """The ``Simulation`` alone decides which labels are taken and which
     deposit a label names; a script and a driver meet the same refusals."""
 
-    @staticmethod
-    def _state(sim: Simulation) -> tuple:
-        return (
-            {name: (w.balance, dict(w.notes)) for name, w in sim.wallets.items()},
-            {cid: dict(c.escrow) for cid, c in sim.dapp.contracts.items()},
-            {cid: list(c.event_log) for cid, c in sim.chains.items()},
-            dict(sim.deposits),
-            RECORD_ENCODER.encode(sim.transcript.records),
-            sim.next_label(),
-        )
-
     def test_taken_label_is_refused_before_anything_happens(self):
         sim = Simulation(script_config([], seed=0))
         assert sim.deposit("alice", 1001, 1003, label="x") == "x"
-        before = self._state(sim)
+        before = _state(sim)
         with pytest.raises(ConfigInvalid) as info:
             sim.deposit("alice", 1001, 1003, label="x")
         assert str(info.value) == "label 'x' is already taken"
-        assert self._state(sim) == before
+        assert _state(sim) == before
         assert sim.wallets["alice"].balance == 99
 
     @pytest.mark.parametrize("op", ["withdraw", "revert_mark", "revert_init",
                                     "execute"])
     def test_unknown_label_is_config_invalid(self, op):
         sim, _ = _two_deposits()
-        before = self._state(sim)
+        before = _state(sim)
         with pytest.raises(ConfigInvalid) as info:
             getattr(sim, op)("nope")
         assert str(info.value) == ("field 'deposit' names no deposit made so "
                                    "far: 'nope'")
-        assert self._state(sim) == before
+        assert _state(sim) == before
+
+
+class TestActionNames:
+    """The ``Simulation`` alone judges the wallet, chain and actor names an
+    action gives, for any caller: an unknown one is refused before any
+    label, note, call or record."""
+
+    @pytest.mark.parametrize("op,args,kwargs,message", [
+        ("deposit", ("alice", 1001, 1009), {}, "field 'dest' names unknown 1009"),
+        ("deposit", ("alice", 1009, 1003), {}, "field 'source' names unknown 1009"),
+        ("deposit", ("mallory", 1001, 1003), {},
+         "field 'wallet' names unknown 'mallory'"),
+        ("advance", (0,), {}, "field 'blocks' must be at least 1, got 0"),
+        ("advance", (), {"chain": 1009}, "field 'chain' names unknown 1009"),
+        ("withdraw", ("d0",), {"actor": "mallroy"},
+         "field 'actor' names unknown 'mallroy'"),
+        ("withdraw", ("d0",), {"chain": 1009}, "field 'chain' names unknown 1009"),
+        ("withdraw", (), {"actor": "oracle", "chain": 1009},
+         "field 'chain' names unknown 1009"),
+        ("revert_mark", ("d0",), {"chain": 1009}, "field 'chain' names unknown 1009"),
+        ("revert_init", ("d0",), {"chain": 1009}, "field 'chain' names unknown 1009"),
+        ("go_offline", ("x",), {}, "field 'actor' names unknown 'x'"),
+    ], ids=["unknown_dest", "unknown_source", "unknown_wallet", "zero_blocks",
+            "advance_unknown_chain", "unknown_withdraw_actor",
+            "withdraw_unknown_chain", "oracle_withdraw_unknown_chain",
+            "revert_mark_unknown_chain", "revert_init_unknown_chain",
+            "unknown_offline_actor"])
+    def test_unknown_name_is_refused_before_anything_happens(self, op, args,
+                                                            kwargs, message):
+        sim, _ = _two_deposits()
+        before = _state(sim)
+        with pytest.raises(ConfigInvalid) as info:
+            getattr(sim, op)(*args, **kwargs)
+        assert str(info.value) == message
+        assert _state(sim) == before
+        assert not sim.oracle.offline and not sim.dapp.offline
+
+    def test_builtins_reach_the_contracts_only_through_actions(self):
+        tree = ast.parse(Path(scenarios.__file__).read_text())
+        back_doors = [node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "_call"]
+        back_doors += [alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) for alias in node.names
+                       if alias.name.startswith(("router_", "mixer_"))
+                       or alias.name == "Proof"]
+        assert back_doors == []
 
 
 class TestTranscript:

@@ -302,7 +302,7 @@ class Oracle:
         )
         witness = SettlementWitness(nullifier, secret, path, source_chain, forged_sig)
         # raises ConstraintViolation("signature")
-        return proofs.prove(circuit_mod.SETTLEMENT, witness, public), tree.root
+        return proofs.prove(circuit_mod.SETTLEMENT, witness, public)
 
 
 # -- dApp signer and revert watcher ----------------------------------------------

@@ -136,10 +136,6 @@ class SignatureMissing(SimError):
     pass
 
 
-class ProofMissing(SimError):
-    """A proof the call reuses was never built."""
-
-
 # -- harness -----------------------------------------------------------------
 
 class ConfigInvalid(SimError):

@@ -3,7 +3,6 @@
 import copy
 from dataclasses import dataclass
 
-from .. import ops
 from ..actors import START_BALANCE
 from ..errors import ConfigInvalid, SimError
 from .config import ScenarioConfig
@@ -332,23 +331,13 @@ def builtin_config(name: str, /, seed: int = 0, **overrides) -> ScenarioConfig:
 def _run_script(sim: Simulation, script: list) -> None:
     """Run a script whose shape ``ScenarioConfig.validate`` accepted: each
     action calls the ``Simulation`` method of its name with its non-null
-    fields, ``deposit`` as ``label``, ``payload`` decoded from hex (a payload
-    not in hex, or a proof reused before it exists, is refused here). The
-    ``Simulation`` judges the names and labels an action gives as it runs;
-    each refusal names the action."""
+    fields as keywords, ``payload`` decoded from hex (a payload not in hex
+    is refused here). The ``Simulation`` judges the names, labels and proofs
+    an action asks for as it runs; each refusal names the action."""
     for i, action in enumerate(script):
         fields = {name: value for name, value in action.items() if value is not None}
         op = fields.pop("op")
         try:
-            label = fields.pop("deposit", None)
-            if label is not None:
-                fields["label"] = label
-                if op == "execute" and sim._record(label).revert is None:
-                    raise ConfigInvalid(f"deposit {label!r} has no revert proof; "
-                                        f"revert_mark or revert_init it first")
-                if fields.get("reuse_proof") and sim._record(label).settlement is None:
-                    raise ConfigInvalid(f"deposit {label!r} has no settlement "
-                                        f"proof to reuse; withdraw it first")
             if "payload" in fields:
                 try:
                     fields["payload"] = bytes.fromhex(fields["payload"])
@@ -378,14 +367,11 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         _check_builtin(config)
     sim = Simulation(config)
     try:
-        # also a driver's direct wallet calls: they charge the run's counter
-        # and hit the hashes its contract calls already stored
-        with ops.counting(sim.ops), ops.hash_table(sim.hash_table):
-            if config.builtin is not None:
-                driver, _ = BUILTINS[config.builtin]
-                driver(sim)
-            else:
-                _run_script(sim, config.script)
+        if config.builtin is not None:
+            driver, _ = BUILTINS[config.builtin]
+            driver(sim)
+        else:
+            _run_script(sim, config.script)
     except ConfigInvalid:
         raise  # malformed input, not a protocol outcome
     except SimError as exc:

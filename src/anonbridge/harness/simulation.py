@@ -2,18 +2,19 @@
 
 Builds the chain topology, actors, and proof system from a config, then
 exposes one method per action, the only way any caller reaches the
-contracts; each refuses an unknown wallet, chain or actor name with
-``ConfigInvalid``, before it acts or logs. Every action and contract call is
-logged to the transcript. Each simulation owns its op counter: set-up,
-every call (also kept per operation) and the scenario code charge it.
-It also owns one hash table, active inside every call, so a call does
-not recompute a MiMC permutation or a keccak256 digest that an earlier
-call, or an earlier step of the same call, already computed (see
-``hashing``); op counts are the same with or without it.
-``run_scenario`` enters the table around the scenario driver too, so a
-proof the driver builds outside a call hits it as well. The proof
-attestation, keyed BLAKE2b charged as the keccak256 MAC it stands for,
-never enters the table: the verifier recomputes it.
+contracts. Each refuses with ``ConfigInvalid``, before it acts or logs,
+an unknown wallet, chain or actor name, a taken label or one that names
+no deposit, and a proof to reuse or execute that was never built. Every
+action and contract call is logged to the transcript. Each simulation
+owns its op counter: set-up, every call (also kept per operation) and
+the honest proof ``withdraw_grafted`` builds outside its call charge it.
+It also owns one hash table, active inside every call and around that
+proof, so a call does not recompute a MiMC permutation or a keccak256
+digest that an earlier call, or an earlier step of the same call,
+already computed (see ``hashing``); op counts are the same with or
+without it. The proof attestation, keyed BLAKE2b charged as the
+keccak256 MAC it stands for, never enters the table: the verifier
+recomputes it.
 """
 
 from dataclasses import dataclass, replace
@@ -38,7 +39,7 @@ from ..chain import (
 )
 from ..circuit import Proof, ProofSystem
 from ..dact import PayloadIntent
-from ..errors import ConfigInvalid, ConstraintViolation, ProofMissing, SimError
+from ..errors import ConfigInvalid, ConstraintViolation, SimError
 from ..field import to_bytes32
 from ..rng import SeededRng
 from .config import ScenarioConfig
@@ -78,9 +79,9 @@ class Simulation:
     def __init__(self, config: ScenarioConfig):
         config.validate()
         self.config = config
-        self.ops = ops.OpCounts()       # set-up, every call, the scenario
+        self.ops = ops.OpCounts()       # set-up, every call, a grafted proof
         self.metrics: dict = {}         # op name -> OpCounts of its calls
-        self.hash_table: dict = {}      # hash input -> output, calls, driver
+        self.hash_table: dict = {}      # hash input -> output, the same
         self.transcript = Transcript()
         self.verdicts: list = []
         self.deposits: dict = {}        # label -> its wallet's NoteRecord
@@ -226,12 +227,12 @@ class Simulation:
         """The label a deposit made without one takes."""
         return f"d{len(self._labels)}"
 
-    def _record(self, label: str) -> NoteRecord:
-        """The record of the deposit ``label`` names."""
-        rec = self.deposits.get(label)
+    def _record(self, deposit: str) -> NoteRecord:
+        """The record of the deposit labelled ``deposit``."""
+        rec = self.deposits.get(deposit)
         if rec is None:
             raise ConfigInvalid(f"field 'deposit' names no deposit made so far: "
-                                f"{label!r}")
+                                f"{deposit!r}")
         return rec
 
     def relay(self, expect=None):
@@ -277,7 +278,7 @@ class Simulation:
                                 index=index, signature=sig.hex())
         return signed
 
-    def withdraw(self, label: str = None, expect=None, actor: str = "wallet",
+    def withdraw(self, deposit: str = None, expect=None, actor: str = "wallet",
                  chain: int = None, claim_dest: int = None, via_oracle: bool = False,
                  tamper_payload: bool = False, reuse_proof: bool = False,
                  verifying_key: bytes = None):
@@ -285,27 +286,24 @@ class Simulation:
         _known("actor", actor, WITHDRAW_ACTORS)
         if actor == "oracle":
             # network-abuse move: forge a tree, then attempt a settlement proof
-            def _forge():
-                proof, root = self.oracle.attempt_forged_settlement(
+            return self._call(
+                "forged_settlement_attempt", None,
+                lambda: self.oracle.attempt_forged_settlement(
                     self.proofs, self.config.merkle_depth, self.config.chains[0],
-                    self.dapp.verifying_key,
-                )
-                return proof
+                    self.dapp.verifying_key),
+                expect=expect)
 
-            return self._call("forged_settlement_attempt", None, _forge,
-                              expect=expect)
-
-        rec = self._record(label)
+        rec = self._record(deposit)
+        if reuse_proof and rec.settlement is None:
+            raise ConfigInvalid(f"deposit {deposit!r} has no settlement proof "
+                                f"to reuse; withdraw it first")
         w = self.wallets[rec.wallet]
         dest_chain = self.chains[chain if chain is not None else rec.dest]
         vk = verifying_key if verifying_key is not None else self.dapp.verifying_key
 
         def _do():
-            if not reuse_proof:
-                proof = w.build_settlement(rec.commitment, self.mixer_chain,
-                                           self.proofs, vk)
-            elif (proof := rec.settlement) is None:
-                raise ProofMissing(f"{label!r} has no settlement proof to reuse")
+            proof = rec.settlement if reuse_proof else w.build_settlement(
+                rec.commitment, self.mixer_chain, self.proofs, vk)
             if via_oracle and not self.oracle.route_withdraw(
                 self.dapp.ghash, dest_chain.chain_id
             ):
@@ -319,18 +317,18 @@ class Simulation:
 
         result = self._call(
             "router_withdraw", dest_chain.chain_id, _do, expect=expect,
-            deposit=label, via_oracle=via_oracle,
+            deposit=deposit, via_oracle=via_oracle,
         )
         if result == "censored":
             self.transcript.log("event", op="withdraw_censored",
-                                chain=dest_chain.chain_id, deposit=label)
+                                chain=dest_chain.chain_id, deposit=deposit)
         return result
 
-    def withdraw_grafted(self, label: str, verifying_key: bytes, expect=None):
+    def withdraw_grafted(self, deposit: str, verifying_key: bytes, expect=None):
         """Withdraw with the deposit's honest settlement proof, built on the
         simulation's counter and table outside the call, then re-bound to
         ``verifying_key``: a proof grafted onto another dApp."""
-        rec = self._record(label)
+        rec = self._record(deposit)
         with ops.counting(self.ops), ops.hash_table(self.hash_table):
             proof = self.wallets[rec.wallet].build_settlement(
                 rec.commitment, self.mixer_chain, self.proofs, self.dapp.verifying_key)
@@ -350,9 +348,9 @@ class Simulation:
                                                   self.proofs)
         return rec.revert
 
-    def revert_mark(self, label: str, expect=None, chain: int = None):
+    def revert_mark(self, deposit: str, expect=None, chain: int = None):
         _known("chain", chain, self.chains)
-        rec = self._record(label)
+        rec = self._record(deposit)
         dest_chain = self.chains[chain if chain is not None else rec.dest]
 
         def _do():
@@ -365,13 +363,13 @@ class Simulation:
 
         return self._call(
             "router_revert_mark", dest_chain.chain_id, _do, expect=expect,
-            deposit=label,
+            deposit=deposit,
             commitment=to_bytes32(rec.commitment).hex(),
         )
 
-    def revert_init(self, label: str, expect=None, chain: int = None):
+    def revert_init(self, deposit: str, expect=None, chain: int = None):
         _known("chain", chain, self.chains)
-        rec = self._record(label)
+        rec = self._record(deposit)
         src_chain = self.chains[chain if chain is not None else rec.source]
 
         def _do():
@@ -381,21 +379,20 @@ class Simulation:
 
         return self._call(
             "router_revert_initiate", src_chain.chain_id, _do, expect=expect,
-            deposit=label,
+            deposit=deposit,
             commitment=to_bytes32(rec.commitment).hex(),
         )
 
-    def execute(self, label: str, expect=None):
-        rec = self._record(label)
+    def execute(self, deposit: str, expect=None):
+        rec = self._record(deposit)
+        if rec.revert is None:
+            raise ConfigInvalid(f"deposit {deposit!r} has no revert proof; "
+                                f"revert_mark or revert_init it first")
         src_chain = self.chains[rec.source]
-
-        def _do():
-            if rec.revert is None:
-                raise ProofMissing(f"{label!r} has no revert proof")
-            return router_revert_execute(src_chain, rec.revert.public.nullifier_hash)
-
-        return self._call("router_revert_execute", src_chain.chain_id, _do,
-                          expect=expect, deposit=label)
+        return self._call(
+            "router_revert_execute", src_chain.chain_id,
+            lambda: router_revert_execute(src_chain, rec.revert.public.nullifier_hash),
+            expect=expect, deposit=deposit)
 
     def halt(self, expect=None):
         """The dApp watcher pass; a halt where a rule trips delays a refund one window."""
@@ -433,19 +430,19 @@ class Simulation:
 
     # -- inspection helpers ---------------------------------------------------------
 
-    def settled(self, label: str) -> bool:
+    def settled(self, deposit: str) -> bool:
         """Whether this deposit's own nullifier hash settled on its
         destination: spent there, and not by a revert mark, which flags it
         reverted too. An executed revert flags only the source chain."""
-        rec = self._record(label)
+        rec = self._record(deposit)
         if rec.settlement is None:
             return False
         router = self.chains[rec.dest].router
         nh = rec.settlement.public.nullifier_hash
         return nh in router.nullifier_spent and nh not in router.nullifier_reverted
 
-    def reverted(self, label: str) -> bool:
-        rec = self._record(label)
+    def reverted(self, deposit: str) -> bool:
+        rec = self._record(deposit)
         return rec.commitment not in self.dapp.contracts[rec.source].escrow \
             and rec.revert is not None
 

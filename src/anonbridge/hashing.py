@@ -24,12 +24,11 @@ return the output stored in ``table`` for an input they have seen, and
 store every output they compute. ``permute`` keys on its input pair (a
 tuple) and ``keccak256`` on its input bytes, so the two kinds of key
 never collide in the one dict. Each ``Simulation`` owns one table and
-enters it around every contract call, and ``run_scenario`` enters it
-around the scenario driver as well, so a proof a driver builds outside a
-call hits it too; outside such a block no table is active and every call
-computes. A hit is charged like a miss (one permutation, or the input's
-keccak blocks): op counts model the protocol's in-circuit and on-chain
-cost, not host work. The table holds one entry per distinct input, and
+enters it around every contract call and around the honest proof
+``withdraw_grafted`` builds outside its call; outside such a block no
+table is active and every call computes. A hit is charged like a miss
+(one permutation, or the input's keccak blocks): op counts model the
+protocol's in-circuit and on-chain cost, not host work. The table holds one entry per distinct input, and
 is freed with the simulation that owns it.
 """
 

@@ -15,7 +15,7 @@ import anonbridge.harness
 from anonbridge import hashing, keccak, ops
 from anonbridge.circuit import SETTLEMENT, SettlementWitness
 from anonbridge.dact import make_leaf
-from anonbridge.errors import ConfigInvalid, ConstraintViolation, ProofMissing
+from anonbridge.errors import ConfigInvalid, ConstraintViolation
 from anonbridge.field import P
 from anonbridge.harness import (
     ACTION_VOCABULARY,
@@ -208,6 +208,9 @@ class TestConfig:
          "action 0 (advance): field 'chain' names unknown 1005"),
         ({"script": [{"op": "go_offline", "actor": "mallory"}]},
          "action 0 (go_offline): field 'actor' names unknown 'mallory'"),
+        ({"script": HAPPY_SCRIPT[:1] + [{"op": "execute", "deposit": "d0"}]},
+         "action 1 (execute): deposit 'd0' has no revert proof; "
+         "revert_mark or revert_init it first"),
     ], ids=["unknown_wallet", "undefined_label", "missing_field", "string_seed",
             "mistyped_field", "unknown_field", "zero_blocks", "negative_blocks",
             "mistyped_dapp_field", "boolean_dapp_count", "boolean_depth",
@@ -219,7 +222,8 @@ class TestConfig:
             "unhashable_wallet", "duplicate_wallet", "non_hex_payload",
             "oracle_withdraw_unknown_chain", "unknown_source",
             "revert_mark_unknown_chain", "revert_init_unknown_chain",
-            "advance_unknown_chain", "unknown_offline_actor"])
+            "advance_unknown_chain", "unknown_offline_actor",
+            "execute_before_any_revert_proof"])
     def test_malformed_input_is_config_invalid(self, tmp_path, capsys,
                                                mutation, message):
         data = {"seed": 1, "name": "malformed", "script": HAPPY_SCRIPT}
@@ -234,8 +238,7 @@ class TestScriptInterpreter:
     @pytest.mark.parametrize("op", sorted(ACTION_FIELDS))
     def test_every_action_is_a_simulation_method(self, op):
         params = inspect.signature(getattr(Simulation, op)).parameters
-        fields = {"label" if name == "deposit" else name for name in ACTION_FIELDS[op]}
-        assert fields | {"expect"} <= set(params)
+        assert set(ACTION_FIELDS[op]) | {"expect"} <= set(params)
 
     def test_null_field_means_default(self):
         """A null field runs as if it were left out; only the header, which
@@ -394,7 +397,8 @@ class TestOpCounter:
         assert inner.keccak_blocks == 3 and inner.permutations == 0
 
     def test_scenario_work_outside_calls_is_counted(self):
-        # wrong_dapp_call builds a settlement proof straight from the wallet
+        # wrong_dapp_call's withdraw_grafted builds its honest proof outside
+        # its call
         result = run_scenario(builtin_config("wrong_dapp_call", seed=0))
         in_calls = sum(c["constraint_evals"]
                        for c in result.metrics["per_op"].values())
@@ -628,8 +632,8 @@ def _computed_permutations(monkeypatch) -> list:
 
 
 class TestNoUntabledHashes:
-    """Every hash of a run goes through its simulation's table: a driver's
-    own wallet calls, outside every contract call, as well as the calls."""
+    """Every hash of a run goes through its simulation's table: the proof
+    ``withdraw_grafted`` builds outside its call as well as the calls."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -644,7 +648,7 @@ class TestNoUntabledHashes:
         assert untabled[0] == 0
 
     def test_wrong_dapp_call_proof_is_all_hits(self, monkeypatch):
-        # its driver builds a settlement proof straight from the wallet: one
+        # withdraw_grafted builds an honest proof outside its call: one
         # deposit at depth 16 computes 2 + 1 + 16 permutations, nothing more
         computed = _computed_permutations(monkeypatch)
         run_scenario(builtin_config("wrong_dapp_call", seed=7))
@@ -678,23 +682,28 @@ class TestSweepTable:
 
 
 class TestProofMissing:
-    """Reusing a proof that was never built is a failed call, not a crash."""
+    """Reusing or executing a proof that was never built is refused before
+    the call, as a script and a direct caller alike meet it."""
 
     def test_withdraw_reusing_a_missing_settlement_proof(self):
         sim, (label, _) = _two_deposits()
-        with pytest.raises(ProofMissing):
+        before = _state(sim)
+        with pytest.raises(ConfigInvalid) as info:
             sim.withdraw(label, reuse_proof=True)
-        call = sim.transcript.records[-1]
-        assert (call["op"], call["ok"], call["error"]) == (
-            "router_withdraw", False, "ProofMissing")
+        assert str(info.value) == (f"deposit {label!r} has no settlement proof "
+                                   f"to reuse; withdraw it first")
+        assert _state(sim) == before
         sim.withdraw(label)
+        assert sim.settled(label)
 
     def test_execute_without_a_revert_proof(self):
         sim, (label, _) = _two_deposits()
-        sim.execute(label, expect="ProofMissing")
-        call = sim.transcript.records[-1]
-        assert (call["op"], call["ok"], call["error"]) == (
-            "router_revert_execute", False, "ProofMissing")
+        before = _state(sim)
+        with pytest.raises(ConfigInvalid) as info:
+            sim.execute(label)
+        assert str(info.value) == (f"deposit {label!r} has no revert proof; "
+                                   f"revert_mark or revert_init it first")
+        assert _state(sim) == before
 
 
 def _state(sim: Simulation) -> tuple:

@@ -101,15 +101,15 @@ class Proof:
 def _check_settlement(w: SettlementWitness, p: SettlementPublic) -> None:
     """All four settlement constraints, in order."""
     validate_chain_id(w.source_chain)
-    ops.charge_constraint()
+    ops.charge("constraint_evals")
     if nullifier_hash(w.nullifier) != p.nullifier_hash:
         raise ConstraintViolation("nullifier_hash")
-    ops.charge_constraint()
+    ops.charge("constraint_evals")
     leaf = make_leaf(commit(w.secret, w.nullifier), p.tpc, w.source_chain)
-    ops.charge_constraint(len(w.path.elements))
+    ops.charge("constraint_evals", len(w.path.elements))
     if not verify_path(p.merkle_root, leaf, w.path):
         raise ConstraintViolation("merkle_path")
-    ops.charge_constraint()
+    ops.charge("constraint_evals")
     if not verify_signature(p.dapp_verifying_key, leaf_bytes(leaf), w.leaf_signature):
         raise ConstraintViolation("signature")
 
@@ -117,14 +117,14 @@ def _check_settlement(w: SettlementWitness, p: SettlementPublic) -> None:
 def _check_revert(w: RevertWitness, p: RevertPublic) -> None:
     """Revert circuit: no signature check; commitment and source public."""
     validate_chain_id(p.source_chain)
-    ops.charge_constraint()
+    ops.charge("constraint_evals")
     if commit(w.secret, w.nullifier) != p.commitment:
         raise ConstraintViolation("commitment")
-    ops.charge_constraint()
+    ops.charge("constraint_evals")
     if nullifier_hash(w.nullifier) != p.nullifier_hash:
         raise ConstraintViolation("nullifier_hash")
     leaf = make_leaf(p.commitment, w.tpc, p.source_chain)
-    ops.charge_constraint(len(w.path.elements))
+    ops.charge("constraint_evals", len(w.path.elements))
     if not verify_path(p.merkle_root, leaf, w.path):
         raise ConstraintViolation("merkle_path")
 
@@ -151,7 +151,7 @@ class ProofSystem:
     def _mac(self, circuit_id: int, public) -> bytes:
         key = self._keys[circuit_id]
         data = bytes([circuit_id]) + public.canonical_bytes()
-        ops.charge_keccak_blocks(n_blocks(len(key) + len(data)))
+        ops.charge("keccak_blocks", n_blocks(len(key) + len(data)))
         return blake2b(data, key=key, digest_size=32).digest()
 
     def prove(self, circuit_id: int, witness, public) -> Proof:
@@ -164,7 +164,7 @@ class ProofSystem:
 
     def verify(self, circuit_id: int, proof: Proof) -> bool:
         """Constant-cost check that the attestation covers the publics."""
-        ops.charge_proof_verify()
+        ops.charge("proof_verifies")
         if proof.circuit_id != circuit_id:
             return False
         return _compare_digest(self._mac(circuit_id, proof.public), proof.attestation)

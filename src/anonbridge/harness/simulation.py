@@ -4,10 +4,11 @@ Builds the chain topology, actors, and proof system from a config, then
 exposes one method per action, the only way any caller reaches the
 contracts. Each refuses with ``ConfigInvalid``, before it acts or logs,
 an unknown wallet, chain or actor name, a taken label or one that names
-no deposit, and a proof to reuse or execute that was never built. Every
-action and contract call is logged to the transcript. Each simulation
-owns its op counter: set-up, every call (also kept per operation) and
-the honest proof ``withdraw_grafted`` builds outside its call charge it.
+no deposit, a proof to reuse or execute that was never built, and a
+field the oracle's forged withdraw does not read. Every action and
+contract call is logged to the transcript. Each simulation owns its op
+counter: set-up, every call (also kept per operation) and the honest
+proof ``withdraw_grafted`` builds outside its call charge it.
 It also owns one hash table, active inside every call and around that
 proof, so a call does not recompute a MiMC permutation or a keccak256
 digest that an earlier call, or an earlier step of the same call,
@@ -285,7 +286,17 @@ class Simulation:
         _known("chain", chain, self.chains)
         _known("actor", actor, WITHDRAW_ACTORS)
         if actor == "oracle":
-            # network-abuse move: forge a tree, then attempt a settlement proof
+            # network-abuse move: forge a tree, then attempt a settlement
+            # proof; it reads no field of a wallet withdraw
+            unread = [name for name, given in (
+                ("deposit", deposit is not None), ("chain", chain is not None),
+                ("claim_dest", claim_dest is not None),
+                ("verifying_key", verifying_key is not None),
+                ("via_oracle", via_oracle), ("tamper_payload", tamper_payload),
+                ("reuse_proof", reuse_proof)) if given]
+            if unread:
+                raise ConfigInvalid(f"an oracle withdraw reads no field "
+                                    f"{', '.join(map(repr, unread))}")
             return self._call(
                 "forged_settlement_attempt", None,
                 lambda: self.oracle.attempt_forged_settlement(

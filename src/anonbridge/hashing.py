@@ -18,18 +18,19 @@ destination Router recomputes the obfuscated data and the TPC the
 deposit already hashed. The proof attestation is no protocol hash: it is
 keyed BLAKE2b, charged as the keccak256 MAC the op-count model prices,
 kept out of the table and recomputed by ``ProofSystem.verify`` (see
-``circuit``). Inside an ``ops.hash_table(table)`` block (a
-PEP 567 context variable, the idiom of ``ops.counting``) both cores
-return the output stored in ``table`` for an input they have seen, and
-store every output they compute. ``permute`` keys on its input pair (a
-tuple) and ``keccak256`` on its input bytes, so the two kinds of key
-never collide in the one dict. Each ``Simulation`` owns one table and
-enters it around every contract call and around the honest proof
-``withdraw_grafted`` builds outside its call; outside such a block no
-table is active and every call computes. A hit is charged like a miss
-(one permutation, or the input's keccak blocks): op counts model the
-protocol's in-circuit and on-chain cost, not host work. The table holds one entry per distinct input, and
-is freed with the simulation that owns it.
+``circuit``). Both cores charge their cost first and then pass their
+computation to ``ops.tabled``, where the table rule lives: inside an
+``ops.hash_table(table)`` block the output stored for an input seen
+before is returned, and every output computed is stored. ``permute``
+keys on its input pair (a tuple) and ``keccak256`` on its input bytes,
+so the two kinds of key never collide in the one dict. Each
+``Simulation`` owns one table and enters it around every contract call
+and around the honest proof ``withdraw_grafted`` builds outside its
+call; outside such a block no table is active and every call computes.
+A hit is charged like a miss (one permutation, or the input's keccak
+blocks): op counts model the protocol's in-circuit and on-chain cost,
+not host work. The table holds one entry per distinct input, and is
+freed with the simulation that owns it.
 """
 
 from . import ops
@@ -57,9 +58,8 @@ DOMAIN_COMMIT = reduce_bytes(keccak256(b"anonbridge/commit"))
 DOMAIN_NULLIFIER = reduce_bytes(keccak256(b"anonbridge/nullifier"))
 
 
-def permute(x_left: int, x_right: int) -> tuple:
-    """One full Feistel permutation of the two-lane state. Cost: 1 unit,
-    charged also when the active hash table already holds it.
+def _feistel(x_left: int, x_right: int) -> tuple:
+    """The 220 Feistel rounds of ``permute``, uncharged and untabled.
 
     Each round sets ``x_left, x_right = x_right + (x_left + c)**5, x_left``
     over the field, and the last round leaves the lanes unswapped. Here
@@ -73,20 +73,19 @@ def permute(x_left: int, x_right: int) -> tuple:
     less than P, every two rounds, so after 220 rounds both lanes are
     below 111 * P < 2**261. The base ``x_left + c`` stays below 112 * P.
     """
-    ops.charge_permutation()
-    table = ops.active_table()
-    if table is not None:
-        key = (x_left, x_right)
-        if (out := table.get(key)) is not None:
-            return out
     for c in _C:
         t = x_left + c
         t2 = t * t % P
         x_left, x_right = x_right + t2 * t2 * t % P, x_left
-    out = x_right % P, x_left % P
-    if table is not None:
-        table[key] = out
-    return out
+    return x_right % P, x_left % P
+
+
+def permute(x_left: int, x_right: int) -> tuple:
+    """One full Feistel permutation of the two-lane state, tabled under
+    its input pair. Cost: 1 unit, charged also when the active hash table
+    already holds it."""
+    ops.charge("permutations")
+    return ops.tabled((x_left, x_right), _feistel, x_left, x_right)
 
 
 def mimc_hash2(left: int, right: int) -> int:

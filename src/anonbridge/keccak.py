@@ -12,6 +12,9 @@ written back once. The round body is written out as source: theta from
 the five column parities, rho and pi fused into one literal rotation
 (a shift pair) per lane landing in ``b{x}{y}``, chi row by row, then
 iota on lane A[0, 0]. Only the 24 rounds remain a loop.
+
+``keccak256`` charges one unit per rate block and hands its sponge to
+``ops.tabled``: the charge and the hash-table rule live in ``ops``.
 """
 
 from . import ops
@@ -147,18 +150,8 @@ def n_blocks(length: int) -> int:
     return length // _RATE + 1
 
 
-def keccak256(data: bytes) -> bytes:
-    """Keccak-256 digest of ``data`` (legacy 0x01 padding). Cost: one unit
-    per rate block of the padded input, charged also when the active hash
-    table already holds the digest (see ``hashing``)."""
-    blocks = n_blocks(len(data))
-    ops.charge_keccak_blocks(blocks)
-    table = ops.active_table()
-    if table is not None:
-        key = bytes(data)
-        if (out := table.get(key)) is not None:
-            return out
-
+def _sponge(data: bytes, blocks: int) -> bytes:
+    """Pad ``data`` to ``blocks`` rate blocks, absorb and squeeze 32 bytes."""
     padded = bytearray(data)
     padded += b"\x00" * (blocks * _RATE - len(data))
     padded[len(data)] ^= 0x01
@@ -171,7 +164,13 @@ def keccak256(data: bytes) -> bytes:
             state[i] ^= int.from_bytes(padded[off + 8 * i: off + 8 * i + 8], "little")
         _keccak_f(state)
 
-    out = b"".join([lane.to_bytes(8, "little") for lane in state[:4]])
-    if table is not None:
-        table[key] = out
-    return out
+    return b"".join([lane.to_bytes(8, "little") for lane in state[:4]])
+
+
+def keccak256(data: bytes) -> bytes:
+    """Keccak-256 digest of ``data`` (legacy 0x01 padding), tabled under
+    its input bytes. Cost: one unit per rate block of the padded input,
+    charged also when the active hash table already holds the digest."""
+    blocks = n_blocks(len(data))
+    ops.charge("keccak_blocks", blocks)
+    return ops.tabled(bytes(data), _sponge, data, blocks)

@@ -67,7 +67,7 @@ class MerkleTree:
         # zero node per level: zeros[0] = empty leaf, zeros[i+1] = H(z, z).
         # Per-process constants, hashed at most once by zero_node; every
         # tree is still charged for them here, `depth` permutations.
-        ops.charge_permutation(depth)
+        ops.charge("permutations", depth)
         self.zeros = [zero_node(level) for level in range(depth + 1)]
         self._top = [self.zeros[depth]]  # level `depth`: the root alone
 
@@ -85,7 +85,7 @@ class MerkleTree:
         if self.next_index == self.capacity:
             raise TreeFull(f"tree of depth {self.depth} is full")
         check(leaf)
-        ops.charge_permutation(self.depth)
+        ops.charge("permutations", self.depth)
         self.leaf_index.setdefault(leaf, self.next_index)
         self.leaves.append(leaf)
         self.next_index += 1

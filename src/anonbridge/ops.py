@@ -2,7 +2,10 @@
 
 Costs are plain counts (1 unit per sponge permutation, 1 per keccak block,
 1 per signature verification, 1 per elementary constraint check, 1 per
-proof verification) and are never converted to currency units.
+proof verification) and are never converted to currency units. The
+fields of ``OpCounts`` are the one list of cost kinds: ``charge(kind)``
+takes a field name, and inside a ``counting()`` block a misspelled one
+raises ``AttributeError`` and charges nothing.
 
 Every charge goes to the counter of the innermost ``counting()`` block in
 the current context (a PEP 567 context variable: each thread and asyncio
@@ -10,9 +13,9 @@ task has its own). Each ``Simulation`` owns one counter; a charge made
 outside every block goes nowhere and cannot be read.
 
 The hash table of the innermost ``hash_table()`` block lives here too,
-next to the counter both hash cores already charge: ``hashing.permute``
-and ``keccak.keccak256`` read it with ``active_table()`` (see
-``hashing``).
+and ``tabled()`` states its rule once: both hash cores,
+``hashing.permute`` and ``keccak.keccak256``, charge their cost and hand
+their computation to it (see ``hashing``).
 """
 
 from contextlib import contextmanager
@@ -20,7 +23,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, asdict
 
 
-@dataclass
+@dataclass(slots=True)
 class OpCounts:
     permutations: int = 0
     keccak_blocks: int = 0
@@ -32,29 +35,11 @@ class OpCounts:
         return asdict(self)
 
     def add(self, other: "OpCounts") -> None:
-        self.permutations += other.permutations
-        self.keccak_blocks += other.keccak_blocks
-        self.sig_verifies += other.sig_verifies
-        self.constraint_evals += other.constraint_evals
-        self.proof_verifies += other.proof_verifies
+        for kind in self.__slots__:
+            setattr(self, kind, getattr(self, kind) + getattr(other, kind))
 
 
 _active: ContextVar = ContextVar("anonbridge.ops", default=None)
-
-
-@contextmanager
-def counting(counts: OpCounts = None):
-    """Charge the block's operations to ``counts`` (a fresh counter when
-    None) and yield it. Blocks nest; only the innermost one is charged."""
-    if counts is None:
-        counts = OpCounts()
-    token = _active.set(counts)
-    try:
-        yield counts
-    finally:
-        _active.reset(token)
-
-
 _table: ContextVar = ContextVar("anonbridge.ops.table", default=None)
 
 # the innermost hash_table() block's dict, or None outside every block
@@ -62,38 +47,41 @@ active_table = _table.get
 
 
 @contextmanager
+def _scope(var: ContextVar, value):
+    """Set ``var`` to ``value`` for the block and yield ``value``."""
+    token = var.set(value)
+    try:
+        yield value
+    finally:
+        var.reset(token)
+
+
+def counting(counts: OpCounts = None):
+    """Charge the block's operations to ``counts`` (a fresh counter when
+    None) and yield it. Blocks nest; only the innermost one is charged."""
+    return _scope(_active, OpCounts() if counts is None else counts)
+
+
 def hash_table(table: dict):
     """Remember every hash of the block in ``table`` and yield it: a MiMC
     permutation under its input pair, a keccak256 digest under its input
     bytes. Blocks nest; only the innermost table is consulted, and a
     ``None`` table turns the outer ones off for the block."""
-    token = _table.set(table)
-    try:
-        yield table
-    finally:
-        _table.reset(token)
+    return _scope(_table, table)
 
 
-def charge_permutation(n: int = 1) -> None:
+def charge(kind: str, n: int = 1) -> None:
+    """Charge ``n`` units of ``kind``, an ``OpCounts`` field name."""
     if (counts := _active.get()) is not None:
-        counts.permutations += n
+        setattr(counts, kind, getattr(counts, kind) + n)
 
 
-def charge_keccak_blocks(n: int) -> None:
-    if (counts := _active.get()) is not None:
-        counts.keccak_blocks += n
-
-
-def charge_sig_verify(n: int = 1) -> None:
-    if (counts := _active.get()) is not None:
-        counts.sig_verifies += n
-
-
-def charge_constraint(n: int = 1) -> None:
-    if (counts := _active.get()) is not None:
-        counts.constraint_evals += n
-
-
-def charge_proof_verify(n: int = 1) -> None:
-    if (counts := _active.get()) is not None:
-        counts.proof_verifies += n
+def tabled(key, compute, *args):
+    """``compute(*args)``, looked up under ``key`` in the active hash
+    table: computed and stored on a miss, computed alone with no table."""
+    table = _table.get()
+    if table is None:
+        return compute(*args)
+    if (out := table.get(key)) is None:
+        out = table[key] = compute(*args)
+    return out

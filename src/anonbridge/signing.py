@@ -31,7 +31,7 @@ class KeyPair:
 
 def verify(verifying_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff the signature is valid; never raises on bad input."""
-    ops.charge_sig_verify()
+    ops.charge("sig_verifies")
     try:
         pk = Ed25519PublicKey.from_public_bytes(bytes(verifying_key))
         pk.verify(bytes(signature), bytes(message))

@@ -211,6 +211,11 @@ class TestConfig:
         ({"script": HAPPY_SCRIPT[:1] + [{"op": "execute", "deposit": "d0"}]},
          "action 1 (execute): deposit 'd0' has no revert proof; "
          "revert_mark or revert_init it first"),
+        ({"script": HAPPY_SCRIPT[:4] + [
+            {"op": "withdraw", "actor": "oracle", "deposit": "d0",
+             "reuse_proof": True}]},
+         "action 4 (withdraw): an oracle withdraw reads no field 'deposit', "
+         "'reuse_proof'"),
     ], ids=["unknown_wallet", "undefined_label", "missing_field", "string_seed",
             "mistyped_field", "unknown_field", "zero_blocks", "negative_blocks",
             "mistyped_dapp_field", "boolean_dapp_count", "boolean_depth",
@@ -223,7 +228,7 @@ class TestConfig:
             "oracle_withdraw_unknown_chain", "unknown_source",
             "revert_mark_unknown_chain", "revert_init_unknown_chain",
             "advance_unknown_chain", "unknown_offline_actor",
-            "execute_before_any_revert_proof"])
+            "execute_before_any_revert_proof", "oracle_withdraw_given_a_deposit"])
     def test_malformed_input_is_config_invalid(self, tmp_path, capsys,
                                                mutation, message):
         data = {"seed": 1, "name": "malformed", "script": HAPPY_SCRIPT}
@@ -385,16 +390,23 @@ class TestOpCounter:
         assert before["total"]["permutations"] > 0
 
     def test_innermost_block_is_charged(self):
-        ops.charge_permutation()  # outside every block: goes nowhere
+        ops.charge("permutations")  # outside every block: goes nowhere
         with ops.counting() as outer:
-            ops.charge_permutation()
+            ops.charge("permutations")
             with ops.counting() as inner:
-                ops.charge_keccak_blocks(3)
-            ops.charge_sig_verify()
+                ops.charge("keccak_blocks", 3)
+            ops.charge("sig_verifies")
         assert outer.as_dict() == {"permutations": 1, "keccak_blocks": 0,
                                    "sig_verifies": 1, "constraint_evals": 0,
                                    "proof_verifies": 0}
         assert inner.keccak_blocks == 3 and inner.permutations == 0
+
+    def test_misspelled_kind_is_refused_and_charges_nothing(self):
+        with ops.counting() as c:
+            with pytest.raises(AttributeError, match="'OpCounts' object has no "
+                                                     "attribute 'permutation'"):
+                ops.charge("permutation")
+        assert c == ops.OpCounts()
 
     def test_scenario_work_outside_calls_is_counted(self):
         # wrong_dapp_call's withdraw_grafted builds its honest proof outside
@@ -605,14 +617,13 @@ def untabled(monkeypatch):
     """Count the hash-core calls that find no active table."""
     _warm_zero_nodes()
     count = [0]
-    real = ops.active_table
+    real = ops.tabled
 
-    def counted():
-        table = real()
-        count[0] += table is None
-        return table
+    def counted(key, compute, *args):
+        count[0] += ops.active_table() is None
+        return real(key, compute, *args)
 
-    monkeypatch.setattr(ops, "active_table", counted)
+    monkeypatch.setattr(ops, "tabled", counted)
     return count
 
 
@@ -778,6 +789,30 @@ class TestActionNames:
         assert str(info.value) == message
         assert _state(sim) == before
         assert not sim.oracle.offline and not sim.dapp.offline
+
+    @pytest.mark.parametrize("kwargs,fields", [
+        ({"deposit": "d0"}, "'deposit'"),
+        ({"chain": 1003}, "'chain'"),
+        ({"claim_dest": 1001}, "'claim_dest'"),
+        ({"verifying_key": b"k" * 32}, "'verifying_key'"),
+        ({"via_oracle": True}, "'via_oracle'"),
+        ({"tamper_payload": True}, "'tamper_payload'"),
+        ({"reuse_proof": True}, "'reuse_proof'"),
+        ({"deposit": "nope", "reuse_proof": True, "chain": 1003, "claim_dest": 1001,
+          "via_oracle": True, "tamper_payload": True,
+          "expect": "ConstraintViolation:signature"},
+         "'deposit', 'chain', 'claim_dest', 'via_oracle', 'tamper_payload', "
+         "'reuse_proof'"),
+    ], ids=["deposit", "chain", "claim_dest", "verifying_key", "via_oracle",
+            "tamper_payload", "reuse_proof", "all_but_the_key"])
+    def test_oracle_withdraw_refuses_each_field_it_does_not_read(self, kwargs,
+                                                               fields):
+        sim, _ = _two_deposits()
+        before = _state(sim)
+        with pytest.raises(ConfigInvalid) as info:
+            sim.withdraw(actor="oracle", **kwargs)
+        assert str(info.value) == f"an oracle withdraw reads no field {fields}"
+        assert _state(sim) == before
 
     def test_builtins_reach_the_contracts_only_through_actions(self):
         tree = ast.parse(Path(scenarios.__file__).read_text())

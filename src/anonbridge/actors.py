@@ -341,16 +341,16 @@ class DappSigner:
 
         Only a leaf that matches one of our source-chain deposit events is
         ever signed, whatever the mixer state claims; each event is decoded
-        once. A pass looks each pending leaf up in the tree's leaf index
+        once, and is ours if its Router's ``commitment_log`` names our
+        contract. A pass looks each pending leaf up in the tree's leaf index
         and handles it once: it signs it unless the leaf already has a
         signature. A leaf not relayed yet waits for a later pass.
         """
         if self.offline:
             return []
-        own_addresses = {c.address.hex() for c in self.contracts.values()}
-        for _, ev in new_events(chains, self._deposit_cursors, "deposit"):
-            if ev.context.get("dapp_address") in own_addresses:
-                commitment, tpc, src = decode_deposit_event(ev.payload)
+        for chain, ev in new_events(chains, self._deposit_cursors, "deposit"):
+            commitment, tpc, src = decode_deposit_event(ev.payload)
+            if chain.router.commitment_log[commitment] == self.contracts[chain.chain_id].address:
                 self._pending.add(make_leaf(commitment, tpc, src))
         leaf_index = mixer_chain.mixer.tree.leaf_index
         relayed = sorted((leaf_index[leaf], leaf) for leaf in self._pending
@@ -366,11 +366,12 @@ class DappSigner:
 
     def watch_reverts(self, chains: dict) -> list:
         """Judge each revert once, on the first pass after its initiation:
-        skip it if no longer pending, its window has closed or it is not in
-        our escrow, else halt it if the value or rate rule trips. The rate
-        counts the reverts let through on its chain, in that chain's blocks.
-        The source Router opens a window only over a destination mark, so
-        settle-XOR-revert needs no watcher."""
+        skip it if no longer pending, its window has closed or its Router's
+        ``commitment_log`` names another contract, else halt it if the value
+        (read from escrow) or rate rule trips. The rate counts the reverts
+        let through on its chain, in that chain's blocks. The source Router
+        opens a window only over a destination mark, so settle-XOR-revert
+        needs no watcher."""
         if self.offline:
             return []
         halts = []
@@ -379,7 +380,7 @@ class DappSigner:
             pending = chain.router.pending_reverts.get(nh)
             contract = self.contracts[chain.chain_id]
             if pending is None or chain.height >= pending.window_end \
-                    or pending.commitment not in contract.escrow:
+                    or chain.router.commitment_log[pending.commitment] != contract.address:
                 continue  # executed, expired, or another dApp's transaction
             let_through = self._let_through.setdefault(chain.chain_id, deque())
             start = chain.height - self.resilience.period_blocks

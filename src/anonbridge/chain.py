@@ -5,9 +5,12 @@ the multiplexer chain additionally carries the Mixer with the global
 Merkle tree. There is no consensus or mempool: the scenario scheduler
 serializes every call, and a block clock advances only through
 ``advance_blocks``.
+
+An ``Event`` carries its canonical payload and block height only; a
+deposit's dApp is its source Router's ``commitment_log`` entry.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import circuit as circuit_mod
 from .dact import (
@@ -46,10 +49,10 @@ ROUTER_ROOT_WINDOW = 2      # a Router only remembers the latest two roots
 
 @dataclass
 class Event:
+    """The published bytes and their block height, no side metadata."""
     kind: str
     payload: bytes          # canonical protocol fields only
     block: int
-    context: dict = field(default_factory=dict)  # observable tx metadata
 
 
 def deposit_event_payload(commitment: int, tpc: int, source_chain: int) -> bytes:
@@ -106,8 +109,8 @@ class Chain:
         self.oracle_auth = oracle_auth
         self.dapps: dict = {}              # address -> deployed dApp contract
 
-    def emit(self, kind: str, payload: bytes, **context) -> Event:
-        ev = Event(kind, payload, self.height, context)
+    def emit(self, kind: str, payload: bytes) -> Event:
+        ev = Event(kind, payload, self.height)
         self.event_log.append(ev)
         return ev
 
@@ -152,11 +155,7 @@ def router_deposit(chain: Chain, req: DepositRequest) -> Event:
         raise DuplicateCommitment(f"commitment {req.commitment} already submitted")
     tpc = trustless_public_commitment(ghash, req.version, req.obfuscated_data)
     router.commitment_log[req.commitment] = req.dapp_address
-    return chain.emit(
-        "deposit",
-        deposit_event_payload(req.commitment, tpc, chain.chain_id),
-        dapp_address=req.dapp_address.hex(),
-    )
+    return chain.emit("deposit", deposit_event_payload(req.commitment, tpc, chain.chain_id))
 
 
 # -- Mixer --------------------------------------------------------------------
@@ -222,7 +221,7 @@ def router_withdraw(chain: Chain, proof, payload: bytes, salt: int,
     # 5. resolve and invoke the destination dApp
     dapp_address = router.dapp_registry[ghash]
     router.nullifier_spent.add(public.nullifier_hash)
-    chain.emit("settled", to_bytes32(public.nullifier_hash), dapp_address=dapp_address.hex())
+    chain.emit("settled", to_bytes32(public.nullifier_hash))
     chain.dapps[dapp_address].on_settle(payload)
 
 
@@ -283,11 +282,8 @@ def router_revert_initiate_source(chain: Chain, dest: Chain, proof, proofs, wind
     router.pending_reverts[public.nullifier_hash] = PendingRevert(
         public.commitment, window_end, window
     )
-    chain.emit(
-        "revert_initiated",
-        to_bytes32(public.commitment) + to_bytes32(public.nullifier_hash),
-        window_end=window_end,
-    )
+    chain.emit("revert_initiated",
+               to_bytes32(public.commitment) + to_bytes32(public.nullifier_hash))
     return window_end
 
 
@@ -320,8 +316,7 @@ def router_revert_execute(chain: Chain, nullifier_hash: int) -> None:
     router.nullifier_reverted[nullifier_hash] = pending.commitment
     dapp_address = router.commitment_log[pending.commitment]
     del router.pending_reverts[nullifier_hash]
-    chain.emit("revert_executed", to_bytes32(nullifier_hash),
-               dapp_address=dapp_address.hex())
+    chain.emit("revert_executed", to_bytes32(nullifier_hash))
     chain.dapps[dapp_address].on_revert(pending.commitment)
 
 

@@ -138,11 +138,20 @@ class ScenarioConfig:
         if self.window < 1:
             raise ConfigInvalid(f"field 'window' must be at least 1, got {self.window}")
         _check_section("dapp", self.dapp, DAPP_FIELDS)
+        rules = asdict(ResilienceRules(**self.dapp))
+        for name, least in (("period_blocks", 1), ("max_reverts_per_period", 0),
+                            ("max_value_per_revert", 0)):
+            if rules[name] < least:
+                raise ConfigInvalid(f"field 'dapp.{name}' must be at least {least}, "
+                                    f"got {rules[name]}")
         _check_section("oracle", self.oracle, ORACLE_FIELDS)
         policy = OraclePolicy(**self.oracle)
         if policy.mode not in ORACLE_MODES:
             raise ConfigInvalid(f"field 'oracle.mode' must be one of "
                                 f"{', '.join(ORACLE_MODES)}, got {policy.mode!r}")
+        if policy.mode != "censor_chain" and "censor_chain" in self.oracle:
+            raise ConfigInvalid(f"field 'oracle.censor_chain' is read only in mode "
+                                f"'censor_chain', got mode {policy.mode!r}")
         if policy.mode == "censor_chain" and policy.censor_chain not in self.chains:
             raise ConfigInvalid(f"field 'oracle.censor_chain' names unknown "
                                 f"{policy.censor_chain!r}")

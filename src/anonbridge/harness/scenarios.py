@@ -362,10 +362,11 @@ def _check_builtin(config: ScenarioConfig) -> None:
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
-    """Execute a scenario; deterministic in (config, seed)."""
+    """Execute a scenario; deterministic in (config, seed). The
+    ``Simulation`` validates the config before a builtin's is checked."""
+    sim = Simulation(config)
     if config.builtin is not None:
         _check_builtin(config)
-    sim = Simulation(config)
     try:
         if config.builtin is not None:
             driver, _ = BUILTINS[config.builtin]

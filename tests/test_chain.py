@@ -1,10 +1,14 @@
 """Contract state machines: registration, deposit, mixer, withdraw, revert."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from anonbridge.chain import (
     ROUTER_ROOT_WINDOW,
     Chain,
+    Event,
     advance_blocks,
     decode_deposit_event,
     mixer_store_signature,
@@ -181,6 +185,16 @@ class TestRegistration:
 
 
 class TestDepositAndMixer:
+    def test_an_event_is_its_published_bytes(self):
+        """An event carries its kind, canonical payload and block only; a
+        deposit's dApp is read from the Router's commitment log."""
+        assert [f.name for f in dataclasses.fields(Event)] == ["kind", "payload", "block"]
+        assert list(inspect.signature(Chain.emit).parameters) == ["self", "kind", "payload"]
+        h = Harness()
+        _, _, req, event = h.deposit()
+        assert h.src.event_log == [event]
+        assert h.src.router.commitment_log == {req.commitment: req.dapp_address}
+
     def test_deposit_emits_three_words(self):
         h = Harness()
         note, payload, req, event = h.deposit()

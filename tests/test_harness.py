@@ -119,6 +119,18 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             builtin_config("nonexistent")
 
+    @pytest.mark.parametrize("override,message", [
+        ({"chains": 5}, "field 'chains' must be list, got 5"),
+        ({"wallets": 7}, "field 'wallets' must be list, got 7"),
+    ], ids=["chains_not_a_list", "wallets_not_a_list"])
+    def test_malformed_builtin_config_is_config_invalid(self, override, message):
+        """``run_scenario`` validates a builtin's config before it checks
+        what the driver needs, so a mistyped field is not a TypeError."""
+        config = builtin_config("settlement_happy_path", **override)
+        with pytest.raises(ConfigInvalid) as info:
+            run_scenario(config)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("oracle", [{"bogus": 1}, {"relay_period": 3},
                                         {"forged_root": 5}])
     def test_unknown_oracle_fields_rejected(self, oracle):
@@ -216,6 +228,20 @@ class TestConfig:
              "reuse_proof": True}]},
          "action 4 (withdraw): an oracle withdraw reads no field 'deposit', "
          "'reuse_proof'"),
+        ({"dapp": {"period_blocks": -5, "max_reverts_per_period": -1}},
+         "field 'dapp.period_blocks' must be at least 1, got -5"),
+        ({"dapp": {"period_blocks": 0}},
+         "field 'dapp.period_blocks' must be at least 1, got 0"),
+        ({"dapp": {"max_reverts_per_period": -1}},
+         "field 'dapp.max_reverts_per_period' must be at least 0, got -1"),
+        ({"dapp": {"max_value_per_revert": -1}},
+         "field 'dapp.max_value_per_revert' must be at least 0, got -1"),
+        ({"oracle": {"mode": "honest", "censor_chain": 1001}},
+         "field 'oracle.censor_chain' is read only in mode 'censor_chain', "
+         "got mode 'honest'"),
+        ({"oracle": {"censor_chain": 1001}},
+         "field 'oracle.censor_chain' is read only in mode 'censor_chain', "
+         "got mode 'honest'"),
     ], ids=["unknown_wallet", "undefined_label", "missing_field", "string_seed",
             "mistyped_field", "unknown_field", "zero_blocks", "negative_blocks",
             "mistyped_dapp_field", "boolean_dapp_count", "boolean_depth",
@@ -228,7 +254,10 @@ class TestConfig:
             "oracle_withdraw_unknown_chain", "unknown_source",
             "revert_mark_unknown_chain", "revert_init_unknown_chain",
             "advance_unknown_chain", "unknown_offline_actor",
-            "execute_before_any_revert_proof", "oracle_withdraw_given_a_deposit"])
+            "execute_before_any_revert_proof", "oracle_withdraw_given_a_deposit",
+            "negative_period", "zero_period", "negative_rate_limit",
+            "negative_value_limit", "censor_chain_under_honest",
+            "censor_chain_without_mode"])
     def test_malformed_input_is_config_invalid(self, tmp_path, capsys,
                                                mutation, message):
         data = {"seed": 1, "name": "malformed", "script": HAPPY_SCRIPT}

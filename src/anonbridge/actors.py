@@ -12,6 +12,7 @@ from . import circuit as circuit_mod
 from .chain import (
     Chain,
     decode_deposit_event,
+    decode_revert_initiated,
     mixer_store_signature,
     mixer_submit,
     router_deposit,
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .hashing import commit, nullifier_hash
 from .merkle import MerklePath, MerkleTree
-from .rng import SeededRng
+from .rng import SeededRng, random_field_31
 from .signing import KeyPair
 
 
@@ -140,14 +141,15 @@ class Wallet:
         return rec
 
     def _locate_leaf(self, commitment: int, mixer_chain: Chain) -> tuple:
+        """The record and its leaf index, read from the Mixer's ``commitments``."""
         rec = self.notes.get(commitment)
         if rec is None:
             raise UnknownCommitment(f"wallet holds no note for {commitment}")
-        index = mixer_chain.mixer.tree.leaf_index.get(rec.leaf)
+        index = mixer_chain.mixer.commitments.get(commitment)
         if index is None:
-            raise UnknownCommitment(
-                f"leaf for commitment {commitment} not in the global tree"
-            )
+            raise UnknownCommitment(f"commitment {commitment} not in the global tree")
+        if mixer_chain.mixer.tree.leaves[index] != rec.leaf:
+            raise UnknownCommitment(f"leaf {index} holds a copy of commitment {commitment}")
         return rec, index
 
     def build_settlement(self, commitment: int, mixer_chain: Chain,
@@ -287,8 +289,8 @@ class Oracle:
         verifying key. It can only sign with its own key, so proving
         must fail at the signature constraint.
         """
-        secret = int.from_bytes(self.rng.bytes(31), "big")
-        nullifier = int.from_bytes(self.rng.bytes(31), "big")
+        secret = random_field_31(self.rng)
+        nullifier = random_field_31(self.rng)
         c = commit(secret, nullifier)
         tpc = int.from_bytes(self.rng.bytes(9), "big") & TPC_MASK
         leaf = make_leaf(c, tpc, source_chain)
@@ -327,7 +329,7 @@ class DappSigner:
         self.offline = False
         self.contracts: dict = {}   # chain id -> DappContract
         self.ghash: bytes = b""
-        self._pending: set = set()     # own leaf values no pass has handled yet
+        self._pending: set = set()     # own (commitment, leaf) pairs no pass has handled
         self._let_through: dict = {}   # chain id -> deque of heights of reverts let through
         self._deposit_cursors: dict = {}  # chain id -> next event index to read
         self._revert_cursors: dict = {}   # the same, for revert initiations
@@ -342,26 +344,26 @@ class DappSigner:
         Only a leaf that matches one of our source-chain deposit events is
         ever signed, whatever the mixer state claims; each event is decoded
         once, and is ours if its Router's ``commitment_log`` names our
-        contract. A pass looks each pending leaf up in the tree's leaf index
-        and handles it once: it signs it unless the leaf already has a
-        signature. A leaf not relayed yet waits for a later pass.
+        contract. A pass reads each pending commitment's leaf index from the
+        Mixer's ``commitments`` and handles it once, as that index never
+        changes: it signs if the index holds our leaf, not a copy's, and has
+        no signature yet. A commitment not relayed yet waits for a later pass.
         """
         if self.offline:
             return []
         for chain, ev in new_events(chains, self._deposit_cursors, "deposit"):
             commitment, tpc, src = decode_deposit_event(ev.payload)
             if chain.router.commitment_log[commitment] == self.contracts[chain.chain_id].address:
-                self._pending.add(make_leaf(commitment, tpc, src))
-        leaf_index = mixer_chain.mixer.tree.leaf_index
-        relayed = sorted((leaf_index[leaf], leaf) for leaf in self._pending
-                         if leaf in leaf_index)
+                self._pending.add((commitment, make_leaf(commitment, tpc, src)))
+        mixer = mixer_chain.mixer
+        relayed = sorted((mixer.commitments[c], c, leaf) for c, leaf in self._pending
+                         if c in mixer.commitments)
         signed = []
-        for index, leaf_value in relayed:
-            if index not in mixer_chain.mixer.leaf_signatures:
-                mixer_store_signature(mixer_chain, index,
-                                      self.key.sign(leaf_bytes(leaf_value)))
+        for index, commitment, leaf in relayed:
+            if mixer.tree.leaves[index] == leaf and index not in mixer.leaf_signatures:
+                mixer_store_signature(mixer_chain, index, self.key.sign(leaf_bytes(leaf)))
                 signed.append(index)
-            self._pending.discard(leaf_value)
+            self._pending.discard((commitment, leaf))
         return signed
 
     def watch_reverts(self, chains: dict) -> list:
@@ -376,7 +378,7 @@ class DappSigner:
             return []
         halts = []
         for chain, ev in new_events(chains, self._revert_cursors, "revert_initiated"):
-            nh = int.from_bytes(ev.payload[32:], "big")
+            _, nh = decode_revert_initiated(ev.payload)
             pending = chain.router.pending_reverts.get(nh)
             contract = self.contracts[chain.chain_id]
             if pending is None or chain.height >= pending.window_end \

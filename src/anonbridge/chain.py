@@ -68,6 +68,12 @@ def decode_deposit_event(payload: bytes) -> tuple:
     )
 
 
+def decode_revert_initiated(payload: bytes) -> tuple:
+    """The (commitment, nullifier hash) a ``revert_initiated`` event carries."""
+    assert len(payload) == 64, "revert initiation carries exactly two words"
+    return int.from_bytes(payload[:32], "big"), int.from_bytes(payload[32:64], "big")
+
+
 @dataclass
 class PendingRevert:
     commitment: int
@@ -90,7 +96,7 @@ class RouterState:
 
 class MixerState:
     def __init__(self, depth: int):
-        self.commitments_seen: set = set()
+        self.commitments: dict = {}        # commitment -> leaf index; wallets and signers read it
         self.tree = MerkleTree(depth)
         self.leaf_signatures: dict = {}    # leaf index -> signature bytes
 
@@ -161,14 +167,15 @@ def router_deposit(chain: Chain, req: DepositRequest) -> Event:
 # -- Mixer --------------------------------------------------------------------
 
 def mixer_submit(chain: Chain, event: Event) -> int:
-    """Relay a deposit event into the global tree; dedupe on commitment."""
+    """Relay a deposit event into the global tree; dedupe on commitment,
+    then record the commitment's leaf index in ``commitments``."""
     mixer = chain.mixer
     commitment, tpc, source_chain = decode_deposit_event(event.payload)
-    if commitment in mixer.commitments_seen:
+    if commitment in mixer.commitments:
         raise DuplicateCommitment(f"commitment {commitment} already in the tree")
     leaf = make_leaf(commitment, tpc, source_chain)
     index = mixer.tree.insert(leaf)
-    mixer.commitments_seen.add(commitment)
+    mixer.commitments[commitment] = index
     chain.emit("leaf_inserted", to_bytes32(leaf) + to_bytes32(index))
     return index
 

@@ -9,8 +9,9 @@ its zero nodes when it is built.
 
 An insert is charged exactly ``depth`` hash calls but hashes nothing; the
 next read of ``root`` or ``path()`` hashes the right spine those inserts
-changed, once. Every node is kept in one list per level, so a path is
-read from the stored level nodes and costs no hashing.
+changed, once. The tree keeps its nodes, one list per level, and nothing
+else, so a path is read from the stored nodes and costs no hashing; where
+a deposit's leaf sits is the Mixer's record (``MixerState.commitments``).
 """
 
 from dataclasses import dataclass
@@ -53,6 +54,8 @@ class MerklePath:
 
 
 class MerkleTree:
+    """A tree's levels of nodes, leaves first; it keeps no leaf lookup."""
+
     def __init__(self, depth: int):
         if not 1 <= depth <= MAX_DEPTH:
             raise DepthOutOfRange(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
@@ -62,7 +65,6 @@ class MerkleTree:
         # zero-padded; above the leaves they cover the first `_folded` leaves
         self.levels: list = [[] for _ in range(depth)]
         self.leaves: list = self.levels[0]
-        self.leaf_index: dict = {}  # leaf value -> index of its first insert
         self._folded = 0
         # zero node per level: zeros[0] = empty leaf, zeros[i+1] = H(z, z).
         # Per-process constants, hashed at most once by zero_node; every
@@ -86,7 +88,6 @@ class MerkleTree:
             raise TreeFull(f"tree of depth {self.depth} is full")
         check(leaf)
         ops.charge("permutations", self.depth)
-        self.leaf_index.setdefault(leaf, self.next_index)
         self.leaves.append(leaf)
         self.next_index += 1
         return self.next_index - 1

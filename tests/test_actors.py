@@ -11,13 +11,14 @@ import _reference as ref
 from anonbridge import actors, ops
 from anonbridge.actors import DappSigner, Oracle, OraclePolicy, ResilienceRules
 from anonbridge.chain import router_revert_initiate_source, router_revert_mark_destination
-from anonbridge.dact import DepositRequest, PayloadIntent
+from anonbridge.dact import DepositRequest, PayloadIntent, trustless_public_commitment
 from anonbridge.errors import (
     ConstraintViolation,
     SignatureMissing,
     UnknownCommitment,
     WrongChain,
 )
+from anonbridge.field import P
 from anonbridge.harness import ScenarioConfig, Simulation
 from anonbridge.harness.scenarios import standard_verdicts
 from anonbridge.rng import SeededRng
@@ -278,6 +279,42 @@ class TestSignerOrigination:
         sim.deposit("alice", 1001, 1003)
         sim.relay()
         assert other.scan_and_sign(sim.chains, sim.mixer_chain) == []
+
+
+class TestLeafPosition:
+    """A deposit's leaf index is read from the Mixer's commitment record,
+    and the wallet and the signer use it only if it holds the deposit's leaf."""
+
+    def test_equal_valued_leaves_each_get_a_signature(self):
+        # mallory picks, from alice's public deposit event, a commitment
+        # whose leaf on another chain has the same value as alice's leaf
+        sim = make_sim(wallets=("alice", "mallory"))
+        d = sim.deposit("alice", 1003, 1001)
+        leaf, od = sim.deposits[d].leaf, b"\x07" * 32
+        c2 = (leaf - trustless_public_commitment(sim.dapp.ghash, 1, od) - 1001) % P
+        contract = sim.dapp.contracts[1001]
+        contract.forward_deposit(sim.chains[1001], sim.wallets["mallory"],
+                                 DepositRequest(c2, od, 1, contract.address), 1)
+        sim.relay()  # chain 1001 first: mallory's leaf is 0, alice's 1
+        assert sim.mixer_chain.mixer.tree.leaves == [leaf, leaf]
+        assert sim.sign() == [0, 1]
+        sim.push_root()
+        sim.withdraw(d)
+        assert sim.settled(d)
+
+    def test_copied_commitment_through_another_dapp_is_not_signed(self):
+        sim = make_sim(wallets=("alice", "mallory"))
+        other = sim.deploy_extra_dapp("dapp_b")
+        d = sim.deposit("alice", 1003, 1001)
+        rec = sim.deposits[d]
+        copy = DepositRequest(rec.commitment, b"\x07" * 32, 1, other.contracts[1001].address)
+        other.contracts[1001].forward_deposit(sim.chains[1001], sim.wallets["mallory"], copy, 1)
+        # chain 1001 first: the copy takes the commitment's index 0
+        assert [a[0] for a in sim.relay()] == ["relayed", "relay_rejected"]
+        assert sim.sign() == []
+        with pytest.raises(UnknownCommitment, match="copy"):
+            sim.wallets["alice"].build_settlement(
+                rec.commitment, sim.mixer_chain, sim.proofs, sim.dapp.verifying_key)
 
 
 class TestEventLogReader:

@@ -14,7 +14,6 @@ import anonbridge
 import anonbridge.harness
 from anonbridge import hashing, keccak, ops
 from anonbridge.circuit import SETTLEMENT, SettlementWitness
-from anonbridge.dact import make_leaf
 from anonbridge.errors import ConfigInvalid, ConstraintViolation
 from anonbridge.field import P
 from anonbridge.harness import (
@@ -518,7 +517,7 @@ class TestPermutationTable:
         note = rec.note
         public = rec.settlement.public
         tree = sim.mixer_chain.mixer.tree
-        index = tree.leaf_index[make_leaf(rec.commitment, public.tpc, rec.source)]
+        index = sim.mixer_chain.mixer.commitments[rec.commitment]
         path = tree.path(index)
         witness = SettlementWitness(note.nullifier, note.secret, path, rec.source,
                                     sim.mixer_chain.mixer.leaf_signatures[index])

@@ -245,18 +245,6 @@ class TestPaths:
             MerklePath([1], [2])
 
 
-class TestLeafIndex:
-    def test_index_is_the_first_match(self):
-        leaves = _leaves(6)
-        tree = MerkleTree(5)
-        for leaf in leaves + leaves[::2] + [ZERO, leaves[1], ZERO]:
-            tree.insert(leaf)
-        with pytest.raises(NotInField):
-            tree.insert(P)  # rejected before it is stored
-        assert tree.leaf_index == {v: tree.leaves.index(v) for v in tree.leaves}
-        assert len(tree.leaf_index) == 7
-
-
 class TestCosts:
     @pytest.mark.parametrize("depth", [1, 4, 8, 16])
     def test_insert_costs_exactly_depth_permutations(self, depth):
@@ -380,10 +368,10 @@ class TestLazySpine:
         tree = MerkleTree(6)
         for leaf in _leaves(3):
             tree.insert(leaf)
-        before = (tree.next_index, list(tree.leaves), dict(tree.leaf_index))
+        before = (tree.next_index, list(tree.leaves))
         with ops.counting() as c:
             with pytest.raises(NotInField):
                 tree.insert(P)
         assert c.permutations == 0
-        assert (tree.next_index, tree.leaves, tree.leaf_index) == before
+        assert (tree.next_index, tree.leaves) == before
         assert tree.root == ref.naive_root(tuple(before[1]), 6)

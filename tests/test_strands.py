@@ -1,0 +1,72 @@
+"""Ways an honest deposit still strands, measured in ROADMAP ("Measured at
+this re-anchor"). Each test runs the measured script and asserts the
+honest outcome. It is a strict xfail that names today's error, so the
+change that fixes its ROADMAP item must remove the marker, and any other
+failure shows as a failure. An attacker's direct contract call is
+wrapped in ``suppress(SimError)``, since it may raise once the item lands.
+"""
+
+import contextlib
+
+import pytest
+
+from anonbridge.chain import (
+    Event,
+    decode_deposit_event,
+    deposit_event_payload,
+    mixer_store_signature,
+    mixer_submit,
+)
+from anonbridge.errors import ConstraintViolation, SimError, UnknownCommitment, UnknownRoot
+from anonbridge.harness import ScenarioConfig, Simulation
+
+
+def make_sim():
+    return Simulation(ScenarioConfig(seed=0, name="strand", wallets=["alice"], script=[]))
+
+
+def settle(sim, label):
+    sim.withdraw(label)
+    assert sim.settled(label)
+
+
+@pytest.mark.xfail(strict=True, raises=UnknownCommitment,
+                   reason="ROADMAP item 1: the Mixer takes an altered deposit event (e1)")
+def test_altered_relay_does_not_strand_the_deposit():
+    sim = make_sim()
+    d = sim.deposit("alice", 1001, 1003)
+    ev = sim.chains[1001].event_log[-1]
+    c, tpc, src = decode_deposit_event(ev.payload)
+    with contextlib.suppress(SimError):
+        mixer_submit(sim.mixer_chain,
+                     Event("deposit", deposit_event_payload(c, tpc + 1, src), ev.block))
+    sim.relay()
+    sim.sign()
+    sim.push_root()
+    settle(sim, d)
+
+
+@pytest.mark.xfail(strict=True, raises=ConstraintViolation,
+                   reason="ROADMAP item 2: a signature stored first blocks settlement (hole b)")
+def test_presigned_leaf_still_settles():
+    sim = make_sim()
+    d = sim.deposit("alice", 1001, 1003)
+    sim.relay()
+    with contextlib.suppress(SimError):
+        mixer_store_signature(sim.mixer_chain, 0, bytes(64))
+    sim.sign()
+    sim.push_root()
+    settle(sim, d)
+
+
+@pytest.mark.xfail(strict=True, raises=UnknownRoot,
+                   reason="ROADMAP item 4: a relay after the push leaves the wallet's root unknown")
+def test_withdraw_after_a_later_relay_settles_first_time():
+    sim = make_sim()
+    a = sim.deposit("alice", 1001, 1003)
+    sim.relay()
+    sim.sign()
+    sim.push_root()
+    sim.deposit("alice", 1001, 1003)
+    sim.relay()
+    settle(sim, a)

@@ -15,7 +15,9 @@ digest that an earlier call, or an earlier step of the same call,
 already computed (see ``hashing``); op counts are the same with or
 without it. The proof attestation, keyed BLAKE2b charged as the
 keccak256 MAC it stands for, never enters the table: the verifier
-recomputes it.
+recomputes it. An action hands ``_call`` the function it calls and its
+arguments, which are evaluated outside the counter and the table: work
+that hashes, proves or can raise a protocol error goes in a closure.
 """
 
 from dataclasses import dataclass, replace
@@ -129,12 +131,9 @@ class Simulation:
         for cid in self.config.chains:
             contract = signer.contracts[cid]
             ghash = self._call(
-                "router_register_dapp", cid,
-                lambda: router_register_dapp(
-                    self.chains[cid], contract.address, others,
-                    signer.verifying_key,
-                    home_address=None if cid == home_cid else home,
-                ),
+                "router_register_dapp", cid, router_register_dapp,
+                self.chains[cid], contract.address, others, signer.verifying_key,
+                None if cid == home_cid else home,
                 caller=contract.address.hex(),
             )
             if cid == home_cid:
@@ -151,21 +150,23 @@ class Simulation:
         """Contract ``caller`` registers a dApp spanning ``others`` on
         ``chain``, a non-home chain when ``home`` is given."""
         _known("chain", chain, self.chains)
-
-        def _do():
-            return router_register_dapp(self.chains[chain], caller, others,
-                                        verifying_key, home_address=home)
-
-        return self._call("router_register_dapp", chain, _do, expect=expect)
+        return self._call("router_register_dapp", chain, router_register_dapp,
+                          self.chains[chain], caller, others, verifying_key, home,
+                          expect=expect)
 
     # -- logging / metrics wrapper ----------------------------------------------
 
-    def _call(self, op: str, chain, fn, expect=None, **logged):
+    def _call(self, op: str, chain, fn, *args, expect=None, **logged):
+        """Run ``fn(*args)`` as call ``op`` on ``chain``: count its ops, run
+        it under the hash table, log it with ``logged``, judge it against
+        ``expect``. ``args`` are evaluated before the counter and the table
+        are entered, so anything that hashes, proves or can raise a protocol
+        error belongs in ``fn``: a closure when the action takes more steps."""
         error = None
         result = None
         with ops.counting() as spent, ops.hash_table(self.hash_table):
             try:
-                result = fn()
+                result = fn(*args)
             except SimError as exc:
                 error = exc
         self.metrics.setdefault(op, ops.OpCounts()).add(spent)
@@ -237,11 +238,8 @@ class Simulation:
         return rec
 
     def relay(self, expect=None):
-        def _do():
-            return self.oracle.relay(self.chains, self.mixer_chain)
-
-        actions = self._call("oracle_relay", self.config.multiplexer, _do,
-                             expect=expect)
+        actions = self._call("oracle_relay", self.config.multiplexer, self.oracle.relay,
+                             self.chains, self.mixer_chain, expect=expect)
         for act in actions or []:
             if act[0] == "relayed":
                 _, cid, index = act
@@ -256,10 +254,8 @@ class Simulation:
         return actions
 
     def push_root(self, expect=None):
-        def _do():
-            return self.oracle.push_root(self.chains, self.mixer_chain)
-
-        root = self._call("router_update_root", None, _do, expect=expect)
+        root = self._call("router_update_root", None, self.oracle.push_root,
+                          self.chains, self.mixer_chain, expect=expect)
         if root is not None and not self.oracle.offline:
             for cid in sorted(self.chains):
                 self.transcript.log("event", op="root_update", chain=cid,
@@ -267,11 +263,9 @@ class Simulation:
         return root
 
     def sign(self, expect=None):
-        def _do():
-            return self.dapp.scan_and_sign(self.chains, self.mixer_chain)
-
         signed = self._call("mixer_store_signature", self.config.multiplexer,
-                            _do, expect=expect)
+                            self.dapp.scan_and_sign, self.chains, self.mixer_chain,
+                            expect=expect)
         for index in signed or []:
             sig = self.mixer_chain.mixer.leaf_signatures[index]
             self.transcript.log("event", op="signature_stored",
@@ -298,11 +292,9 @@ class Simulation:
                 raise ConfigInvalid(f"an oracle withdraw reads no field "
                                     f"{', '.join(map(repr, unread))}")
             return self._call(
-                "forged_settlement_attempt", None,
-                lambda: self.oracle.attempt_forged_settlement(
-                    self.proofs, self.config.merkle_depth, self.config.chains[0],
-                    self.dapp.verifying_key),
-                expect=expect)
+                "forged_settlement_attempt", None, self.oracle.attempt_forged_settlement,
+                self.proofs, self.config.merkle_depth, self.config.chains[0],
+                self.dapp.verifying_key, expect=expect)
 
         rec = self._record(deposit)
         if reuse_proof and rec.settlement is None:
@@ -346,9 +338,8 @@ class Simulation:
         grafted = replace(proof, public=replace(proof.public,
                                                 dapp_verifying_key=verifying_key))
         return self._call(
-            "router_withdraw", rec.dest,
-            lambda: router_withdraw(self.chains[rec.dest], grafted, rec.payload,
-                                    rec.note.salt, rec.dest, rec.version, self.proofs),
+            "router_withdraw", rec.dest, router_withdraw, self.chains[rec.dest],
+            grafted, rec.payload, rec.note.salt, rec.dest, rec.version, self.proofs,
             expect=expect,
         )
 
@@ -401,17 +392,13 @@ class Simulation:
                                 f"revert_mark or revert_init it first")
         src_chain = self.chains[rec.source]
         return self._call(
-            "router_revert_execute", src_chain.chain_id,
-            lambda: router_revert_execute(src_chain, rec.revert.public.nullifier_hash),
-            expect=expect, deposit=deposit)
+            "router_revert_execute", src_chain.chain_id, router_revert_execute,
+            src_chain, rec.revert.public.nullifier_hash, expect=expect, deposit=deposit)
 
     def halt(self, expect=None):
         """The dApp watcher pass; a halt where a rule trips delays a refund one window."""
-        halts = self._call(
-            "dapp_watch_reverts", None,
-            lambda: self.dapp.watch_reverts(self.chains),
-            expect=expect,
-        )
+        halts = self._call("dapp_watch_reverts", None, self.dapp.watch_reverts,
+                           self.chains, expect=expect)
         for cid, nh, reason in halts or []:
             self.transcript.log("event", op="revert_halted", chain=cid,
                                 nullifier_hash=to_bytes32(nh).hex(), reason=reason)

@@ -174,6 +174,28 @@ class TestOracle:
         assert not sim.oracle.route_withdraw(sim.dapp.ghash, 1003)
         assert sim.oracle.route_withdraw(b"\x01" * 32, 1003)  # other dApps fine
 
+    def test_offline_oracle_routes_no_withdraw(self):
+        sim = make_sim()
+        d = sim.deposit("alice", 1001, 1003)
+        sim.relay()
+        sim.sign()
+        sim.push_root()
+        sim.go_offline("oracle")
+        assert sim.withdraw(d, via_oracle=True) == "censored"
+        assert sim.transcript.records[-1]["op"] == "withdraw_censored"
+        assert not sim.settled(d)
+        sim.withdraw(d)
+        assert sim.settled(d)
+
+    def test_censor_chain_drops_routed_withdraws_to_it(self):
+        sim = make_sim(oracle={"mode": "censor_chain", "censor_chain": 1003})
+        d = sim.deposit("alice", 1001, 1003)
+        sim.relay()
+        sim.sign()
+        sim.push_root()
+        assert sim.withdraw(d, via_oracle=True) == "censored"
+        assert not sim.settled(d)
+
     def test_forged_settlement_fails_at_signature(self):
         sim = make_sim(oracle={"mode": "forge_root"})
         with pytest.raises(ConstraintViolation) as err:
@@ -210,6 +232,14 @@ class TestOracle:
 
 
 class TestSignerOrigination:
+    def test_offline_signer_signs_nothing(self):
+        sim = make_sim()
+        sim.deposit("alice", 1001, 1003)
+        sim.relay()
+        sim.go_offline("dapp")
+        assert sim.sign() == []
+        assert sim.mixer_chain.mixer.leaf_signatures == {}
+
     def test_never_signs_unoriginated_leaves(self):
         """A leaf injected into the mixer without a matching source-chain
         deposit event gets no signature, whatever the tree claims."""

@@ -38,6 +38,7 @@ from anonbridge.errors import (
     DuplicateCommitment,
     Halted,
     IndexUnknown,
+    InvalidProof,
     NoPending,
     NotMarked,
     TpcMismatch,
@@ -308,6 +309,51 @@ class TestRevert:
                                        path, h.proofs)
         end = router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
         return note, payload, req, rproof, end
+
+    @staticmethod
+    def _routers(h):
+        """What a refused revert call must leave as it was, on both chains."""
+        return [(set(c.router.nullifier_spent), dict(c.router.nullifier_reverted),
+                 dict(c.router.pending_reverts)) for c in (h.src, h.dst)]
+
+    def test_tampered_attestation_is_invalid_on_both_routers(self):
+        h = Harness()
+        note, payload, req, proof, tpc = h.settle_case()
+        rproof, path = h.revert_proof(note, req, tpc)
+        forged = dataclasses.replace(rproof, attestation=bytes(32))
+        before = self._routers(h)
+        with pytest.raises(InvalidProof):
+            router_revert_mark_destination(h.dst, forged, payload, note.salt, 1, h.ghash,
+                                           path, h.proofs)
+        with pytest.raises(InvalidProof):
+            router_revert_initiate_source(h.src, h.dst, forged, h.proofs, self.WINDOW)
+        assert self._routers(h) == before
+
+    def test_root_not_pushed_is_unknown_on_both_routers(self):
+        """A revert proof against a tree root no Router was handed yet."""
+        h = Harness()
+        h.settle_case()
+        note, payload, req, event = h.deposit()
+        mixer_submit(h.dst, event)
+        _, tpc, _ = decode_deposit_event(event.payload)
+        rproof, path = h.revert_proof(note, req, tpc)
+        before = self._routers(h)
+        with pytest.raises(UnknownRoot):
+            router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1, h.ghash,
+                                           path, h.proofs)
+        with pytest.raises(UnknownRoot):
+            router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
+        assert self._routers(h) == before
+
+    def test_mark_naming_an_unregistered_dapp_is_unknown(self):
+        h = Harness()
+        note, payload, req, proof, tpc = h.settle_case()
+        rproof, path = h.revert_proof(note, req, tpc)
+        before = self._routers(h)
+        with pytest.raises(UnknownDapp):
+            router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1,
+                                           bytes(32), path, h.proofs)
+        assert self._routers(h) == before
 
     def test_mark_sets_both_flags(self):
         h = Harness()

@@ -27,7 +27,7 @@ from anonbridge.harness import (
     run_scenario,
     sweep_depths,
 )
-from anonbridge.harness import linkability, scenarios
+from anonbridge.harness import linkability, scenarios, simulation
 from anonbridge.harness.cli import main
 from anonbridge.harness.config import ACTION_FIELDS, DAPP_FIELDS, ORACLE_FIELDS
 from anonbridge.harness.linkability import oracle_view, source_view
@@ -241,6 +241,8 @@ class TestConfig:
         ({"oracle": {"censor_chain": 1001}},
          "field 'oracle.censor_chain' is read only in mode 'censor_chain', "
          "got mode 'honest'"),
+        ({"chains": [1001, "x"]},
+         "field 'chains' must list integers, got [1001, 'x']"),
     ], ids=["unknown_wallet", "undefined_label", "missing_field", "string_seed",
             "mistyped_field", "unknown_field", "zero_blocks", "negative_blocks",
             "mistyped_dapp_field", "boolean_dapp_count", "boolean_depth",
@@ -256,7 +258,7 @@ class TestConfig:
             "execute_before_any_revert_proof", "oracle_withdraw_given_a_deposit",
             "negative_period", "zero_period", "negative_rate_limit",
             "negative_value_limit", "censor_chain_under_honest",
-            "censor_chain_without_mode"])
+            "censor_chain_without_mode", "non_integer_chain"])
     def test_malformed_input_is_config_invalid(self, tmp_path, capsys,
                                                mutation, message):
         data = {"seed": 1, "name": "malformed", "script": HAPPY_SCRIPT}
@@ -852,6 +854,42 @@ class TestActionNames:
                        or alias.name == "Proof"]
         assert back_doors == []
 
+    def test_calls_take_the_function_not_a_forwarding_thunk(self):
+        """A thunk that only forwards plain values to one function is a
+        wrapper: the action hands ``_call`` that function and its arguments.
+        A thunk whose arguments hold a call does work inside the call and stays."""
+        def forwards(call):
+            """One call whose arguments make no call."""
+            return isinstance(call, ast.Call) and not any(
+                isinstance(n, ast.Call) for arg in call.args + [k.value for k in call.keywords]
+                for n in ast.walk(arg))
+
+        tree = ast.parse(Path(simulation.__file__).read_text())
+        thunks = []
+        for method in ast.walk(tree):
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            nested = {f.name: f for f in ast.walk(method)
+                      if isinstance(f, ast.FunctionDef) and f is not method}
+            for call in ast.walk(method):
+                if not (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "_call"):
+                    continue
+                for arg in call.args + [k.value for k in call.keywords]:
+                    if isinstance(arg, ast.Lambda):
+                        body = arg.body
+                    elif isinstance(arg, ast.Name) and arg.id in nested:
+                        stmts = nested[arg.id].body
+                        if len(stmts) != 1 or not isinstance(stmts[0], ast.Return):
+                            continue
+                        body = stmts[0].value
+                    else:
+                        continue
+                    if forwards(body):
+                        thunks.append(f"{method.name}:{arg.lineno}")
+        assert thunks == []
+
 
 class TestTranscript:
     def test_indices_and_jsonl(self, tmp_path):
@@ -1123,6 +1161,17 @@ class TestLinkability:
         assert not verdict.passed
         assert verdict.detail == "violations=1; d0.salt oracle_view=1 source_view=0"
 
+    @pytest.mark.parametrize("payload,detail", [
+        (bytes(95), "payload length 95"),
+        (bytes(64) + (1002).to_bytes(32, "big"), "source chain field mismatch"),
+    ], ids=["short_payload", "other_source_chain"])
+    def test_planted_deposit_event_fails_minimality(self, payload, detail):
+        sim = run_scenario(builtin_config("settlement_happy_path", seed=2)).sim
+        sim.chains[1001].emit("deposit", payload)
+        verdict = {v.name: v for v in standard_verdicts(sim)}["deposit_minimality"]
+        assert not verdict.passed
+        assert verdict.detail == detail
+
 
 class TestBuiltins:
     @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -1206,6 +1255,32 @@ class TestCli:
     def test_env_seed_override(self, monkeypatch, capsys):
         monkeypatch.setenv("ANONBRIDGE_SEED", "123")
         assert main(["run", "settlement_happy_path"]) == 0
+
+    def test_env_seed_that_is_not_an_integer_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("ANONBRIDGE_SEED", "abc")
+        assert main(["run", "settlement_happy_path"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ConfigInvalid: ANONBRIDGE_SEED must be an integer, got 'abc'\n")
+
+    def test_seed_flag_overrides_the_scenario_file_seed(self, tmp_path, capsys):
+        source = Path(__file__).resolve().parent.parent / "scenarios" / "happy_path.json"
+        reseeded = tmp_path / "s.json"
+        reseeded.write_text(json.dumps(dict(json.loads(source.read_text()), seed=5)))
+        digests = []
+        for argv in ([str(source), "--seed", "5"], [str(reseeded)], [str(source)]):
+            capsys.readouterr()
+            assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 0
+            digests.append(capsys.readouterr().out.split("\n")[0])
+        assert digests[0] == digests[1] != digests[2]
+        assert digests[0].startswith("transcript digest 44d9a7bc")
+
+    def test_scenario_file_that_is_not_json_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_text("not json")
+        assert main(["run", str(scenario)]) == 2
+        assert capsys.readouterr().err == (
+            "error: ConfigInvalid: config is not valid JSON: "
+            "Expecting value: line 1 column 1 (char 0)\n")
 
     def test_replay_round_trip(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -48,7 +48,7 @@ from .errors import (
     WrongChain,
 )
 from .hashing import commit, nullifier_hash
-from .merkle import MerklePath, MerkleTree
+from .merkle import MerkleTree
 from .rng import SeededRng, random_field_31
 from .signing import KeyPair
 
@@ -110,8 +110,7 @@ class NoteRecord:
     tpc: int
     leaf: int
     settlement: Proof = None        # the last settlement proof built
-    revert: Proof = None            # the revert proof, with its Merkle path
-    revert_path: MerklePath = None
+    revert: Proof = None            # the last revert proof built
 
 
 class Wallet:
@@ -171,16 +170,14 @@ class Wallet:
 
     def build_revert(self, commitment: int, mixer_chain: Chain,
                      proofs: ProofSystem) -> Proof:
-        """Revert proof, kept as the record's ``revert`` with its path."""
+        """Revert proof, kept as the record's ``revert``."""
         rec, index = self._locate_leaf(commitment, mixer_chain)
         tree = mixer_chain.mixer.tree
-        path = tree.path(index)
         public = RevertPublic(
-            commitment, rec.source, nullifier_hash(rec.note.nullifier), tree.root
+            commitment, rec.source, nullifier_hash(rec.note.nullifier), tree.root, rec.tpc
         )
-        witness = RevertWitness(rec.note.nullifier, rec.note.secret, path, rec.tpc)
+        witness = RevertWitness(rec.note.nullifier, rec.note.secret, tree.path(index))
         rec.revert = proofs.prove(circuit_mod.REVERT, witness, public)
-        rec.revert_path = path
         return rec.revert
 
 

@@ -42,7 +42,7 @@ from .errors import (
     WrongChain,
 )
 from .field import to_bytes32
-from .merkle import MerkleTree, MerklePath, verify_path
+from .merkle import MerkleTree
 
 ROUTER_ROOT_WINDOW = 2      # a Router only remembers the latest two roots
 
@@ -235,15 +235,14 @@ def router_withdraw(chain: Chain, proof, payload: bytes, salt: int,
 # -- Router: revert -----------------------------------------------------------
 
 def router_revert_mark_destination(chain: Chain, proof, payload: bytes, salt: int,
-                                   version: int, ghash: bytes, path: MerklePath,
-                                   proofs) -> None:
+                                   version: int, ghash: bytes, proofs) -> None:
     """Flag the nullifier as Spent and Reverted on the destination chain.
 
-    The call carries (payload, salt, version, global hash, merkle path in
-    the clear) so the Router can rebuild the leaf with itself as the
-    destination and confirm membership -- the same binding the withdraw
-    check performs via the TPC. Revert already reveals the commitment, so
-    the extra disclosure costs no anonymity the protocol still had.
+    The call carries (payload, salt, version, global hash) so the Router
+    can recompute the TPC with itself as the destination and compare it
+    with the proof's public TPC, which the circuit bound into the leaf --
+    the withdraw check. Revert already reveals the commitment, and the
+    deposit event its TPC, so the call discloses nothing new.
     """
     router = chain.router
     public = proof.public
@@ -256,9 +255,7 @@ def router_revert_mark_destination(chain: Chain, proof, payload: bytes, salt: in
     if ghash not in router.dapp_registry:
         raise UnknownDapp("global hash not registered on this chain")
     od = obfuscate(PayloadIntent(payload, chain.chain_id), salt)
-    tpc = trustless_public_commitment(ghash, version, od)
-    leaf = make_leaf(public.commitment, tpc, public.source_chain)
-    if not verify_path(public.merkle_root, leaf, path):
+    if trustless_public_commitment(ghash, version, od) != public.tpc:
         raise TpcMismatch("this chain is not the destination bound in the intent")
     router.nullifier_spent.add(public.nullifier_hash)
     router.nullifier_reverted[public.nullifier_hash] = public.commitment

@@ -19,7 +19,8 @@ The tag never enters a simulation's hash table: ``verify`` recomputes it.
 Serialization: circuit_id byte || canonical public signals || 32-byte
 attestation. Settlement publics are nullifier_hash (32) || merkle_root
 (32) || tpc (32) || verifying_key (32); revert publics are commitment
-(32) || source_chain (32) || nullifier_hash (32) || merkle_root (32).
+(32) || source_chain (32) || nullifier_hash (32) || merkle_root (32) ||
+tpc (32). Each circuit binds its public TPC into the leaf under the root.
 """
 
 from _blake2 import blake2b
@@ -66,10 +67,10 @@ class SettlementPublic:
 
 @dataclass(frozen=True)
 class RevertWitness:
+    """The note and its path; the TPC is public, as the deposit event is."""
     nullifier: int
     secret: int
     path: MerklePath
-    tpc: int  # bound through leaf reconstruction, never revealed
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,7 @@ class RevertPublic:
     source_chain: int
     nullifier_hash: int
     merkle_root: int
+    tpc: int
 
     def canonical_bytes(self) -> bytes:
         return (
@@ -85,6 +87,7 @@ class RevertPublic:
             + to_bytes32(self.source_chain)
             + to_bytes32(self.nullifier_hash)
             + to_bytes32(self.merkle_root)
+            + to_bytes32(self.tpc)
         )
 
 
@@ -115,7 +118,7 @@ def _check_settlement(w: SettlementWitness, p: SettlementPublic) -> None:
 
 
 def _check_revert(w: RevertWitness, p: RevertPublic) -> None:
-    """Revert circuit: no signature check; commitment and source public."""
+    """Revert circuit: no signature check; commitment, source and TPC public."""
     validate_chain_id(p.source_chain)
     ops.charge("constraint_evals")
     if commit(w.secret, w.nullifier) != p.commitment:
@@ -123,7 +126,7 @@ def _check_revert(w: RevertWitness, p: RevertPublic) -> None:
     ops.charge("constraint_evals")
     if nullifier_hash(w.nullifier) != p.nullifier_hash:
         raise ConstraintViolation("nullifier_hash")
-    leaf = make_leaf(p.commitment, w.tpc, p.source_chain)
+    leaf = make_leaf(p.commitment, p.tpc, p.source_chain)
     ops.charge("constraint_evals", len(w.path.elements))
     if not verify_path(p.merkle_root, leaf, w.path):
         raise ConstraintViolation("merkle_path")

@@ -359,7 +359,7 @@ class Simulation:
             proof = self._revert_proof(rec)
             router_revert_mark_destination(
                 dest_chain, proof, rec.payload, rec.note.salt, rec.version,
-                rec.ghash, rec.revert_path, self.proofs
+                rec.ghash, self.proofs
             )
             return proof
 

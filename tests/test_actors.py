@@ -124,7 +124,7 @@ class TestNoteRecord:
             wallet.build_revert(rec.commitment, sim.mixer_chain, sim.proofs)
         assert settle.keccak_blocks == 2 and revert.keccak_blocks == 2
         assert rec.settlement is proof and rec.revert is not None
-        assert rec.revert_path == sim.mixer_chain.mixer.tree.path(0)
+        assert rec.revert.public.tpc == rec.tpc
 
 
 class TestOracle:
@@ -425,7 +425,7 @@ class TestWatcher:
         proof = wallet.build_revert(rec.commitment, sim.mixer_chain, sim.proofs)
         router_revert_mark_destination(sim.chains[1003], proof, rec.payload,
                                        rec.note.salt, rec.version, rec.ghash,
-                                       rec.revert_path, sim.proofs)
+                                       sim.proofs)
         router_revert_initiate_source(sim.chains[1001], sim.chains[1003], proof,
                                       sim.proofs, sim.config.window)
         assert sim.dapp.watch_reverts(sim.chains) == []

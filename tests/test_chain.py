@@ -1,10 +1,13 @@
 """Contract state machines: registration, deposit, mixer, withdraw, revert."""
 
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
+from anonbridge import chain as chain_mod, ops
 from anonbridge.chain import (
     ROUTER_ROOT_WINDOW,
     Chain,
@@ -134,9 +137,9 @@ class Harness:
         leaf = make_leaf(req.commitment, tpc, 1001)
         index = tree.leaves.index(leaf)
         public = RevertPublic(req.commitment, 1001, nullifier_hash(note.nullifier),
-                              tree.root)
-        witness = RevertWitness(note.nullifier, note.secret, tree.path(index), tpc)
-        return self.proofs.prove(REVERT, witness, public), tree.path(index)
+                              tree.root, tpc)
+        witness = RevertWitness(note.nullifier, note.secret, tree.path(index))
+        return self.proofs.prove(REVERT, witness, public)
 
 
 class TestRegistration:
@@ -304,9 +307,9 @@ class TestRevert:
 
     def _pending(self, h):
         note, payload, req, proof, tpc = h.settle_case()
-        rproof, path = h.revert_proof(note, req, tpc)
+        rproof = h.revert_proof(note, req, tpc)
         router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1, h.ghash,
-                                       path, h.proofs)
+                                       h.proofs)
         end = router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
         return note, payload, req, rproof, end
 
@@ -319,12 +322,12 @@ class TestRevert:
     def test_tampered_attestation_is_invalid_on_both_routers(self):
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
-        rproof, path = h.revert_proof(note, req, tpc)
+        rproof = h.revert_proof(note, req, tpc)
         forged = dataclasses.replace(rproof, attestation=bytes(32))
         before = self._routers(h)
         with pytest.raises(InvalidProof):
             router_revert_mark_destination(h.dst, forged, payload, note.salt, 1, h.ghash,
-                                           path, h.proofs)
+                                           h.proofs)
         with pytest.raises(InvalidProof):
             router_revert_initiate_source(h.src, h.dst, forged, h.proofs, self.WINDOW)
         assert self._routers(h) == before
@@ -336,11 +339,11 @@ class TestRevert:
         note, payload, req, event = h.deposit()
         mixer_submit(h.dst, event)
         _, tpc, _ = decode_deposit_event(event.payload)
-        rproof, path = h.revert_proof(note, req, tpc)
+        rproof = h.revert_proof(note, req, tpc)
         before = self._routers(h)
         with pytest.raises(UnknownRoot):
             router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1, h.ghash,
-                                           path, h.proofs)
+                                           h.proofs)
         with pytest.raises(UnknownRoot):
             router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
         assert self._routers(h) == before
@@ -348,11 +351,11 @@ class TestRevert:
     def test_mark_naming_an_unregistered_dapp_is_unknown(self):
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
-        rproof, path = h.revert_proof(note, req, tpc)
+        rproof = h.revert_proof(note, req, tpc)
         before = self._routers(h)
         with pytest.raises(UnknownDapp):
             router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1,
-                                           bytes(32), path, h.proofs)
+                                           bytes(32), h.proofs)
         assert self._routers(h) == before
 
     def test_mark_sets_both_flags(self):
@@ -366,20 +369,53 @@ class TestRevert:
         """A chain whose id is not bound in the intent refuses the mark."""
         h = Harness(depth=8)
         note, payload, req, proof, tpc = h.settle_case()
-        rproof, path = h.revert_proof(note, req, tpc)
+        rproof = h.revert_proof(note, req, tpc)
         # the source chain also knows the root but is not the destination
         with pytest.raises(TpcMismatch):
             router_revert_mark_destination(h.src, rproof, payload, note.salt, 1,
-                                           h.ghash, path, h.proofs)
+                                           h.ghash, h.proofs)
+
+    def test_public_tpc_changed_after_proving_is_invalid_on_both_routers(self):
+        h = Harness()
+        note, payload, req, proof, tpc = h.settle_case()
+        rproof = h.revert_proof(note, req, tpc)
+        moved = dataclasses.replace(
+            rproof, public=dataclasses.replace(rproof.public, tpc=tpc ^ 1))
+        before = self._routers(h)
+        with pytest.raises(InvalidProof):
+            router_revert_mark_destination(h.dst, moved, payload, note.salt, 1,
+                                           h.ghash, h.proofs)
+        with pytest.raises(InvalidProof):
+            router_revert_initiate_source(h.src, h.dst, moved, h.proofs, self.WINDOW)
+        assert self._routers(h) == before
+
+    def test_mark_hashes_no_path(self):
+        """The mark compares TPCs: the circuit, not the Router, folds the path."""
+        h = Harness()
+        note, payload, req, proof, tpc = h.settle_case()
+        rproof = h.revert_proof(note, req, tpc)
+        with ops.counting() as mark:
+            router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1,
+                                           h.ghash, h.proofs)
+        assert mark.permutations == 0
+        assert rproof.public.nullifier_hash in h.dst.router.nullifier_reverted
+
+    def test_no_router_folds_a_path_in_clear(self):
+        tree = ast.parse(Path(chain_mod.__file__).read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "verify_path" not in names
 
     def test_mark_after_settlement_is_double_spend(self):
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
         router_withdraw(h.dst, proof, payload, note.salt, 1002, 1, h.proofs)
-        rproof, path = h.revert_proof(note, req, tpc)
+        rproof = h.revert_proof(note, req, tpc)
         with pytest.raises(DoubleSpend):
             router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1,
-                                           h.ghash, path, h.proofs)
+                                           h.ghash, h.proofs)
 
     def test_initiate_guards(self):
         h = Harness()
@@ -392,7 +428,7 @@ class TestRevert:
     def test_initiate_unknown_commitment(self):
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
-        rproof, _ = h.revert_proof(note, req, tpc)
+        rproof = h.revert_proof(note, req, tpc)
         h.src.router.commitment_log.clear()
         with pytest.raises(UnknownCommitment):  # checked before the mark
             router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
@@ -400,7 +436,7 @@ class TestRevert:
     def test_initiate_without_mark_is_not_marked(self):
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
-        rproof, _ = h.revert_proof(note, req, tpc)
+        rproof = h.revert_proof(note, req, tpc)
         with pytest.raises(NotMarked):
             router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
         assert h.src.router.pending_reverts == {}
@@ -410,10 +446,10 @@ class TestRevert:
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
         router_withdraw(h.dst, proof, payload, note.salt, 1002, 1, h.proofs)
-        rproof, path = h.revert_proof(note, req, tpc)
+        rproof = h.revert_proof(note, req, tpc)
         with pytest.raises(DoubleSpend):
             router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1,
-                                           h.ghash, path, h.proofs)
+                                           h.ghash, h.proofs)
         with pytest.raises(NotMarked):
             router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
         assert h.src.router.pending_reverts == {}

@@ -47,8 +47,8 @@ def build_case(seed=0, depth=8, source=1001):
     sig = dapp.sign(leaf_bytes(leaf))
     sw = SettlementWitness(nullifier, secret, path, source, sig)
     sp = SettlementPublic(nullifier_hash(nullifier), tree.root, tpc, dapp.verifying_key)
-    rw = RevertWitness(nullifier, secret, path, tpc)
-    rp = RevertPublic(c, source, nullifier_hash(nullifier), tree.root)
+    rw = RevertWitness(nullifier, secret, path)
+    rp = RevertPublic(c, source, nullifier_hash(nullifier), tree.root, tpc)
     return sw, sp, rw, rp, rng
 
 
@@ -88,7 +88,9 @@ class TestConstraints:
             (replace(rp, commitment=(rp.commitment + 1) % P), rw, "commitment"),
             (replace(rp, nullifier_hash=(rp.nullifier_hash + 1) % P), rw, "nullifier_hash"),
             (replace(rp, merkle_root=(rp.merkle_root + 1) % P), rw, "merkle_path"),
-            (rp, replace(rw, tpc=rw.tpc ^ 1), "merkle_path"),
+            # the public TPC is bound into the leaf under the root
+            (replace(rp, tpc=rp.tpc ^ 1), rw, "merkle_path"),
+            (replace(rp, tpc=build_case(3)[3].tpc), rw, "merkle_path"),  # another deposit's
         ]
         for public, witness, name in cases:
             assert not constraints_hold(REVERT, witness, public)
@@ -154,6 +156,16 @@ class TestProver:
         assert blob[65:97] == to_bytes32(sp.tpc)
         assert blob[97:129] == sp.dapp_verifying_key
         assert blob[129:] == proof.attestation and len(proof.attestation) == 32
+
+    def test_revert_serialization_layout(self):
+        _, _, rw, rp, rng = build_case(8)
+        proofs = ProofSystem(rng.child("keys"))
+        proof = proofs.prove(REVERT, rw, rp)
+        blob = proof.serialize()
+        assert blob[0] == REVERT
+        fields = (rp.commitment, rp.source_chain, rp.nullifier_hash, rp.merkle_root, rp.tpc)
+        assert blob[1:161] == b"".join(to_bytes32(f) for f in fields)
+        assert blob[161:] == proof.attestation and len(blob) == 193
 
 
 class TestMac:

@@ -513,6 +513,19 @@ class TestPermutationTable:
         assert _permutation_keys(sim.hash_table) - before == 1
         assert sim.metrics["router_withdraw"].permutations == 16 + 4
 
+    @pytest.mark.parametrize("depth", [16, 20])
+    def test_revert_mark_charges_its_proof_and_no_second_path(self, depth):
+        # the built proof's commit, nullifier hash and path; the Router
+        # compares TPCs and re-folds no path
+        sim = Simulation(script_config([], seed=0, merkle_depth=depth))
+        label = sim.deposit("alice", 1001, 1003)
+        sim.relay()
+        sim.push_root()
+        sim.revert_mark(label)
+        mark = sim.metrics["router_revert_mark"]
+        assert (mark.permutations, mark.constraint_evals) == (depth + 4, depth + 2)
+        assert sim.chains[1003].router.nullifier_reverted
+
     def test_tampered_witness_fails_with_warm_table(self):
         sim, label = _settled()
         rec = sim.deposits[label]

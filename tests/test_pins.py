@@ -23,7 +23,15 @@ regenerated a fourth time, when the source Router began to refuse a revert
 without the destination's mark (``NotMarked``): ``settle_then_revert``
 swapped its watcher pass and check for ``go_offline`` and
 ``no_revert_pending``, and ``withdraw_revert_race/1``'s digest moved; no
-total op count changed. A host-side optimisation or a refactor
+total op count changed. Both were regenerated a fifth time, when the
+revert proof made the TPC public and the destination Router stopped
+re-folding the Merkle path in ``router_revert_mark_destination``: only
+``router_revert_mark``'s ``permutations`` and ``total``'s
+``permutations`` moved, each down by the depth (16) for every mark that
+reaches the TPC check -- 28 figures in ``custody_total_outage/0-2``,
+``oracle_censorship/0-2``, ``withdraw_revert_race/0`` and ``/2``,
+``all_actions.json/0-2`` and ``revert_after_censorship.json/0-2``. No
+digest, verdict, sweep row or other count moved. A host-side optimisation or a refactor
 must leave every figure unchanged. The fixtures are regenerated only by hand, after
 a deliberate protocol change:
 

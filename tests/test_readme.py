@@ -1,9 +1,10 @@
-"""The scenario examples documented in README.md stay runnable."""
+"""The scenario examples documented in README.md stay runnable, and its
+proof wire sizes are those of real proofs."""
 
 import re
 from pathlib import Path
 
-from anonbridge.harness import ScenarioConfig, run_scenario
+from anonbridge.harness import ScenarioConfig, Simulation, run_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +15,18 @@ def test_every_readme_json_example_runs_and_passes():
     for text in examples:
         result = run_scenario(ScenarioConfig.from_json(text))
         assert result.passed, [v for v in result.verdicts if not v.passed]
+
+
+def test_proof_wire_sizes_are_those_of_real_proofs():
+    documented = dict(re.findall(r"Serialized (settlement|revert) proof \((\d+) bytes\)",
+                                 README.read_text()))
+    sim = Simulation(ScenarioConfig(seed=0, name="readme", script=[]))
+    settled, reverted = sim.deposit("alice", 1001, 1003), sim.deposit("alice", 1001, 1003)
+    sim.relay()
+    sim.sign()
+    sim.push_root()
+    sim.withdraw(settled)
+    sim.revert_mark(reverted)
+    proofs = {"settlement": sim.deposits[settled].settlement,
+              "revert": sim.deposits[reverted].revert}
+    assert documented == {kind: str(len(proof.serialize())) for kind, proof in proofs.items()}

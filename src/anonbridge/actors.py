@@ -254,10 +254,11 @@ class Oracle:
                     actions.append(("replay_rejected", cid, type(exc).__name__))
         return actions
 
-    def push_root(self, chains: dict, mixer_chain: Chain) -> int:
-        """Push the latest (or forged) root into every Router."""
+    def push_root(self, chains: dict, mixer_chain: Chain):
+        """Push the latest (or forged) root into every Router and return
+        it; an offline oracle pushes nothing and returns None."""
         if self.offline:
-            return 0
+            return None
         root = (
             self.forged_root
             if self.policy.mode == "forge_root"

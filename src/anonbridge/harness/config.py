@@ -20,8 +20,9 @@ ACTION_FIELDS = {
     "sign": {},
     "relay": {},
     "push_root": {},
-    "withdraw": {"deposit": str, "actor": str, "chain": int, "claim_dest": int,
+    "withdraw": {"deposit": str, "chain": int, "claim_dest": int,
                  "via_oracle": bool, "tamper_payload": bool, "reuse_proof": bool},
+    "forge_settlement": {},
     "revert_mark": {"deposit": str, "chain": int},
     "revert_init": {"deposit": str, "chain": int},
     "halt": {},
@@ -38,6 +39,7 @@ ORACLE_FIELDS = {f.name: f.type for f in fields(OraclePolicy)}
 
 _REQUIRED = {
     "deposit": ("wallet", "source", "dest"),
+    "withdraw": ("deposit",),
     "revert_mark": ("deposit",),
     "revert_init": ("deposit",),
     "execute": ("deposit",),
@@ -74,10 +76,7 @@ def _check_action(i: int, action) -> None:
         if value is not None and not _is_a(value, types[name]):
             raise ConfigInvalid(f"{where}: field {name!r} must be "
                                 f"{types[name].__name__}, got {value!r}")
-    required = _REQUIRED.get(op, ())
-    if op == "withdraw" and action.get("actor") != "oracle":
-        required = ("deposit",)
-    for name in required:
+    for name in _REQUIRED.get(op, ()):
         if action.get(name) is None:
             raise ConfigInvalid(f"{where}: missing field {name!r}")
 

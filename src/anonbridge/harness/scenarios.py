@@ -126,10 +126,10 @@ def oracle_forged_root(sim: Simulation):
     sim.deposit("alice", SOURCE, DEST)
     sim.relay()
     sim.sign()
-    sim.withdraw(actor="oracle", expect="ConstraintViolation:signature")
+    sim.forge_settlement(expect="ConstraintViolation:signature")
     forged = sim.oracle.forged_root
     sim.push_root()  # policy forge_root: injects the forged root everywhere
-    sim.withdraw(actor="oracle", expect="ConstraintViolation:signature")
+    sim.forge_settlement(expect="ConstraintViolation:signature")
     sim.check("forged_root_accepted_by_router",
               all(forged in c.router.known_roots for c in sim.chains.values()))
     settled_events = [ev for c in sim.chains.values()

@@ -2,13 +2,16 @@
 
 Builds the chain topology, actors, and proof system from a config, then
 exposes one method per action, the only way any caller reaches the
-contracts. Each refuses with ``ConfigInvalid``, before it acts or logs,
-an unknown wallet, chain or actor name, a taken label or one that names
-no deposit, a proof to reuse or execute that was never built, and a
-field the oracle's forged withdraw does not read. Every action and
-contract call is logged to the transcript. Each simulation owns its op
-counter: set-up, every call (also kept per operation) and the honest
-proof ``withdraw_grafted`` builds outside its call charge it.
+contracts. A contract operation is reached by one path, so all its call
+records carry the same fields: set-up registers through
+``register_dapp``, ``withdraw_grafted`` logs what ``withdraw`` logs, and
+the oracle's forged settlement is its own action, ``forge_settlement``.
+Each method refuses with ``ConfigInvalid``, before it acts or logs, an
+unknown wallet, chain or actor name, a taken label or one that names no
+deposit, and a proof to reuse or execute that was never built. Every
+action and contract call is logged to the transcript. Each simulation
+owns its op counter: set-up, every call (also kept per operation) and
+the honest proof ``withdraw_grafted`` builds outside its call charge it.
 It also owns one hash table, active inside every call and around that
 proof, so a call does not recompute a MiMC permutation or a keccak256
 digest that an earlier call, or an earlier step of the same call,
@@ -60,10 +63,8 @@ class UnexpectedOutcome(SimError):
     """A scripted action did not produce its expected result."""
 
 
-# the actors go_offline may name, each a Simulation attribute, and those
-# withdraw may name: the deposit's own wallet, or the oracle forging a proof
+# the actors go_offline may name, each a Simulation attribute
 OFFLINE_ACTORS = ("oracle", "dapp")
-WITHDRAW_ACTORS = ("wallet", "oracle")
 
 
 def _known(field: str, value, allowed) -> None:
@@ -129,13 +130,9 @@ class Simulation:
         home = signer.contracts[home_cid].address
         others = [signer.contracts[c].address for c in self.config.chains if c != home_cid]
         for cid in self.config.chains:
-            contract = signer.contracts[cid]
-            ghash = self._call(
-                "router_register_dapp", cid, router_register_dapp,
-                self.chains[cid], contract.address, others, signer.verifying_key,
-                None if cid == home_cid else home,
-                caller=contract.address.hex(),
-            )
+            ghash = self.register_dapp(cid, signer.contracts[cid].address, others,
+                                       signer.verifying_key,
+                                       None if cid == home_cid else home)
             if cid == home_cid:
                 signer.ghash = ghash
 
@@ -152,7 +149,7 @@ class Simulation:
         _known("chain", chain, self.chains)
         return self._call("router_register_dapp", chain, router_register_dapp,
                           self.chains[chain], caller, others, verifying_key, home,
-                          expect=expect)
+                          expect=expect, caller=caller.hex())
 
     # -- logging / metrics wrapper ----------------------------------------------
 
@@ -256,7 +253,7 @@ class Simulation:
     def push_root(self, expect=None):
         root = self._call("router_update_root", None, self.oracle.push_root,
                           self.chains, self.mixer_chain, expect=expect)
-        if root is not None and not self.oracle.offline:
+        if root is not None:
             for cid in sorted(self.chains):
                 self.transcript.log("event", op="root_update", chain=cid,
                                     root=to_bytes32(root).hex())
@@ -273,29 +270,20 @@ class Simulation:
                                 index=index, signature=sig.hex())
         return signed
 
-    def withdraw(self, deposit: str = None, expect=None, actor: str = "wallet",
-                 chain: int = None, claim_dest: int = None, via_oracle: bool = False,
+    def forge_settlement(self, expect=None):
+        """The oracle's network-abuse move: forge a note and a tree, whose
+        root a ``forge_root`` oracle pushes next, then attempt a settlement
+        proof against this scenario's dApp; it fails at the signature."""
+        return self._call(
+            "forged_settlement_attempt", None, self.oracle.attempt_forged_settlement,
+            self.proofs, self.config.merkle_depth, self.config.chains[0],
+            self.dapp.verifying_key, expect=expect)
+
+    def withdraw(self, deposit: str, expect=None, chain: int = None,
+                 claim_dest: int = None, via_oracle: bool = False,
                  tamper_payload: bool = False, reuse_proof: bool = False,
                  verifying_key: bytes = None):
         _known("chain", chain, self.chains)
-        _known("actor", actor, WITHDRAW_ACTORS)
-        if actor == "oracle":
-            # network-abuse move: forge a tree, then attempt a settlement
-            # proof; it reads no field of a wallet withdraw
-            unread = [name for name, given in (
-                ("deposit", deposit is not None), ("chain", chain is not None),
-                ("claim_dest", claim_dest is not None),
-                ("verifying_key", verifying_key is not None),
-                ("via_oracle", via_oracle), ("tamper_payload", tamper_payload),
-                ("reuse_proof", reuse_proof)) if given]
-            if unread:
-                raise ConfigInvalid(f"an oracle withdraw reads no field "
-                                    f"{', '.join(map(repr, unread))}")
-            return self._call(
-                "forged_settlement_attempt", None, self.oracle.attempt_forged_settlement,
-                self.proofs, self.config.merkle_depth, self.config.chains[0],
-                self.dapp.verifying_key, expect=expect)
-
         rec = self._record(deposit)
         if reuse_proof and rec.settlement is None:
             raise ConfigInvalid(f"deposit {deposit!r} has no settlement proof "
@@ -340,7 +328,7 @@ class Simulation:
         return self._call(
             "router_withdraw", rec.dest, router_withdraw, self.chains[rec.dest],
             grafted, rec.payload, rec.note.salt, rec.dest, rec.version, self.proofs,
-            expect=expect,
+            expect=expect, deposit=deposit, via_oracle=False,
         )
 
     def _revert_proof(self, rec: NoteRecord) -> Proof:

@@ -139,7 +139,7 @@ class TestOracle:
         sim.deposit("alice", 1001, 1003)
         sim.go_offline("oracle")
         assert sim.relay() == []
-        assert sim.push_root() == 0
+        assert sim.push_root() is None
 
     def test_censor_chain_drops_deposits(self):
         sim = make_sim(oracle={"mode": "censor_chain", "censor_chain": 1001})

@@ -29,7 +29,12 @@ from anonbridge.harness import (
 )
 from anonbridge.harness import linkability, scenarios, simulation
 from anonbridge.harness.cli import main
-from anonbridge.harness.config import ACTION_FIELDS, DAPP_FIELDS, ORACLE_FIELDS
+from anonbridge.harness.config import (
+    _REQUIRED,
+    ACTION_FIELDS,
+    DAPP_FIELDS,
+    ORACLE_FIELDS,
+)
 from anonbridge.harness.linkability import oracle_view, source_view
 from anonbridge.harness.scenarios import standard_verdicts
 from anonbridge.harness.simulation import Simulation, UnexpectedOutcome
@@ -69,8 +74,8 @@ HAPPY_SCRIPT = [
 class TestConfig:
     def test_vocabulary_is_closed(self):
         assert ACTION_VOCABULARY == {
-            "deposit", "sign", "relay", "push_root", "withdraw", "revert_mark",
-            "revert_init", "halt", "execute", "advance", "go_offline",
+            "deposit", "sign", "relay", "push_root", "withdraw", "forge_settlement",
+            "revert_mark", "revert_init", "halt", "execute", "advance", "go_offline",
         }
 
     def test_json_round_trip(self):
@@ -186,8 +191,8 @@ class TestConfig:
          "action 1 (deposit): label 'd0' is already taken"),
         ({"script": [dict(HAPPY_SCRIPT[0], dest=1005)]},
          "action 0 (deposit): field 'dest' names unknown 1005"),
-        ({"script": HAPPY_SCRIPT[:4] + [dict(HAPPY_SCRIPT[4], actor="mallory")]},
-         "action 4 (withdraw): field 'actor' names unknown 'mallory'"),
+        ({"script": HAPPY_SCRIPT[:4] + [dict(HAPPY_SCRIPT[4], actor="wallet")]},
+         "action 4 (withdraw): unknown field 'actor'"),
         ({"window": 0}, "field 'window' must be at least 1, got 0"),
         ({"chains": [1002], "script": []},
          "field 'chains' must list at least two chains, got [1002]"),
@@ -205,8 +210,8 @@ class TestConfig:
         ({"script": [dict(HAPPY_SCRIPT[0], payload="zz")]},
          "action 0 (deposit): field 'payload' is not hex"),
         ({"script": HAPPY_SCRIPT[:2] + [
-            {"op": "withdraw", "actor": "oracle", "chain": 1005}]},
-         "action 2 (withdraw): field 'chain' names unknown 1005"),
+            {"op": "forge_settlement", "chain": 1005}]},
+         "action 2 (forge_settlement): unknown field 'chain'"),
         ({"script": [dict(HAPPY_SCRIPT[0], source=1005)]},
          "action 0 (deposit): field 'source' names unknown 1005"),
         ({"script": HAPPY_SCRIPT[:1] + [
@@ -223,10 +228,8 @@ class TestConfig:
          "action 1 (execute): deposit 'd0' has no revert proof; "
          "revert_mark or revert_init it first"),
         ({"script": HAPPY_SCRIPT[:4] + [
-            {"op": "withdraw", "actor": "oracle", "deposit": "d0",
-             "reuse_proof": True}]},
-         "action 4 (withdraw): an oracle withdraw reads no field 'deposit', "
-         "'reuse_proof'"),
+            {"op": "forge_settlement", "deposit": "d0", "reuse_proof": True}]},
+         "action 4 (forge_settlement): unknown field 'deposit'"),
         ({"dapp": {"period_blocks": -5, "max_reverts_per_period": -1}},
          "field 'dapp.period_blocks' must be at least 1, got -5"),
         ({"dapp": {"period_blocks": 0}},
@@ -272,15 +275,20 @@ class TestConfig:
 class TestScriptInterpreter:
     @pytest.mark.parametrize("op", sorted(ACTION_FIELDS))
     def test_every_action_is_a_simulation_method(self, op):
+        """An action's fields are parameters of its method, and the fields
+        a script must give are exactly the parameters without a default."""
         params = inspect.signature(getattr(Simulation, op)).parameters
         assert set(ACTION_FIELDS[op]) | {"expect"} <= set(params)
+        required = [name for name, param in params.items()
+                    if name != "self" and param.default is inspect.Parameter.empty]
+        assert tuple(required) == _REQUIRED.get(op, ())
 
     def test_null_field_means_default(self):
         """A null field runs as if it were left out; only the header, which
         embeds the config as written, tells the two transcripts apart."""
         nulls = {"payload": None, "version": None, "value": None}
         script = [dict(HAPPY_SCRIPT[0], **nulls)] + HAPPY_SCRIPT[1:] + [
-            {"op": "withdraw", "deposit": "d0", "actor": None, "chain": None,
+            {"op": "withdraw", "deposit": "d0", "chain": None,
              "claim_dest": None, "via_oracle": None, "tamper_payload": None,
              "reuse_proof": True, "expect": "DoubleSpend"},
             {"op": "advance", "blocks": None, "chain": None, "expect": None},
@@ -810,17 +818,12 @@ class TestActionNames:
          "field 'wallet' names unknown 'mallory'"),
         ("advance", (0,), {}, "field 'blocks' must be at least 1, got 0"),
         ("advance", (), {"chain": 1009}, "field 'chain' names unknown 1009"),
-        ("withdraw", ("d0",), {"actor": "mallroy"},
-         "field 'actor' names unknown 'mallroy'"),
         ("withdraw", ("d0",), {"chain": 1009}, "field 'chain' names unknown 1009"),
-        ("withdraw", (), {"actor": "oracle", "chain": 1009},
-         "field 'chain' names unknown 1009"),
         ("revert_mark", ("d0",), {"chain": 1009}, "field 'chain' names unknown 1009"),
         ("revert_init", ("d0",), {"chain": 1009}, "field 'chain' names unknown 1009"),
         ("go_offline", ("x",), {}, "field 'actor' names unknown 'x'"),
     ], ids=["unknown_dest", "unknown_source", "unknown_wallet", "zero_blocks",
-            "advance_unknown_chain", "unknown_withdraw_actor",
-            "withdraw_unknown_chain", "oracle_withdraw_unknown_chain",
+            "advance_unknown_chain", "withdraw_unknown_chain",
             "revert_mark_unknown_chain", "revert_init_unknown_chain",
             "unknown_offline_actor"])
     def test_unknown_name_is_refused_before_anything_happens(self, op, args,
@@ -833,29 +836,31 @@ class TestActionNames:
         assert _state(sim) == before
         assert not sim.oracle.offline and not sim.dapp.offline
 
-    @pytest.mark.parametrize("kwargs,fields", [
-        ({"deposit": "d0"}, "'deposit'"),
-        ({"chain": 1003}, "'chain'"),
-        ({"claim_dest": 1001}, "'claim_dest'"),
-        ({"verifying_key": b"k" * 32}, "'verifying_key'"),
-        ({"via_oracle": True}, "'via_oracle'"),
-        ({"tamper_payload": True}, "'tamper_payload'"),
-        ({"reuse_proof": True}, "'reuse_proof'"),
+    @pytest.mark.parametrize("fields,first", [
+        ({"deposit": "d0"}, "deposit"),
+        ({"chain": 1003}, "chain"),
+        ({"claim_dest": 1001}, "claim_dest"),
+        ({"verifying_key": "6b" * 32}, "verifying_key"),
+        ({"via_oracle": True}, "via_oracle"),
+        ({"tamper_payload": True}, "tamper_payload"),
+        ({"reuse_proof": True}, "reuse_proof"),
         ({"deposit": "nope", "reuse_proof": True, "chain": 1003, "claim_dest": 1001,
           "via_oracle": True, "tamper_payload": True,
-          "expect": "ConstraintViolation:signature"},
-         "'deposit', 'chain', 'claim_dest', 'via_oracle', 'tamper_payload', "
-         "'reuse_proof'"),
+          "expect": "ConstraintViolation:signature"}, "deposit"),
     ], ids=["deposit", "chain", "claim_dest", "verifying_key", "via_oracle",
             "tamper_payload", "reuse_proof", "all_but_the_key"])
-    def test_oracle_withdraw_refuses_each_field_it_does_not_read(self, kwargs,
-                                                               fields):
-        sim, _ = _two_deposits()
-        before = _state(sim)
+    def test_oracle_withdraw_refuses_each_field_it_does_not_read(self, fields,
+                                                               first):
+        """The oracle's forged settlement is the ``forge_settlement`` action,
+        which reads no field: a script giving it a wallet withdraw's field
+        is refused before the run starts, and the method takes none."""
+        script = HAPPY_SCRIPT[:4] + [dict(op="forge_settlement", **fields)]
         with pytest.raises(ConfigInvalid) as info:
-            sim.withdraw(actor="oracle", **kwargs)
-        assert str(info.value) == f"an oracle withdraw reads no field {fields}"
-        assert _state(sim) == before
+            script_config(script).validate()
+        assert str(info.value) == (f"action 4 (forge_settlement): unknown field "
+                                   f"{first!r}")
+        params = inspect.signature(Simulation.forge_settlement).parameters
+        assert list(params) == ["self", "expect"]
 
     def test_builtins_reach_the_contracts_only_through_actions(self):
         tree = ast.parse(Path(scenarios.__file__).read_text())
@@ -919,6 +924,22 @@ class TestTranscript:
         t1.log("a", x=1)
         t2.log("a", x=2)
         assert t1.digest() != t2.digest()
+
+    def test_each_op_has_one_call_record_shape(self):
+        """A contract call reaches the chains by one ``Simulation`` path, so
+        every ``call`` record of one op carries the same fields, in every
+        builtin at seeds 0-2 and every scenario file."""
+        configs = [builtin_config(name, seed=seed)
+                   for name in sorted(BUILTINS) for seed in (0, 1, 2)]
+        configs += [ScenarioConfig.from_json(path.read_text())
+                    for path in SCENARIO_FILES]
+        shapes: dict = {}
+        for config in configs:
+            for record in run_scenario(config).transcript.records:
+                if record["kind"] == "call":
+                    shapes.setdefault(record["op"], set()).add(tuple(sorted(record)))
+        assert "router_register_dapp" in shapes and "router_withdraw" in shapes
+        assert {op: sorted(keys) for op, keys in shapes.items() if len(keys) > 1} == {}
 
 
 HIDDEN_FIELDS = ("payload", "dest_chain_id", "salt", "secret", "nullifier")
@@ -1314,8 +1335,12 @@ class TestCli:
         ('{"i":0,"kind":"call"}\n', ""),
         ('{"i":0,"kind":"header","config":"5"}\n', ""),
         (OLD_TRANSCRIPT, f"unknown config fields: {REMOVED_FIELDS}"),
+        (json.dumps({"i": 0, "kind": "header", "config": json.dumps({
+            "script": [{"op": "withdraw", "actor": "oracle"}]})}) + "\n",
+         "action 0 (withdraw): unknown field 'actor'"),
     ], ids=["missing", "not_json", "empty", "not_a_record", "no_header",
-            "config_not_an_object", "config_with_removed_field"])
+            "config_not_an_object", "config_with_removed_field",
+            "withdraw_with_an_actor"])
     def test_replay_of_unreadable_transcript_exits_two(self, tmp_path, capsys,
                                                         content, named):
         path = tmp_path / "transcript.jsonl"

@@ -31,7 +31,15 @@ re-folding the Merkle path in ``router_revert_mark_destination``: only
 reaches the TPC check -- 28 figures in ``custody_total_outage/0-2``,
 ``oracle_censorship/0-2``, ``withdraw_revert_race/0`` and ``/2``,
 ``all_actions.json/0-2`` and ``revert_after_censorship.json/0-2``. No
-digest, verdict, sweep row or other count moved. A host-side optimisation or a refactor
+digest, verdict, sweep row or other count moved. Both were regenerated a
+sixth time, when each contract call came to take one ``Simulation`` path
+and leave one record shape: the oracle's forged settlement became the
+``forge_settlement`` action, set-up registers through ``register_dapp``,
+which logs its ``caller``, and the grafted withdraw logs ``deposit`` and
+``via_oracle``. Only 9 digests moved: ``dapp_hash_squat/0-2`` and
+``wrong_dapp_call/0-2``, whose call records gained those fields, and
+``all_actions.json/0-2``, whose header embeds a script that names the new
+action. No op count, verdict or sweep row moved. A host-side optimisation or a refactor
 must leave every figure unchanged. The fixtures are regenerated only by hand, after
 a deliberate protocol change:
 

@@ -1,10 +1,10 @@
 """In-process ledgers and the three contract state machines.
 
-One ``Chain`` per supported blockchain, each carrying a Router contract;
-the multiplexer chain additionally carries the Mixer with the global
-Merkle tree. There is no consensus or mempool: the scenario scheduler
-serializes every call, and a block clock advances only through
-``advance_blocks``.
+One ``Chain`` per supported blockchain, each carrying a Router contract
+deployed with its oracle key, proof verifier and revert window, so a call
+carries only calldata; the multiplexer chain also carries the Mixer. There
+is no consensus or mempool: the scenario scheduler serializes every call,
+and a block clock advances only through ``advance_blocks``.
 
 An ``Event`` carries its canonical payload and block height only; a
 deposit's dApp is its source Router's ``commitment_log`` entry.
@@ -78,7 +78,6 @@ def decode_revert_initiated(payload: bytes) -> tuple:
 class PendingRevert:
     commitment: int
     window_end: int
-    window: int             # the length it was opened with
     halted: bool = False
 
 
@@ -103,9 +102,12 @@ class MixerState:
 
 class Chain:
     """One blockchain: block clock, event log, Router, the Mixer on the
-    multiplexer, and ``dapps``, its deployed dApp contracts by address."""
+    multiplexer, and ``dapps``, its deployed dApp contracts by address.
+    The Router's ``verifier`` and ``revert_window`` are fixed at
+    deployment, next to ``oracle_auth``; no contract call supplies them."""
 
-    def __init__(self, chain_id: int, depth: int = None, oracle_auth: bytes = b""):
+    def __init__(self, chain_id: int, depth: int = None, oracle_auth: bytes = b"",
+                 verifier: circuit_mod.ProofSystem = None, revert_window: int = None):
         validate_chain_id(chain_id)
         self.chain_id = chain_id
         self.height = 0
@@ -113,6 +115,8 @@ class Chain:
         self.router = RouterState()
         self.mixer = MixerState(depth) if depth is not None else None
         self.oracle_auth = oracle_auth
+        self.verifier = verifier
+        self.revert_window = revert_window
         self.dapps: dict = {}              # address -> deployed dApp contract
 
     def emit(self, kind: str, payload: bytes) -> Event:
@@ -203,7 +207,7 @@ def router_update_root(chain: Chain, root: int, oracle_auth: bytes) -> None:
 
 
 def router_withdraw(chain: Chain, proof, payload: bytes, salt: int,
-                    dest_chain_claim: int, version: int, proofs) -> None:
+                    dest_chain_claim: int, version: int) -> None:
     """Destination-side settlement; the six contract checks, in order."""
     router = chain.router
     public = proof.public
@@ -223,7 +227,7 @@ def router_withdraw(chain: Chain, proof, payload: bytes, salt: int,
     if trustless_public_commitment(ghash, version, od) != public.tpc:
         raise TpcMismatch("recomputed TPC does not match the proof's public signal")
     # 4. the proof verifies
-    if not proofs.verify(circuit_mod.SETTLEMENT, proof):
+    if not chain.verifier.verify(circuit_mod.SETTLEMENT, proof):
         raise InvalidProof("settlement attestation rejected")
     # 5. resolve and invoke the destination dApp
     dapp_address = router.dapp_registry[ghash]
@@ -235,7 +239,7 @@ def router_withdraw(chain: Chain, proof, payload: bytes, salt: int,
 # -- Router: revert -----------------------------------------------------------
 
 def router_revert_mark_destination(chain: Chain, proof, payload: bytes, salt: int,
-                                   version: int, ghash: bytes, proofs) -> None:
+                                   version: int, ghash: bytes) -> None:
     """Flag the nullifier as Spent and Reverted on the destination chain.
 
     The call carries (payload, salt, version, global hash) so the Router
@@ -246,7 +250,7 @@ def router_revert_mark_destination(chain: Chain, proof, payload: bytes, salt: in
     """
     router = chain.router
     public = proof.public
-    if not proofs.verify(circuit_mod.REVERT, proof):
+    if not chain.verifier.verify(circuit_mod.REVERT, proof):
         raise InvalidProof("revert attestation rejected")
     if public.merkle_root not in router.known_roots:
         raise UnknownRoot(f"root {public.merkle_root} not among the latest two")
@@ -262,13 +266,13 @@ def router_revert_mark_destination(chain: Chain, proof, payload: bytes, salt: in
     chain.emit("revert_marked", to_bytes32(public.nullifier_hash))
 
 
-def router_revert_initiate_source(chain: Chain, dest: Chain, proof, proofs, window: int) -> int:
+def router_revert_initiate_source(chain: Chain, dest: Chain, proof) -> int:
     """Open the revert window on the source chain over ``dest``'s revert
     mark of this commitment; returns window end. The cross-chain read
     stands in for a state proof of the mark."""
     router = chain.router
     public = proof.public
-    if not proofs.verify(circuit_mod.REVERT, proof):
+    if not chain.verifier.verify(circuit_mod.REVERT, proof):
         raise InvalidProof("revert attestation rejected")
     if public.merkle_root not in router.known_roots:
         raise UnknownRoot(f"root {public.merkle_root} not among the latest two")
@@ -282,10 +286,8 @@ def router_revert_initiate_source(chain: Chain, dest: Chain, proof, proofs, wind
         raise AlreadyPending(f"revert for {public.nullifier_hash} already executed")
     if dest.router.nullifier_reverted.get(public.nullifier_hash) != public.commitment:
         raise NotMarked(f"no revert mark for {public.commitment} on {dest.chain_id}")
-    window_end = chain.height + window
-    router.pending_reverts[public.nullifier_hash] = PendingRevert(
-        public.commitment, window_end, window
-    )
+    window_end = chain.height + chain.revert_window
+    router.pending_reverts[public.nullifier_hash] = PendingRevert(public.commitment, window_end)
     chain.emit("revert_initiated",
                to_bytes32(public.commitment) + to_bytes32(public.nullifier_hash))
     return window_end
@@ -305,7 +307,7 @@ def router_revert_halt(chain: Chain, nullifier_hash: int, caller: bytes) -> None
     if pending.halted:
         raise Halted("revert was already halted once")
     pending.halted = True
-    pending.window_end += pending.window
+    pending.window_end += chain.revert_window
     chain.emit("revert_halted", to_bytes32(nullifier_hash))
 
 

@@ -98,7 +98,7 @@ class Simulation:
             self.chains = {}
             for cid in config.chains:
                 depth = config.merkle_depth if cid == config.multiplexer else None
-                self.chains[cid] = Chain(cid, depth=depth, oracle_auth=oracle_auth)
+                self.chains[cid] = Chain(cid, depth, oracle_auth, self.proofs, config.window)
             self.mixer_chain = self.chains[config.multiplexer]
 
             self.transcript.log("header", config=config.to_json())
@@ -304,7 +304,7 @@ class Simulation:
                 payload = bytes([payload[0] ^ 1]) + payload[1:]
             claim = claim_dest if claim_dest is not None else dest_chain.chain_id
             return router_withdraw(dest_chain, proof, payload, rec.note.salt, claim,
-                                   rec.version, self.proofs)
+                                   rec.version)
 
         result = self._call(
             "router_withdraw", dest_chain.chain_id, _do, expect=expect,
@@ -327,7 +327,7 @@ class Simulation:
                                                 dapp_verifying_key=verifying_key))
         return self._call(
             "router_withdraw", rec.dest, router_withdraw, self.chains[rec.dest],
-            grafted, rec.payload, rec.note.salt, rec.dest, rec.version, self.proofs,
+            grafted, rec.payload, rec.note.salt, rec.dest, rec.version,
             expect=expect, deposit=deposit, via_oracle=False,
         )
 
@@ -345,10 +345,8 @@ class Simulation:
 
         def _do():
             proof = self._revert_proof(rec)
-            router_revert_mark_destination(
-                dest_chain, proof, rec.payload, rec.note.salt, rec.version,
-                rec.ghash, self.proofs
-            )
+            router_revert_mark_destination(dest_chain, proof, rec.payload, rec.note.salt,
+                                           rec.version, rec.ghash)
             return proof
 
         return self._call(
@@ -363,9 +361,8 @@ class Simulation:
         src_chain = self.chains[chain if chain is not None else rec.source]
 
         def _do():
-            return router_revert_initiate_source(
-                src_chain, self.chains[rec.dest], self._revert_proof(rec), self.proofs,
-                self.config.window)
+            return router_revert_initiate_source(src_chain, self.chains[rec.dest],
+                                                 self._revert_proof(rec))
 
         return self._call(
             "router_revert_initiate", src_chain.chain_id, _do, expect=expect,

@@ -424,10 +424,8 @@ class TestWatcher:
         sim.push_root()
         proof = wallet.build_revert(rec.commitment, sim.mixer_chain, sim.proofs)
         router_revert_mark_destination(sim.chains[1003], proof, rec.payload,
-                                       rec.note.salt, rec.version, rec.ghash,
-                                       sim.proofs)
-        router_revert_initiate_source(sim.chains[1001], sim.chains[1003], proof,
-                                      sim.proofs, sim.config.window)
+                                       rec.note.salt, rec.version, rec.ghash)
+        router_revert_initiate_source(sim.chains[1001], sim.chains[1003], proof)
         assert sim.dapp.watch_reverts(sim.chains) == []
         nh = proof.public.nullifier_hash
         assert other.watch_reverts(sim.chains) == [(1001, nh, "value_threshold")]

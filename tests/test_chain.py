@@ -58,6 +58,7 @@ from anonbridge.rng import SeededRng, random_field_31
 from anonbridge.signing import KeyPair
 
 AUTH = b"\xaa" * 32
+WINDOW = 100
 
 
 class StubDapp:
@@ -79,9 +80,10 @@ class Harness:
 
     def __init__(self, seed=0, depth=8):
         self.rng = SeededRng(seed)
-        self.src = Chain(1001, oracle_auth=AUTH)
-        self.dst = Chain(1002, depth=depth, oracle_auth=AUTH)
         self.proofs = ProofSystem(self.rng.child("keys"))
+        self.src = Chain(1001, oracle_auth=AUTH, verifier=self.proofs, revert_window=WINDOW)
+        self.dst = Chain(1002, depth=depth, oracle_auth=AUTH, verifier=self.proofs,
+                         revert_window=WINDOW)
         self.addr_src = self.rng.bytes(20)
         self.addr_dst = self.rng.bytes(20)
         for chain, addr in ((self.src, self.addr_src), (self.dst, self.addr_dst)):
@@ -253,7 +255,7 @@ class TestWithdraw:
     def test_happy_path_invokes_hook(self):
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
-        router_withdraw(h.dst, proof, payload, note.salt, 1002, 1, h.proofs)
+        router_withdraw(h.dst, proof, payload, note.salt, 1002, 1)
         assert h.dst.dapps[h.addr_dst].settled == [payload]
         assert proof.public.nullifier_hash in h.dst.router.nullifier_spent
 
@@ -265,11 +267,11 @@ class TestWithdraw:
         router_update_root(h.dst, 1, AUTH)
         router_update_root(h.dst, 2, AUTH)
         with pytest.raises(UnknownRoot):
-            router_withdraw(h.dst, proof, payload, note.salt, 1002, 1, h.proofs)
+            router_withdraw(h.dst, proof, payload, note.salt, 1002, 1)
         router_update_root(h.dst, h.dst.mixer.tree.root, AUTH)
         # wrong destination claim
         with pytest.raises(WrongChain):
-            router_withdraw(h.dst, proof, payload, note.salt, 1001, 1, h.proofs)
+            router_withdraw(h.dst, proof, payload, note.salt, 1001, 1)
         # unregistered verifying key
         from dataclasses import replace
         from anonbridge.circuit import Proof
@@ -278,18 +280,18 @@ class TestWithdraw:
                       replace(proof.public, dapp_verifying_key=b"\x05" * 32),
                       proof.attestation)
         with pytest.raises(UnknownDapp):
-            router_withdraw(h.dst, alien, payload, note.salt, 1002, 1, h.proofs)
+            router_withdraw(h.dst, alien, payload, note.salt, 1002, 1)
         # tampered payload breaks the TPC recomputation
         bad = bytes([payload[0] ^ 1]) + payload[1:]
         with pytest.raises(TpcMismatch):
-            router_withdraw(h.dst, proof, bad, note.salt, 1002, 1, h.proofs)
+            router_withdraw(h.dst, proof, bad, note.salt, 1002, 1)
         # wrong version does too
         with pytest.raises(TpcMismatch):
-            router_withdraw(h.dst, proof, payload, note.salt, 1002, 2, h.proofs)
+            router_withdraw(h.dst, proof, payload, note.salt, 1002, 2)
         # valid submission settles, resubmission double-spends
-        router_withdraw(h.dst, proof, payload, note.salt, 1002, 1, h.proofs)
+        router_withdraw(h.dst, proof, payload, note.salt, 1002, 1)
         with pytest.raises(DoubleSpend):
-            router_withdraw(h.dst, proof, payload, note.salt, 1002, 1, h.proofs)
+            router_withdraw(h.dst, proof, payload, note.salt, 1002, 1)
 
     def test_invalid_attestation(self):
         from anonbridge.circuit import Proof
@@ -299,18 +301,15 @@ class TestWithdraw:
         note, payload, req, proof, tpc = h.settle_case()
         forged = Proof(proof.circuit_id, proof.public, b"\x00" * 32)
         with pytest.raises(InvalidProof):
-            router_withdraw(h.dst, forged, payload, note.salt, 1002, 1, h.proofs)
+            router_withdraw(h.dst, forged, payload, note.salt, 1002, 1)
 
 
 class TestRevert:
-    WINDOW = 100
-
     def _pending(self, h):
         note, payload, req, proof, tpc = h.settle_case()
         rproof = h.revert_proof(note, req, tpc)
-        router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1, h.ghash,
-                                       h.proofs)
-        end = router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
+        router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1, h.ghash)
+        end = router_revert_initiate_source(h.src, h.dst, rproof)
         return note, payload, req, rproof, end
 
     @staticmethod
@@ -326,11 +325,34 @@ class TestRevert:
         forged = dataclasses.replace(rproof, attestation=bytes(32))
         before = self._routers(h)
         with pytest.raises(InvalidProof):
-            router_revert_mark_destination(h.dst, forged, payload, note.salt, 1, h.ghash,
-                                           h.proofs)
+            router_revert_mark_destination(h.dst, forged, payload, note.salt, 1, h.ghash)
         with pytest.raises(InvalidProof):
-            router_revert_initiate_source(h.src, h.dst, forged, h.proofs, self.WINDOW)
+            router_revert_initiate_source(h.src, h.dst, forged)
         assert self._routers(h) == before
+
+    def test_another_proof_systems_attestation_is_invalid_on_every_router(self):
+        """Every constraint holds, but another system attested the proofs:
+        each Router verifies with the verifier it was deployed with."""
+        h = Harness()
+        h.proofs = ProofSystem(h.rng.child("other-keys"))
+        note, payload, req, proof, tpc = h.settle_case()
+        rproof = h.revert_proof(note, req, tpc)
+        before = self._routers(h)
+        with pytest.raises(InvalidProof):
+            router_withdraw(h.dst, proof, payload, note.salt, 1002, 1)
+        with pytest.raises(InvalidProof):
+            router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1, h.ghash)
+        with pytest.raises(InvalidProof):
+            router_revert_initiate_source(h.src, h.dst, rproof)
+        assert self._routers(h) == before
+
+    def test_no_call_supplies_a_verifier_or_a_window(self):
+        """The verifier and the revert window are the Router's deployment
+        state: no contract function takes them, no pending revert keeps one."""
+        params = {name for _, fn in inspect.getmembers(chain_mod, inspect.isfunction)
+                  for name in inspect.signature(fn).parameters}
+        assert not params & {"proofs", "window", "verifier", "revert_window"}
+        assert "window" not in {f.name for f in dataclasses.fields(chain_mod.PendingRevert)}
 
     def test_root_not_pushed_is_unknown_on_both_routers(self):
         """A revert proof against a tree root no Router was handed yet."""
@@ -342,10 +364,9 @@ class TestRevert:
         rproof = h.revert_proof(note, req, tpc)
         before = self._routers(h)
         with pytest.raises(UnknownRoot):
-            router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1, h.ghash,
-                                           h.proofs)
+            router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1, h.ghash)
         with pytest.raises(UnknownRoot):
-            router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
+            router_revert_initiate_source(h.src, h.dst, rproof)
         assert self._routers(h) == before
 
     def test_mark_naming_an_unregistered_dapp_is_unknown(self):
@@ -355,7 +376,7 @@ class TestRevert:
         before = self._routers(h)
         with pytest.raises(UnknownDapp):
             router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1,
-                                           bytes(32), h.proofs)
+                                           bytes(32))
         assert self._routers(h) == before
 
     def test_mark_sets_both_flags(self):
@@ -373,7 +394,7 @@ class TestRevert:
         # the source chain also knows the root but is not the destination
         with pytest.raises(TpcMismatch):
             router_revert_mark_destination(h.src, rproof, payload, note.salt, 1,
-                                           h.ghash, h.proofs)
+                                           h.ghash)
 
     def test_public_tpc_changed_after_proving_is_invalid_on_both_routers(self):
         h = Harness()
@@ -384,9 +405,9 @@ class TestRevert:
         before = self._routers(h)
         with pytest.raises(InvalidProof):
             router_revert_mark_destination(h.dst, moved, payload, note.salt, 1,
-                                           h.ghash, h.proofs)
+                                           h.ghash)
         with pytest.raises(InvalidProof):
-            router_revert_initiate_source(h.src, h.dst, moved, h.proofs, self.WINDOW)
+            router_revert_initiate_source(h.src, h.dst, moved)
         assert self._routers(h) == before
 
     def test_mark_hashes_no_path(self):
@@ -396,7 +417,7 @@ class TestRevert:
         rproof = h.revert_proof(note, req, tpc)
         with ops.counting() as mark:
             router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1,
-                                           h.ghash, h.proofs)
+                                           h.ghash)
         assert mark.permutations == 0
         assert rproof.public.nullifier_hash in h.dst.router.nullifier_reverted
 
@@ -411,19 +432,19 @@ class TestRevert:
     def test_mark_after_settlement_is_double_spend(self):
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
-        router_withdraw(h.dst, proof, payload, note.salt, 1002, 1, h.proofs)
+        router_withdraw(h.dst, proof, payload, note.salt, 1002, 1)
         rproof = h.revert_proof(note, req, tpc)
         with pytest.raises(DoubleSpend):
             router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1,
-                                           h.ghash, h.proofs)
+                                           h.ghash)
 
     def test_initiate_guards(self):
         h = Harness()
         note, payload, req, rproof, _ = self._pending(h)
         with pytest.raises(AlreadyPending):
-            router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
+            router_revert_initiate_source(h.src, h.dst, rproof)
         with pytest.raises(WrongChain):
-            router_revert_initiate_source(h.dst, h.dst, rproof, h.proofs, self.WINDOW)
+            router_revert_initiate_source(h.dst, h.dst, rproof)
 
     def test_initiate_unknown_commitment(self):
         h = Harness()
@@ -431,27 +452,27 @@ class TestRevert:
         rproof = h.revert_proof(note, req, tpc)
         h.src.router.commitment_log.clear()
         with pytest.raises(UnknownCommitment):  # checked before the mark
-            router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
+            router_revert_initiate_source(h.src, h.dst, rproof)
 
     def test_initiate_without_mark_is_not_marked(self):
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
         rproof = h.revert_proof(note, req, tpc)
         with pytest.raises(NotMarked):
-            router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
+            router_revert_initiate_source(h.src, h.dst, rproof)
         assert h.src.router.pending_reverts == {}
 
     def test_initiate_after_settlement_is_not_marked(self):
         # the settled destination refuses the mark, so no window opens
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
-        router_withdraw(h.dst, proof, payload, note.salt, 1002, 1, h.proofs)
+        router_withdraw(h.dst, proof, payload, note.salt, 1002, 1)
         rproof = h.revert_proof(note, req, tpc)
         with pytest.raises(DoubleSpend):
             router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1,
-                                           h.ghash, h.proofs)
+                                           h.ghash)
         with pytest.raises(NotMarked):
-            router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
+            router_revert_initiate_source(h.src, h.dst, rproof)
         assert h.src.router.pending_reverts == {}
         assert h.src.dapps[h.addr_src].reverted == []
 
@@ -459,7 +480,7 @@ class TestRevert:
         h = Harness()
         note, payload, req, rproof, end = self._pending(h)
         nh = rproof.public.nullifier_hash
-        advance_blocks(h.src, self.WINDOW - 1)
+        advance_blocks(h.src, WINDOW - 1)
         with pytest.raises(WindowActive):
             router_revert_execute(h.src, nh)
         advance_blocks(h.src, 1)
@@ -479,14 +500,14 @@ class TestRevert:
             router_revert_halt(h.src, nh, b"\x01" * 20)
         router_revert_halt(h.src, nh, h.addr_src)
         pending = h.src.router.pending_reverts[nh]
-        assert pending.halted and pending.window_end == end + self.WINDOW
+        assert pending.halted and pending.window_end == end + WINDOW
         with pytest.raises(Halted):
             router_revert_halt(h.src, nh, h.addr_src)
-        assert pending.window_end == end + self.WINDOW
-        advance_blocks(h.src, self.WINDOW)  # the original end
+        assert pending.window_end == end + WINDOW
+        advance_blocks(h.src, WINDOW)  # the original end
         with pytest.raises(WindowActive):
             router_revert_execute(h.src, nh)
-        advance_blocks(h.src, self.WINDOW)
+        advance_blocks(h.src, WINDOW)
         with pytest.raises(WindowExpired):
             router_revert_halt(h.src, nh, h.addr_src)
         router_revert_execute(h.src, nh)
@@ -505,14 +526,14 @@ class TestRevert:
         with pytest.raises(Unauthorized):
             router_revert_halt(h.src, nh, other)
         assert not h.src.router.pending_reverts[nh].halted
-        advance_blocks(h.src, self.WINDOW)
+        advance_blocks(h.src, WINDOW)
         router_revert_execute(h.src, nh)
         assert nh in h.src.router.nullifier_reverted
 
     def test_halt_after_expiry_rejected(self):
         h = Harness()
         note, payload, req, rproof, _ = self._pending(h)
-        advance_blocks(h.src, self.WINDOW)
+        advance_blocks(h.src, WINDOW)
         with pytest.raises(WindowExpired):
             router_revert_halt(h.src, rproof.public.nullifier_hash, h.addr_src)
 
@@ -527,11 +548,11 @@ class TestRevert:
         h = Harness()
         note, payload, req, rproof, _ = self._pending(h)
         nh = rproof.public.nullifier_hash
-        advance_blocks(h.src, self.WINDOW)
+        advance_blocks(h.src, WINDOW)
         router_revert_execute(h.src, nh)
         advance_blocks(h.src, 10)
         with pytest.raises(AlreadyPending):
-            router_revert_initiate_source(h.src, h.dst, rproof, h.proofs, self.WINDOW)
+            router_revert_initiate_source(h.src, h.dst, rproof)
 
 
 class TestClock:

@@ -12,7 +12,8 @@ import pytest
 
 import anonbridge
 import anonbridge.harness
-from anonbridge import hashing, keccak, ops
+from anonbridge import actors, hashing, keccak, ops
+from anonbridge.chain import decode_deposit_event, mixer_submit
 from anonbridge.circuit import SETTLEMENT, SettlementWitness
 from anonbridge.errors import ConfigInvalid, ConstraintViolation
 from anonbridge.field import P
@@ -1212,6 +1213,20 @@ class TestBuiltins:
     def test_every_builtin_passes(self, name):
         result = run_scenario(builtin_config(name, seed=0))
         assert result.passed, [v for v in result.verdicts if not v.passed]
+
+    def test_oracle_replay_fails_when_the_mixer_takes_the_replay(self, monkeypatch):
+        """A Mixer that forgets its commitments stores the replayed event
+        again: the relay logs it accepted and both checks fail."""
+        def forgetful(chain, event):
+            chain.mixer.commitments.pop(decode_deposit_event(event.payload)[0], None)
+            return mixer_submit(chain, event)
+
+        monkeypatch.setattr(actors, "mixer_submit", forgetful)
+        result = run_scenario(builtin_config("oracle_replay", seed=0))
+        assert {v.name for v in result.verdicts if not v.passed} == {
+            "replay_rejected", "single_leaf"}
+        ops_logged = [r.get("op") for r in result.transcript.records]
+        assert ops_logged.count("replay_accepted") == 1
 
     def test_attack_matrix_has_nine(self):
         assert len(ATTACK_MATRIX) == 9

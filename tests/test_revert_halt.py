@@ -2,7 +2,8 @@
 dApp's watcher halts is still refunded, and nothing stays in escrow."""
 
 from anonbridge.actors import START_BALANCE
-from anonbridge.harness import ScenarioConfig, run_scenario
+from anonbridge.chain import router_revert_initiate_source
+from anonbridge.harness import ScenarioConfig, Simulation, run_scenario
 
 
 def _revert_all(labels):
@@ -60,3 +61,23 @@ def test_every_revert_over_the_rate_is_refunded_within_two_windows():
     assert all(sim.reverted(d) for d in labels)
     assert sim.wallets["alice"].balance == START_BALANCE
     assert sim.dapp.contracts[1001].escrow == {}
+
+
+def test_a_direct_initiation_opens_the_routers_window_and_is_halted():
+    """A revert opened by a direct contract call gets the window the Router
+    was deployed with, so the dApp's watcher can still halt it."""
+    sim = Simulation(ScenarioConfig(seed=6, name="direct-initiation",
+                                    dapp={"max_value_per_revert": 0}, script=[]))
+    d = sim.deposit("alice", 1001, 1003)
+    sim.relay()
+    sim.sign()
+    sim.push_root()
+    sim.revert_mark(d)
+    src = sim.chains[1001]
+    proof = sim.deposits[d].revert
+    end = router_revert_initiate_source(src, sim.chains[1003], proof)
+    assert end == src.height + sim.config.window
+    nh = proof.public.nullifier_hash
+    assert src.router.pending_reverts[nh].window_end == end
+    assert sim.halt() == [(1001, nh, "value_threshold")]
+    assert src.router.pending_reverts[nh].window_end == end + sim.config.window

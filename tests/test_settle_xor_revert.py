@@ -15,6 +15,7 @@ from anonbridge.actors import START_BALANCE
 from anonbridge.chain import router_revert_initiate_source
 from anonbridge.errors import NotMarked
 from anonbridge.harness import ScenarioConfig, Simulation, run_scenario
+from anonbridge.harness.scenarios import standard_verdicts
 
 # deposit 1001 -> 1003, settle it, take the dApp offline, then try to refund
 SETTLED_THEN_OFFLINE_DAPP = [
@@ -41,11 +42,10 @@ def test_settled_deposit_is_not_refunded_with_its_dapp_offline():
     assert sim.chains[1001].router.pending_reverts == {}
 
 
-def test_a_mark_of_a_note_sharing_the_nullifier_refunds_no_settled_note():
+def _shared_nullifier_sim() -> Simulation:
     """Two notes share a nullifier: a decoy of value 0 goes to 1002 and the
-    real note to 1003. The decoy's mark on 1002 records the decoy's
-    commitment, so after the real note settles on 1003 no window opens for
-    it, whichever destination the caller names."""
+    real note to 1003. The decoy is marked on 1002, then the real note
+    settles on 1003."""
     sim = Simulation(ScenarioConfig(seed=3, name="shared-nullifier", script=[]))
     sim.deposit("alice", 1001, 1003, label="real")
     real = sim.deposits["real"]
@@ -53,21 +53,28 @@ def test_a_mark_of_a_note_sharing_the_nullifier_refunds_no_settled_note():
     with mock.patch.object(actors, "note_new", lambda rng: replace(
             fresh_note(rng), nullifier=real.note.nullifier)):
         sim.deposit("alice", 1001, 1002, label="decoy", value=0)
-    decoy = sim.deposits["decoy"]
-    assert decoy.note.nullifier == real.note.nullifier
-    assert decoy.commitment != real.commitment
     sim.relay()
     sim.sign()
     sim.push_root()
     sim.revert_mark("decoy")
     sim.withdraw("real")
+    return sim
+
+
+def test_a_mark_of_a_note_sharing_the_nullifier_refunds_no_settled_note():
+    """The decoy's mark on 1002 records the decoy's commitment, so after
+    the real note settles on 1003 no window opens for it, whichever
+    destination the caller names."""
+    sim = _shared_nullifier_sim()
+    real, decoy = sim.deposits["real"], sim.deposits["decoy"]
+    assert decoy.note.nullifier == real.note.nullifier
+    assert decoy.commitment != real.commitment
 
     sim.revert_init("real", expect="NotMarked")
     nh = real.revert.public.nullifier_hash
     assert nh in sim.chains[1002].router.nullifier_reverted  # the decoy's mark
     with pytest.raises(NotMarked):
-        router_revert_initiate_source(sim.chains[1001], sim.chains[1002], real.revert,
-                                      sim.proofs, sim.config.window)
+        router_revert_initiate_source(sim.chains[1001], sim.chains[1002], real.revert)
     assert sim.chains[1001].router.pending_reverts == {}
 
     # the decoy's own refund still goes through its own mark
@@ -77,6 +84,20 @@ def test_a_mark_of_a_note_sharing_the_nullifier_refunds_no_settled_note():
     assert sim.settled("real") and not sim.reverted("real")
     assert sim.reverted("decoy") and not sim.settled("decoy")
     assert real.commitment in sim.dapp.contracts[1001].escrow
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the verdict keys outcomes on the nullifier hash")
+def test_a_shared_nullifier_with_one_outcome_per_deposit_passes_the_verdict():
+    """The real note settled and the decoy was refunded: one outcome each,
+    under one nullifier hash."""
+    sim = _shared_nullifier_sim()
+    sim.revert_init("decoy")
+    sim.advance(sim.config.window)
+    sim.execute("decoy")
+    assert sim.settled("real") and sim.reverted("decoy")
+    verdict = next(v for v in standard_verdicts(sim) if v.name == "settle_xor_revert")
+    assert verdict.passed, verdict.detail
 
 
 def test_no_actor_reads_the_nullifier_flags():

@@ -183,15 +183,15 @@ class Wallet:
 
 # -- event logs ------------------------------------------------------------------
 
-def new_events(chains: dict, cursors: dict, kind: str):
-    """Yield ``(chain, event)`` for each ``kind`` event past the chain's
-    cursor in ``cursors`` (chain id -> next index to read), chains in id
-    order. A chain's cursor moves to the end of its log only once the
-    chain has been read, so an exception leaves it where it was."""
+def new_events(chains: dict, cursors: dict, kind: str = None):
+    """Yield ``(chain, event)`` for each ``kind`` event, any if None, past
+    the chain's cursor in ``cursors`` (chain id -> next index to read),
+    chains in id order. A chain's cursor moves to the end of its log only
+    once the chain has been read, so an exception leaves it where it was."""
     for cid in sorted(chains):
         chain = chains[cid]
         for ev in chain.event_log[cursors.get(cid, 0):]:
-            if ev.kind == kind:
+            if kind is None or ev.kind == kind:
                 yield chain, ev
         cursors[cid] = len(chain.event_log)
 

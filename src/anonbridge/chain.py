@@ -185,13 +185,15 @@ def mixer_submit(chain: Chain, event: Event) -> int:
 
 
 def mixer_store_signature(chain: Chain, leaf_index: int, signature: bytes) -> None:
-    """First-write-wins signature storage by leaf index."""
+    """First-write-wins signature storage by leaf index; the stored
+    signature is public state, published as signature || leaf index."""
     mixer = chain.mixer
     if not 0 <= leaf_index < mixer.tree.next_index:
         raise IndexUnknown(f"no leaf at index {leaf_index}")
     if leaf_index in mixer.leaf_signatures:
         raise Unauthorized(f"signature for leaf {leaf_index} already stored")
     mixer.leaf_signatures[leaf_index] = signature
+    chain.emit("signature_stored", signature + to_bytes32(leaf_index))
 
 
 # -- Router: root sync and withdrawal ----------------------------------------

@@ -4,16 +4,23 @@ Reconstructs two observer views from a transcript and byte-scans them for
 sensitive encodings the protocol promises to hide:
 
 * oracle view: everything the relaying network observes while doing its
-  job -- source-chain deposit events, mixer state, root pushes, revert
-  broadcasts. Excludes the calls users submit directly to a destination
-  Router (withdraw, revert mark), which are the intentional reveal, and
-  the transcript header: harness metadata that embeds the scenario config
-  (a scripted payload too) and that no oracle observes.
+  job -- every event any chain emitted (deposits, Mixer leaves and
+  signatures, root pushes, settlements, reverts), the calls that made
+  them and the oracle's own actions. Excludes the calls users submit
+  directly to a destination Router (withdraw, revert mark), which are the
+  intentional reveal, and the transcript header: harness metadata that
+  embeds the scenario config (a scripted payload too) and that no oracle
+  observes.
 * source-chain view: every record emitted on a given deposit's source
   chain.
 
-A deposit event's last word is its emitting chain's public id, so it is
-stripped before either view is scanned.
+An event record's payload is a list of 64-character hex words. A deposit
+event's last word is its emitting chain's public id, and the last word of
+a ``leaf_inserted`` or ``signature_stored`` event is a public Mixer leaf
+index, so those words are stripped before either view is scanned. The
+encoder puts ``","`` between words, so event payloads are searched only at
+32-byte word boundaries: a value split across two words is not one hex
+run and is not counted.
 
 Revert scenarios legitimately reveal the commitment on the source chain;
 the analyzer reports that linkage as expected leakage rather than a
@@ -55,6 +62,10 @@ _USER_DIRECT_OPS = {"router_withdraw", "router_revert_mark", "withdraw_censored"
 
 _HIDDEN_FIELDS = ("payload", "dest_chain_id", "salt", "secret", "nullifier")
 
+# events whose last payload word is public: the emitting chain's id, or a
+# Mixer leaf index, which from 1001 on reads as a destination chain id
+_PUBLIC_LAST_WORD = {"deposit_event", "leaf_inserted_event", "signature_stored_event"}
+
 # view keys; a source view's key is its chain id
 _ORACLE, _REVERT = "oracle", "revert"
 
@@ -89,11 +100,10 @@ def source_view(records: list, source_chain: int) -> list:
 
 
 def _scanned(record: dict) -> dict:
-    """Drop a deposit event's last payload word: the id of the chain that
-    emitted it, public by design (``deposit_minimality`` checks it). No
-    revert record is a deposit event, so revert records stay whole."""
-    if record.get("op") == "deposit_event":
-        return dict(record, payload=record["payload"][:-_WORD])
+    """Drop the last payload word of an event in ``_PUBLIC_LAST_WORD``. No
+    revert record is one of them, so revert records stay whole."""
+    if record.get("op") in _PUBLIC_LAST_WORD:
+        return dict(record, payload=record["payload"][:-1])
     return record
 
 

@@ -8,8 +8,10 @@ records carry the same fields: set-up registers through
 the oracle's forged settlement is its own action, ``forge_settlement``.
 Each method refuses with ``ConfigInvalid``, before it acts or logs, an
 unknown wallet, chain or actor name, a taken label or one that names no
-deposit, and a proof to reuse or execute that was never built. Every
-action and contract call is logged to the transcript. Each simulation
+deposit, and a proof to reuse or execute that was never built. Only
+``_call`` logs what the chains emit: after each call's record, every new
+event, its payload as 64-character hex words. A decision no chain
+publishes is an ``action`` record. Each simulation
 owns its op counter: set-up, every call (also kept per operation) and
 the honest proof ``withdraw_grafted`` builds outside its call charge it.
 It also owns one hash table, active inside every call and around that
@@ -33,6 +35,7 @@ from ..actors import (
     Oracle,
     OraclePolicy,
     Wallet,
+    new_events,
 )
 from ..chain import (
     Chain,
@@ -87,6 +90,7 @@ class Simulation:
         self.metrics: dict = {}         # op name -> OpCounts of its calls
         self.hash_table: dict = {}      # hash input -> output, the same
         self.transcript = Transcript()
+        self._event_cursors: dict = {}  # chain id -> its events logged so far
         self.verdicts: list = []
         self.deposits: dict = {}        # label -> its wallet's NoteRecord
         self._labels: set = set()       # every label taken, failed deposits' too
@@ -155,10 +159,10 @@ class Simulation:
 
     def _call(self, op: str, chain, fn, *args, expect=None, **logged):
         """Run ``fn(*args)`` as call ``op`` on ``chain``: count its ops, run
-        it under the hash table, log it with ``logged``, judge it against
-        ``expect``. ``args`` are evaluated before the counter and the table
-        are entered, so anything that hashes, proves or can raise a protocol
-        error belongs in ``fn``: a closure when the action takes more steps."""
+        it under the hash table, log it with ``logged`` and then each new
+        chain event, judge it against ``expect``. ``args`` are evaluated
+        before the counter and the table are entered, so anything that
+        hashes, proves or can raise a protocol error belongs in ``fn``."""
         error = None
         result = None
         with ops.counting() as spent, ops.hash_table(self.hash_table):
@@ -174,6 +178,9 @@ class Simulation:
             error=_error_name(error) if error else None,
             **logged,
         )
+        for emitter, ev in new_events(self.chains, self._event_cursors):
+            self.transcript.log("event", op=f"{ev.kind}_event", chain=emitter.chain_id,
+                                block=ev.block, payload=ev.payload.hex(" ", -32).split())
         if expect in (None, "ok"):
             if error is not None:
                 raise error
@@ -215,10 +222,6 @@ class Simulation:
             value=value,
         )
         if rec is not None:
-            # re-log with the actual emitted event payload for byte-scans
-            ev = self.chains[source].event_log[-1]
-            self.transcript.log("event", op="deposit_event", chain=source,
-                                payload=ev.payload.hex(), block=ev.block)
             self.deposits[label] = rec
         return label
 
@@ -238,37 +241,19 @@ class Simulation:
         actions = self._call("oracle_relay", self.config.multiplexer, self.oracle.relay,
                              self.chains, self.mixer_chain, expect=expect)
         for act in actions or []:
-            if act[0] == "relayed":
-                _, cid, index = act
-                leaf = self.mixer_chain.mixer.tree.leaves[index]
-                self.transcript.log("event", op="leaf_inserted",
-                                    chain=self.config.multiplexer,
-                                    source=cid, index=index,
-                                    leaf=to_bytes32(leaf).hex())
-            else:
-                self.transcript.log("event", op=act[0],
+            if act[0] != "relayed":  # a relayed deposit is its leaf_inserted event
+                self.transcript.log("action", op=act[0],
                                     chain=self.config.multiplexer, detail=str(act[1:]))
         return actions
 
     def push_root(self, expect=None):
-        root = self._call("router_update_root", None, self.oracle.push_root,
+        return self._call("router_update_root", None, self.oracle.push_root,
                           self.chains, self.mixer_chain, expect=expect)
-        if root is not None:
-            for cid in sorted(self.chains):
-                self.transcript.log("event", op="root_update", chain=cid,
-                                    root=to_bytes32(root).hex())
-        return root
 
     def sign(self, expect=None):
-        signed = self._call("mixer_store_signature", self.config.multiplexer,
-                            self.dapp.scan_and_sign, self.chains, self.mixer_chain,
-                            expect=expect)
-        for index in signed or []:
-            sig = self.mixer_chain.mixer.leaf_signatures[index]
-            self.transcript.log("event", op="signature_stored",
-                                chain=self.config.multiplexer,
-                                index=index, signature=sig.hex())
-        return signed
+        return self._call("mixer_store_signature", self.config.multiplexer,
+                          self.dapp.scan_and_sign, self.chains, self.mixer_chain,
+                          expect=expect)
 
     def forge_settlement(self, expect=None):
         """The oracle's network-abuse move: forge a note and a tree, whose
@@ -311,7 +296,7 @@ class Simulation:
             deposit=deposit, via_oracle=via_oracle,
         )
         if result == "censored":
-            self.transcript.log("event", op="withdraw_censored",
+            self.transcript.log("action", op="withdraw_censored",
                                 chain=dest_chain.chain_id, deposit=deposit)
         return result
 
@@ -385,7 +370,7 @@ class Simulation:
         halts = self._call("dapp_watch_reverts", None, self.dapp.watch_reverts,
                            self.chains, expect=expect)
         for cid, nh, reason in halts or []:
-            self.transcript.log("event", op="revert_halted", chain=cid,
+            self.transcript.log("action", op="revert_halted", chain=cid,
                                 nullifier_hash=to_bytes32(nh).hex(), reason=reason)
         return halts
 

@@ -148,7 +148,7 @@ class TestOracle:
         assert sim.mixer_chain.mixer.tree.next_index == 0
         event = sim.transcript.records[-1]
         assert (event["kind"], event["op"], event["chain"]) == (
-            "event", "relay_censored", 1002)
+            "action", "relay_censored", 1002)
 
     def test_censor_chain_logs_each_drop_once(self):
         """Each censored deposit is one ``relay_censored`` event; a deposit

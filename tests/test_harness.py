@@ -909,6 +909,18 @@ class TestActionNames:
                         thunks.append(f"{method.name}:{arg.lineno}")
         assert thunks == []
 
+    def test_only_call_logs_chain_events(self):
+        """``_call`` logs every event the chains emit, so no action logs one
+        by hand."""
+        tree = ast.parse(Path(simulation.__file__).read_text())
+        sites = [method.name for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for method in cls.body if isinstance(method, ast.FunctionDef)
+                 for call in ast.walk(method)
+                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                 and call.func.attr == "log" and call.args
+                 and isinstance(call.args[0], ast.Constant) and call.args[0].value == "event"]
+        assert sites == ["_call"]
+
 
 class TestTranscript:
     def test_indices_and_jsonl(self, tmp_path):
@@ -942,6 +954,26 @@ class TestTranscript:
         assert "router_register_dapp" in shapes and "router_withdraw" in shapes
         assert {op: sorted(keys) for op, keys in shapes.items() if len(keys) > 1} == {}
 
+    def test_event_records_are_the_chains_event_logs(self):
+        """Every event a chain emits reaches the transcript once, in emission
+        order, as an ``event`` record of its block and its payload's 32-byte
+        words, in every builtin and every scenario file at seeds 0-2."""
+        configs = [builtin_config(name, seed=seed)
+                   for name in sorted(BUILTINS) for seed in (0, 1, 2)]
+        configs += [ScenarioConfig.from_dict(dict(json.loads(path.read_text()), seed=seed))
+                    for path in SCENARIO_FILES for seed in (0, 1, 2)]
+        for config in configs:
+            result = run_scenario(config)
+            events = [r for r in result.transcript.records if r["kind"] == "event"]
+            assert {r["chain"] for r in events} <= set(result.sim.chains)
+            for cid, chain in result.sim.chains.items():
+                logged = [(r["op"], r["block"], r["payload"])
+                          for r in events if r["chain"] == cid]
+                emitted = [(f"{ev.kind}_event", ev.block,
+                            [ev.payload[k:k + 32].hex() for k in range(0, len(ev.payload), 32)])
+                           for ev in chain.event_log]
+                assert logged == emitted, (config.name, config.seed, cid)
+
 
 HIDDEN_FIELDS = ("payload", "dest_chain_id", "salt", "secret", "nullifier")
 
@@ -952,7 +984,9 @@ def naive_linkability(records, secrets):
         return "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
                          for r in rs).encode()
 
-    scanned = [dict(r, payload=r["payload"][:-64]) if r.get("op") == "deposit_event"
+    # a deposit's chain id and a Mixer leaf index are public last words
+    public_last = {"deposit_event", "leaf_inserted_event", "signature_stored_event"}
+    scanned = [dict(r, payload=r["payload"][:-1]) if r.get("op") in public_last
                else r for r in records]
     oracle = blob(oracle_view(scanned))
     revert = blob(r for r in records if "revert" in str(r.get("op", "")))
@@ -1017,6 +1051,50 @@ class TestLinkability:
                                      result.sim.secrets_for_analysis())
         assert report["violations"] == 0
         assert [e["label"] for e in report["expected_leakage"]] == ["d0"]
+
+    def test_public_leaf_index_words_are_not_scanned(self):
+        """A Mixer leaf index, the last word of a ``leaf_inserted`` and a
+        ``signature_stored`` event, is public: from 1001 on it equals a
+        destination chain id, and the scan must not count it. The same word
+        elsewhere in those payloads is a leak."""
+        result = run_scenario(builtin_config("settlement_happy_path", seed=2))
+        secrets = result.sim.secrets_for_analysis()
+        index = secrets[0]["dest_chain_id"]
+        planted = [("leaf_inserted_event", ["11" * 32, index]),
+                   ("signature_stored_event", ["22" * 32, "33" * 32, index])]
+
+        def report(words_of):
+            records = list(result.transcript.records)
+            for op, words in planted:
+                records.append({"i": len(records), "kind": "event", "op": op,
+                                "chain": result.sim.mixer_chain.chain_id, "block": 0,
+                                "payload": words_of(words)})
+            got = analyze_linkability(records, secrets)
+            assert got == naive_linkability(records, secrets)
+            return got
+
+        assert report(lambda words: words)["violations"] == 0
+        moved = report(lambda words: words[-1:] + words[:-1])
+        assert moved["deposits"][0]["oracle_view"]["dest_chain_id"] == 2
+
+    def test_event_payloads_are_scanned_at_word_boundaries(self):
+        """An event payload is a list of 32-byte words, so a 64-character
+        value split across two words is never one hex run and is not
+        counted; the same value within one word is."""
+        result = run_scenario(builtin_config("settlement_happy_path", seed=2))
+        secrets = result.sim.secrets_for_analysis()
+        salt = secrets[0]["salt"]
+
+        def salt_hits(words):
+            records = list(result.transcript.records) + [
+                {"i": len(result.transcript.records), "kind": "event",
+                 "op": "settled_event", "chain": 1002, "block": 0, "payload": words}]
+            report = analyze_linkability(records, secrets)
+            assert report == naive_linkability(records, secrets)
+            return report["deposits"][0]["oracle_view"]["salt"]
+
+        assert salt_hits(["e" * 32 + salt[:32], salt[32:] + "e" * 32]) == 0
+        assert salt_hits(["e" * 64, salt]) == 1
 
     def test_planted_leak_is_caught(self):
         result = run_scenario(builtin_config("settlement_happy_path", seed=2))
@@ -1321,7 +1399,7 @@ class TestCli:
             assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 0
             digests.append(capsys.readouterr().out.split("\n")[0])
         assert digests[0] == digests[1] != digests[2]
-        assert digests[0].startswith("transcript digest 44d9a7bc")
+        assert digests[0].startswith("transcript digest ce3ffa94")
 
     def test_scenario_file_that_is_not_json_exits_two(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"

@@ -39,7 +39,15 @@ which logs its ``caller``, and the grafted withdraw logs ``deposit`` and
 ``via_oracle``. Only 9 digests moved: ``dapp_hash_squat/0-2`` and
 ``wrong_dapp_call/0-2``, whose call records gained those fields, and
 ``all_actions.json/0-2``, whose header embeds a script that names the new
-action. No op count, verdict or sweep row moved. A host-side optimisation or a refactor
+action. No op count, verdict or sweep row moved. Both were regenerated a
+seventh time, when the transcript came to log what the chains emit: after
+each call, ``Simulation._call`` logs one ``event`` record per new chain
+event (its payload as 64-character hex words), the Mixer publishes each
+stored signature as a ``signature_stored`` event, the five hand-kept
+event records went, and the oracle's relay decisions, a censored routed
+withdraw and the watcher's halt reason became ``action`` records. 45 of
+the 48 digests moved; ``dapp_hash_squat/0-2``, which emit no event, kept
+theirs. No op count, verdict or sweep row moved. A host-side optimisation or a refactor
 must leave every figure unchanged. The fixtures are regenerated only by hand, after
 a deliberate protocol change:
 

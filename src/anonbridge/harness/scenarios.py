@@ -28,14 +28,11 @@ class RunResult:
 # -- standard invariant verdicts ------------------------------------------------
 
 def _check_settle_xor_revert(sim: Simulation) -> Verdict:
-    """At most one of {settled, revert-executed} per nullifier hash."""
-    outcomes: dict = {}
-    for chain in sim.chains.values():
-        for ev in chain.event_log:
-            if ev.kind in ("settled", "revert_executed"):
-                nh = ev.payload.hex()
-                outcomes.setdefault(nh, []).append(ev.kind)
-    bad = {nh: ks for nh, ks in outcomes.items() if len(ks) > 1}
+    """No deposit both settled on its destination and refunded on its
+    source, as ``Simulation.settled`` and ``reverted`` judge it; a failure
+    names those deposits' labels."""
+    bad = [label for label in sim.deposits
+           if sim.settled(label) and sim.reverted(label)]
     return Verdict("settle_xor_revert", not bad, str(bad) if bad else "")
 
 

@@ -11,18 +11,17 @@ unknown wallet, chain or actor name, a taken label or one that names no
 deposit, and a proof to reuse or execute that was never built. Only
 ``_call`` logs what the chains emit: after each call's record, every new
 event, its payload as 64-character hex words. A decision no chain
-publishes is an ``action`` record. Each simulation
-owns its op counter: set-up, every call (also kept per operation) and
-the honest proof ``withdraw_grafted`` builds outside its call charge it.
-It also owns one hash table, active inside every call and around that
-proof, so a call does not recompute a MiMC permutation or a keccak256
-digest that an earlier call, or an earlier step of the same call,
-already computed (see ``hashing``); op counts are the same with or
-without it. The proof attestation, keyed BLAKE2b charged as the
-keccak256 MAC it stands for, never enters the table: the verifier
-recomputes it. An action hands ``_call`` the function it calls and its
-arguments, which are evaluated outside the counter and the table: work
-that hashes, proves or can raise a protocol error goes in a closure.
+publishes is an ``action`` record. Each simulation owns its op counter,
+charged by set-up and by every call (also kept per operation) alone, and
+one hash table, active inside every call alone, so a call does not
+recompute a MiMC permutation or a keccak256 digest that an earlier call,
+or an earlier step of the same call, already computed (see ``hashing``);
+op counts are the same with or without it. The proof attestation, keyed
+BLAKE2b charged as the keccak256 MAC it stands for, never enters the
+table: the verifier recomputes it. An action hands ``_call`` the
+function it calls and its arguments, which are evaluated outside the
+counter and the table: work that hashes, proves or can raise a protocol
+error goes in a closure.
 """
 
 from dataclasses import dataclass, replace
@@ -86,7 +85,7 @@ class Simulation:
     def __init__(self, config: ScenarioConfig):
         config.validate()
         self.config = config
-        self.ops = ops.OpCounts()       # set-up, every call, a grafted proof
+        self.ops = ops.OpCounts()       # set-up and every call
         self.metrics: dict = {}         # op name -> OpCounts of its calls
         self.hash_table: dict = {}      # hash input -> output, the same
         self.transcript = Transcript()
@@ -301,20 +300,19 @@ class Simulation:
         return result
 
     def withdraw_grafted(self, deposit: str, verifying_key: bytes, expect=None):
-        """Withdraw with the deposit's honest settlement proof, built on the
-        simulation's counter and table outside the call, then re-bound to
-        ``verifying_key``: a proof grafted onto another dApp."""
+        """Withdraw with the deposit's honest settlement proof, built in the
+        call and re-bound to ``verifying_key``: a proof grafted onto another dApp."""
         rec = self._record(deposit)
-        with ops.counting(self.ops), ops.hash_table(self.hash_table):
+
+        def _do():
             proof = self.wallets[rec.wallet].build_settlement(
                 rec.commitment, self.mixer_chain, self.proofs, self.dapp.verifying_key)
-        grafted = replace(proof, public=replace(proof.public,
-                                                dapp_verifying_key=verifying_key))
-        return self._call(
-            "router_withdraw", rec.dest, router_withdraw, self.chains[rec.dest],
-            grafted, rec.payload, rec.note.salt, rec.dest, rec.version,
-            expect=expect, deposit=deposit, via_oracle=False,
-        )
+            public = replace(proof.public, dapp_verifying_key=verifying_key)
+            return router_withdraw(self.chains[rec.dest], replace(proof, public=public),
+                                   rec.payload, rec.note.salt, rec.dest, rec.version)
+
+        return self._call("router_withdraw", rec.dest, _do, expect=expect,
+                          deposit=deposit, via_oracle=False)
 
     def _revert_proof(self, rec: NoteRecord) -> Proof:
         """The deposit's revert proof, built once."""

@@ -25,8 +25,8 @@ before is returned, and every output computed is stored. ``permute``
 keys on its input pair (a tuple) and ``keccak256`` on its input bytes,
 so the two kinds of key never collide in the one dict. Each
 ``Simulation`` owns one table and enters it around every contract call
-and around the honest proof ``withdraw_grafted`` builds outside its
-call; outside such a block no table is active and every call computes.
+and nowhere else; outside such a block no table is active and every
+call computes.
 A hit is charged like a miss (one permutation, or the input's keccak
 blocks): op counts model the protocol's in-circuit and on-chain cost,
 not host work. The table holds one entry per distinct input, and is

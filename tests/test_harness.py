@@ -47,6 +47,10 @@ def script_config(script, seed=1, **over):
     return ScenarioConfig(seed=seed, name="scripted", script=script, **over)
 
 
+SCENARIO_FILES = sorted(
+    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+
+
 @pytest.mark.parametrize("package", [anonbridge, anonbridge.harness])
 def test_every_export_resolves(package):
     # a deletion that leaves its name in ``__all__`` fails here, not on
@@ -447,13 +451,43 @@ class TestOpCounter:
                 ops.charge("permutation")
         assert c == ops.OpCounts()
 
-    def test_scenario_work_outside_calls_is_counted(self):
-        # wrong_dapp_call's withdraw_grafted builds its honest proof outside
-        # its call
-        result = run_scenario(builtin_config("wrong_dapp_call", seed=0))
-        in_calls = sum(c["constraint_evals"]
-                       for c in result.metrics["per_op"].values())
-        assert result.metrics["total"]["constraint_evals"] > in_calls
+    @staticmethod
+    def _assert_total_is_set_up_plus_calls(result):
+        """``total`` is the sum over operations plus the set-up charge: the
+        Mixer tree's ``merkle_depth`` zero-node permutations, nothing else."""
+        per_op = result.metrics["per_op"].values()
+        outside = {kind: spent - sum(counts[kind] for counts in per_op)
+                   for kind, spent in result.metrics["total"].items()}
+        assert outside == {**ops.OpCounts().as_dict(),
+                           "permutations": result.config.merkle_depth}
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_builtin_total_is_set_up_plus_calls(self, name, seed):
+        self._assert_total_is_set_up_plus_calls(
+            run_scenario(builtin_config(name, seed=seed)))
+
+    @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.name)
+    def test_script_total_is_set_up_plus_calls(self, path):
+        self._assert_total_is_set_up_plus_calls(
+            run_scenario(ScenarioConfig.from_json(path.read_text())))
+
+    def test_only_set_up_and_calls_enter_the_counter_and_table(self):
+        """``Simulation`` enters ``ops.counting`` and ``ops.hash_table`` in
+        ``__init__`` and ``_call`` alone: no action spends outside a call."""
+        tree = ast.parse(Path(simulation.__file__).read_text())
+
+        def entries(node) -> list:
+            return sorted(n.lineno for n in ast.walk(node)
+                          if isinstance(n, ast.Attribute)
+                          and isinstance(n.value, ast.Name) and n.value.id == "ops"
+                          and n.attr in ("counting", "hash_table"))
+
+        cls = next(n for n in tree.body
+                   if isinstance(n, ast.ClassDef) and n.name == "Simulation")
+        allowed = sorted(line for f in cls.body if isinstance(f, ast.FunctionDef)
+                         and f.name in ("__init__", "_call") for line in entries(f))
+        assert allowed and entries(tree) == allowed
 
 
 def _run_state(name: str) -> tuple:
@@ -653,10 +687,6 @@ class TestKeccakTable:
         sim.revert_mark(second)
 
 
-SCENARIO_FILES = sorted(
-    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
-
-
 def _warm_zero_nodes():
     """Derive every zero node now: each is derived once per process, under
     no table, by whichever run first needs it."""
@@ -695,8 +725,8 @@ def _computed_permutations(monkeypatch) -> list:
 
 
 class TestNoUntabledHashes:
-    """Every hash of a run goes through its simulation's table: the proof
-    ``withdraw_grafted`` builds outside its call as well as the calls."""
+    """Every hash of a run goes through its simulation's table, which
+    every call runs under, ``withdraw_grafted``'s proof build included."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -711,8 +741,9 @@ class TestNoUntabledHashes:
         assert untabled[0] == 0
 
     def test_wrong_dapp_call_proof_is_all_hits(self, monkeypatch):
-        # withdraw_grafted builds an honest proof outside its call: one
-        # deposit at depth 16 computes 2 + 1 + 16 permutations, nothing more
+        # the honest proof withdraw_grafted builds inside its call finds
+        # every hash in the table: one deposit at depth 16 computes
+        # 2 + 1 + 16 permutations, nothing more
         computed = _computed_permutations(monkeypatch)
         run_scenario(builtin_config("wrong_dapp_call", seed=7))
         assert computed[0] == 19

@@ -47,7 +47,14 @@ stored signature as a ``signature_stored`` event, the five hand-kept
 event records went, and the oracle's relay decisions, a censored routed
 withdraw and the watcher's halt reason became ``action`` records. 45 of
 the 48 digests moved; ``dapp_hash_squat/0-2``, which emit no event, kept
-theirs. No op count, verdict or sweep row moved. A host-side optimisation or a refactor
+theirs. No op count, verdict or sweep row moved. The builtin pins alone
+were regenerated an eighth time, when ``withdraw_grafted`` came to build
+its honest proof inside its ``router_withdraw`` call instead of beside
+it: 12 figures moved, all in ``wrong_dapp_call/0-2``'s
+``per_op.router_withdraw``, where ``permutations`` went 20 -> 40,
+``keccak_blocks`` 2 -> 4, ``sig_verifies`` 1 -> 2 and
+``constraint_evals`` 19 -> 38. No digest, ``total``, verdict or sweep row
+moved. A host-side optimisation or a refactor
 must leave every figure unchanged. The fixtures are regenerated only by hand, after
 a deliberate protocol change:
 

@@ -4,17 +4,24 @@ commitment, so no deposit ends both settled and refunded, whether its
 dApp is online or not."""
 
 import ast
+import inspect
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from anonbridge import actors
+from anonbridge import actors, chain
 from anonbridge.actors import START_BALANCE
 from anonbridge.chain import router_revert_initiate_source
 from anonbridge.errors import NotMarked
-from anonbridge.harness import ScenarioConfig, Simulation, run_scenario
+from anonbridge.harness import (
+    ScenarioConfig,
+    Simulation,
+    builtin_config,
+    run_scenario,
+    simulation,
+)
 from anonbridge.harness.scenarios import standard_verdicts
 
 # deposit 1001 -> 1003, settle it, take the dApp offline, then try to refund
@@ -86,8 +93,6 @@ def test_a_mark_of_a_note_sharing_the_nullifier_refunds_no_settled_note():
     assert real.commitment in sim.dapp.contracts[1001].escrow
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: the verdict keys outcomes on the nullifier hash")
 def test_a_shared_nullifier_with_one_outcome_per_deposit_passes_the_verdict():
     """The real note settled and the decoy was refunded: one outcome each,
     under one nullifier hash."""
@@ -98,6 +103,33 @@ def test_a_shared_nullifier_with_one_outcome_per_deposit_passes_the_verdict():
     assert sim.settled("real") and sim.reverted("decoy")
     verdict = next(v for v in standard_verdicts(sim) if v.name == "settle_xor_revert")
     assert verdict.passed, verdict.detail
+
+
+def _initiate_without_mark_check():
+    """A copy of ``router_revert_initiate_source`` that lacks its
+    ``NotMarked`` check: it opens a window over a deposit never marked."""
+    tree = ast.parse(inspect.getsource(chain.router_revert_initiate_source))
+    fn = tree.body[0]
+    kept = [stmt for stmt in fn.body if "NotMarked" not in ast.unparse(stmt)]
+    assert len(kept) == len(fn.body) - 1
+    fn.body = kept
+    namespace = dict(vars(chain))
+    exec(compile(tree, chain.__file__, "exec"), namespace)
+    return namespace["router_revert_initiate_source"]
+
+
+def test_the_verdict_fails_a_deposit_settled_and_refunded(monkeypatch):
+    """Without the mark check a race can settle a deposit and then refund
+    it; the verdict names that deposit."""
+    monkeypatch.setattr(simulation, "router_revert_initiate_source",
+                        _initiate_without_mark_check())
+    for seed in range(100):
+        result = run_scenario(builtin_config("withdraw_revert_race", seed=seed))
+        verdict = next(v for v in result.verdicts if v.name == "settle_xor_revert")
+        if not verdict.passed:
+            break
+    assert not verdict.passed, "no seed settled and refunded one deposit"
+    assert "d0" in verdict.detail
 
 
 def test_no_actor_reads_the_nullifier_flags():

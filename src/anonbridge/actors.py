@@ -43,7 +43,6 @@ from .errors import (
     DuplicateCommitment,
     InvalidValue,
     SignatureMissing,
-    SimError,
     UnknownCommitment,
     WrongChain,
 )
@@ -213,7 +212,9 @@ class Oracle:
     In ``censor_dapp`` mode it drops the withdraws of the dApp whose global
     hash is ``censored_dapp``; in ``censor_chain`` mode, the deposits made on
     and the withdraws bound for chain ``policy.censor_chain``. ``relay``
-    reports each dropped deposit as a ``relay_censored`` action.
+    reports each dropped deposit as a ``relay_censored`` action; a dropped
+    withdraw is its call's ``Censored`` error. In ``replay`` mode ``relay``
+    submits each deposit event twice, and the second is ``relay_rejected``.
     """
 
     def __init__(self, policy: OraclePolicy, auth: bytes, rng: SeededRng,
@@ -227,31 +228,28 @@ class Oracle:
         self.forged_root = 0         # the root of the last forged tree
 
     def relay(self, chains: dict, mixer_chain: Chain) -> list:
-        """Scan all event logs and push new deposit events into the mixer."""
+        """Scan all event logs and push new deposit events into the mixer:
+        each once, twice in ``replay`` mode, where the mixer must dedupe."""
         if self.offline:
             return []
         actions = []
+        submissions = 2 if self.policy.mode == "replay" else 1
         for chain, ev in new_events(chains, self._cursors, "deposit"):
             cid = chain.chain_id
             if self.policy.mode == "censor_chain" and cid == self.policy.censor_chain:
                 actions.append(("relay_censored", cid))
                 continue
-            try:
-                index = mixer_submit(mixer_chain, ev)
-            except DuplicateCommitment:
-                # the commitment is already in the tree (a copy deposited
-                # on another chain); the cursor must still pass it, or
-                # every later relay on this chain fails the same way
-                actions.append(("relay_rejected", cid, "DuplicateCommitment"))
-                continue
-            actions.append(("relayed", cid, index))
-            if self.policy.mode == "replay":
-                # resubmit the same event; the mixer must dedupe
+            for _ in range(submissions):
                 try:
-                    mixer_submit(mixer_chain, ev)
-                    actions.append(("replay_accepted", cid, index))
-                except SimError as exc:
-                    actions.append(("replay_rejected", cid, type(exc).__name__))
+                    index = mixer_submit(mixer_chain, ev)
+                except DuplicateCommitment:
+                    # the commitment is already in the tree (a copy deposited
+                    # on another chain, or this event replayed); the cursor
+                    # must still pass it, or every later relay on this chain
+                    # fails the same way
+                    actions.append(("relay_rejected", cid, "DuplicateCommitment"))
+                    break
+                actions.append(("relayed", cid, index))
         return actions
 
     def push_root(self, chains: dict, mixer_chain: Chain):

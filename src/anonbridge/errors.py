@@ -136,6 +136,10 @@ class SignatureMissing(SimError):
     pass
 
 
+class Censored(SimError):
+    """The oracle network refused to route a withdraw to its Router."""
+
+
 # -- harness -----------------------------------------------------------------
 
 class ConfigInvalid(SimError):

@@ -58,7 +58,7 @@ from .transcript import RECORD_ENCODER
 
 # destination-side calls the user submits itself; everything else is
 # observable by the oracle network in the course of relaying
-_USER_DIRECT_OPS = {"router_withdraw", "router_revert_mark", "withdraw_censored"}
+_USER_DIRECT_OPS = {"router_withdraw", "router_revert_mark"}
 
 _HIDDEN_FIELDS = ("payload", "dest_chain_id", "salt", "secret", "nullifier")
 

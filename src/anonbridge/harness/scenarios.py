@@ -137,8 +137,8 @@ def oracle_forged_root(sim: Simulation):
 def oracle_censorship(sim: Simulation):
     """Oracles drop the relayed withdraw; the user reverts without them."""
     d = _drive_happy_path(sim)
-    res = sim.withdraw(d, via_oracle=True)
-    sim.check("withdraw_censored", res == "censored")
+    sim.withdraw(d, via_oracle=True, expect="Censored")
+    sim.check("withdraw_censored", True)
     sim.check("not_settled", not sim.settled(d))
     sim.revert_mark(d)
     sim.revert_init(d)
@@ -267,7 +267,7 @@ def wrong_dapp_call(sim: Simulation):
     sim.withdraw(d, verifying_key=other.verifying_key,
                  expect="ConstraintViolation:signature")
     # grafting B's key onto a valid proof breaks the TPC recomputation
-    sim.withdraw_grafted(d, other.verifying_key, expect="TpcMismatch")
+    sim.withdraw(d, graft_key=other.verifying_key, expect="TpcMismatch")
     sim.check("no_cross_dapp_delivery",
               not other.contracts[DEST].received_payloads)
 
@@ -275,9 +275,9 @@ def wrong_dapp_call(sim: Simulation):
 def oracle_replay(sim: Simulation):
     """Replayed deposit events bounce off the mixer's commitment dedupe."""
     sim.deposit("alice", SOURCE, DEST)
-    sim.relay()  # policy replay: resubmits each event immediately
+    sim.relay()  # policy replay: submits each event twice
     rejected = [r for r in sim.transcript.records
-                if r.get("op") == "replay_rejected"]
+                if r.get("op") == "relay_rejected"]
     sim.check("replay_rejected",
               bool(rejected) and "DuplicateCommitment" in rejected[0]["detail"])
     sim.check("single_leaf", sim.mixer_chain.mixer.tree.next_index == 1)

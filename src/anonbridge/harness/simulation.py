@@ -4,8 +4,10 @@ Builds the chain topology, actors, and proof system from a config, then
 exposes one method per action, the only way any caller reaches the
 contracts. A contract operation is reached by one path, so all its call
 records carry the same fields: set-up registers through
-``register_dapp``, ``withdraw_grafted`` logs what ``withdraw`` logs, and
+``register_dapp``, a grafted proof is ``withdraw``'s ``graft_key``, and
 the oracle's forged settlement is its own action, ``forge_settlement``.
+An outcome has one path too: a refusal, the oracle network's ``Censored``
+included, is the call's error, judged by ``expect``.
 Each method refuses with ``ConfigInvalid``, before it acts or logs, an
 unknown wallet, chain or actor name, a taken label or one that names no
 deposit, and a proof to reuse or execute that was never built. Only
@@ -47,7 +49,7 @@ from ..chain import (
 )
 from ..circuit import Proof, ProofSystem
 from ..dact import PayloadIntent
-from ..errors import ConfigInvalid, ConstraintViolation, SimError
+from ..errors import Censored, ConfigInvalid, ConstraintViolation, SimError
 from ..field import to_bytes32
 from ..rng import SeededRng
 from .config import ScenarioConfig
@@ -266,7 +268,13 @@ class Simulation:
     def withdraw(self, deposit: str, expect=None, chain: int = None,
                  claim_dest: int = None, via_oracle: bool = False,
                  tamper_payload: bool = False, reuse_proof: bool = False,
-                 verifying_key: bytes = None):
+                 verifying_key: bytes = None, graft_key: bytes = None):
+        """Withdraw the deposit with a settlement proof, built in the call
+        against ``verifying_key`` (the dApp's by default) or the one kept
+        (``reuse_proof``), then re-bound to ``graft_key`` if given: a proof
+        grafted onto another dApp. A ``via_oracle`` withdraw the oracle
+        network will not route fails with ``Censored`` after the proof
+        build, before any Router check."""
         _known("chain", chain, self.chains)
         rec = self._record(deposit)
         if reuse_proof and rec.settlement is None:
@@ -279,10 +287,14 @@ class Simulation:
         def _do():
             proof = rec.settlement if reuse_proof else w.build_settlement(
                 rec.commitment, self.mixer_chain, self.proofs, vk)
+            if graft_key is not None:
+                proof = replace(proof, public=replace(proof.public,
+                                                      dapp_verifying_key=graft_key))
             if via_oracle and not self.oracle.route_withdraw(
                 self.dapp.ghash, dest_chain.chain_id
             ):
-                return "censored"
+                raise Censored(f"the oracle network does not route withdraw "
+                               f"{deposit!r}")
             payload = rec.payload
             if tamper_payload:
                 payload = bytes([payload[0] ^ 1]) + payload[1:]
@@ -290,29 +302,10 @@ class Simulation:
             return router_withdraw(dest_chain, proof, payload, rec.note.salt, claim,
                                    rec.version)
 
-        result = self._call(
+        return self._call(
             "router_withdraw", dest_chain.chain_id, _do, expect=expect,
             deposit=deposit, via_oracle=via_oracle,
         )
-        if result == "censored":
-            self.transcript.log("action", op="withdraw_censored",
-                                chain=dest_chain.chain_id, deposit=deposit)
-        return result
-
-    def withdraw_grafted(self, deposit: str, verifying_key: bytes, expect=None):
-        """Withdraw with the deposit's honest settlement proof, built in the
-        call and re-bound to ``verifying_key``: a proof grafted onto another dApp."""
-        rec = self._record(deposit)
-
-        def _do():
-            proof = self.wallets[rec.wallet].build_settlement(
-                rec.commitment, self.mixer_chain, self.proofs, self.dapp.verifying_key)
-            public = replace(proof.public, dapp_verifying_key=verifying_key)
-            return router_withdraw(self.chains[rec.dest], replace(proof, public=public),
-                                   rec.payload, rec.note.salt, rec.dest, rec.version)
-
-        return self._call("router_withdraw", rec.dest, _do, expect=expect,
-                          deposit=deposit, via_oracle=False)
 
     def _revert_proof(self, rec: NoteRecord) -> Proof:
         """The deposit's revert proof, built once."""

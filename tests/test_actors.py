@@ -181,8 +181,10 @@ class TestOracle:
         sim.sign()
         sim.push_root()
         sim.go_offline("oracle")
-        assert sim.withdraw(d, via_oracle=True) == "censored"
-        assert sim.transcript.records[-1]["op"] == "withdraw_censored"
+        sim.withdraw(d, via_oracle=True, expect="Censored")
+        calls = [r for r in sim.transcript.records if r["kind"] == "call"]
+        assert calls[-1]["op"] == "router_withdraw"
+        assert calls[-1]["error"] == "Censored"
         assert not sim.settled(d)
         sim.withdraw(d)
         assert sim.settled(d)
@@ -193,7 +195,9 @@ class TestOracle:
         sim.relay()
         sim.sign()
         sim.push_root()
-        assert sim.withdraw(d, via_oracle=True) == "censored"
+        sim.withdraw(d, via_oracle=True, expect="Censored")
+        calls = [r for r in sim.transcript.records if r["kind"] == "call"]
+        assert calls[-1]["error"] == "Censored"
         assert not sim.settled(d)
 
     def test_forged_settlement_fails_at_signature(self):
@@ -209,7 +213,7 @@ class TestOracle:
         sim.deposit("alice", 1001, 1003)
         actions = sim.oracle.relay(sim.chains, sim.mixer_chain)
         kinds = [a[0] for a in actions]
-        assert kinds == ["relayed", "replay_rejected"]
+        assert kinds == ["relayed", "relay_rejected"]
 
     def test_copied_commitment_does_not_wedge_relay(self):
         # a copycat re-deposits a relayed public commitment on another chain;

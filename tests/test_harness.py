@@ -726,7 +726,7 @@ def _computed_permutations(monkeypatch) -> list:
 
 class TestNoUntabledHashes:
     """Every hash of a run goes through its simulation's table, which
-    every call runs under, ``withdraw_grafted``'s proof build included."""
+    every call runs under, a grafted withdraw's proof build included."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -741,7 +741,7 @@ class TestNoUntabledHashes:
         assert untabled[0] == 0
 
     def test_wrong_dapp_call_proof_is_all_hits(self, monkeypatch):
-        # the honest proof withdraw_grafted builds inside its call finds
+        # the honest proof a graft_key withdraw builds inside its call finds
         # every hash in the table: one deposit at depth 16 computes
         # 2 + 1 + 16 permutations, nothing more
         computed = _computed_permutations(monkeypatch)
@@ -894,6 +894,16 @@ class TestActionNames:
         params = inspect.signature(Simulation.forge_settlement).parameters
         assert list(params) == ["self", "expect"]
 
+    @pytest.mark.parametrize("key", ["verifying_key", "graft_key"])
+    def test_python_only_withdraw_keys_stay_out_of_scripts(self, key):
+        """``withdraw`` takes a key to prove against and one to graft on,
+        but a script cannot name either: it is refused before the run."""
+        script = HAPPY_SCRIPT[:4] + [{"op": "withdraw", "deposit": "d0", key: "6b" * 32}]
+        with pytest.raises(ConfigInvalid) as info:
+            script_config(script).validate()
+        assert str(info.value) == f"action 4 (withdraw): unknown field {key!r}"
+        assert key in inspect.signature(Simulation.withdraw).parameters
+
     def test_builtins_reach_the_contracts_only_through_actions(self):
         tree = ast.parse(Path(scenarios.__file__).read_text())
         back_doors = [node.attr for node in ast.walk(tree)
@@ -984,6 +994,26 @@ class TestTranscript:
                     shapes.setdefault(record["op"], set()).add(tuple(sorted(record)))
         assert "router_register_dapp" in shapes and "router_withdraw" in shapes
         assert {op: sorted(keys) for op, keys in shapes.items() if len(keys) > 1} == {}
+
+    def test_every_withdraw_that_ran_settled(self):
+        """A ``router_withdraw`` call that succeeds is one a Router ran: a
+        ``settled`` event on its chain follows it before the next call, in
+        every builtin at seeds 0-2 and every scenario file. A refusal, the
+        oracle network's ``Censored`` included, is a failed call."""
+        configs = [builtin_config(name, seed=seed)
+                   for name in sorted(BUILTINS) for seed in (0, 1, 2)]
+        configs += [ScenarioConfig.from_json(path.read_text())
+                    for path in SCENARIO_FILES]
+        for config in configs:
+            open_withdraw = None  # the last ok router_withdraw, until it settles
+            for record in run_scenario(config).transcript.records + [{"kind": "call"}]:
+                if record["kind"] == "call":
+                    assert open_withdraw is None, (config.name, config.seed, open_withdraw)
+                    if record.get("op") == "router_withdraw" and record["ok"]:
+                        open_withdraw = record
+                elif (open_withdraw is not None and record["op"] == "settled_event"
+                      and record["chain"] == open_withdraw["chain"]):
+                    open_withdraw = None
 
     def test_event_records_are_the_chains_event_logs(self):
         """Every event a chain emits reaches the transcript once, in emission
@@ -1325,7 +1355,7 @@ class TestBuiltins:
 
     def test_oracle_replay_fails_when_the_mixer_takes_the_replay(self, monkeypatch):
         """A Mixer that forgets its commitments stores the replayed event
-        again: the relay logs it accepted and both checks fail."""
+        again: the relay inserts it as a second leaf and both checks fail."""
         def forgetful(chain, event):
             chain.mixer.commitments.pop(decode_deposit_event(event.payload)[0], None)
             return mixer_submit(chain, event)
@@ -1335,7 +1365,8 @@ class TestBuiltins:
         assert {v.name for v in result.verdicts if not v.passed} == {
             "replay_rejected", "single_leaf"}
         ops_logged = [r.get("op") for r in result.transcript.records]
-        assert ops_logged.count("replay_accepted") == 1
+        assert ops_logged.count("leaf_inserted_event") == 2
+        assert "relay_rejected" not in ops_logged
 
     def test_attack_matrix_has_nine(self):
         assert len(ATTACK_MATRIX) == 9

@@ -54,6 +54,17 @@ it: 12 figures moved, all in ``wrong_dapp_call/0-2``'s
 ``per_op.router_withdraw``, where ``permutations`` went 20 -> 40,
 ``keccak_blocks`` 2 -> 4, ``sig_verifies`` 1 -> 2 and
 ``constraint_evals`` 19 -> 38. No digest, ``total``, verdict or sweep row
+moved. Both were regenerated a ninth time, when each withdraw outcome
+came to take one path: a routed withdraw the oracle network refuses is a
+failed ``router_withdraw`` call with ``Censored`` (no ``withdraw_censored``
+action follows it), and the ``replay`` oracle submits each deposit event
+twice through the relay's one dedupe, its second a ``relay_rejected``
+action (no ``replay_accepted``/``replay_rejected``). Exactly 9 digests
+moved: ``oracle_censorship/0-2`` and ``oracle_replay/0-2`` in
+``builtin_pins.json``, and ``revert_after_censorship.json/0-2``, whose
+script gained ``"expect": "Censored"``, in ``script_pins.json``. The
+grafted withdraw became ``withdraw(graft_key=...)`` with
+``wrong_dapp_call/0-2`` byte-identical. No op count, verdict or sweep row
 moved. A host-side optimisation or a refactor
 must leave every figure unchanged. The fixtures are regenerated only by hand, after
 a deliberate protocol change:

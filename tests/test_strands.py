@@ -31,7 +31,7 @@ def settle(sim, label):
 
 
 @pytest.mark.xfail(strict=True, raises=UnknownCommitment,
-                   reason="ROADMAP item 1: the Mixer takes an altered deposit event (e1)")
+                   reason="ROADMAP item 12: the Mixer takes an altered deposit event (e1)")
 def test_altered_relay_does_not_strand_the_deposit():
     sim = make_sim()
     d = sim.deposit("alice", 1001, 1003)

@@ -228,8 +228,8 @@ class Oracle:
         self.forged_root = 0         # the root of the last forged tree
 
     def relay(self, chains: dict, mixer_chain: Chain) -> list:
-        """Scan all event logs and push new deposit events into the mixer:
-        each once, twice in ``replay`` mode, where the mixer must dedupe."""
+        """Push each new deposit event of every chain into the mixer with
+        that chain: once, twice in ``replay`` mode, where the mixer must dedupe."""
         if self.offline:
             return []
         actions = []
@@ -241,7 +241,7 @@ class Oracle:
                 continue
             for _ in range(submissions):
                 try:
-                    index = mixer_submit(mixer_chain, ev)
+                    index = mixer_submit(mixer_chain, ev, chain)
                 except DuplicateCommitment:
                     # the commitment is already in the tree (a copy deposited
                     # on another chain, or this event replayed); the cursor

@@ -7,7 +7,8 @@ is no consensus or mempool: the scenario scheduler serializes every call,
 and a block clock advances only through ``advance_blocks``.
 
 An ``Event`` carries its canonical payload and block height only; a
-deposit's dApp is its source Router's ``commitment_log`` entry.
+deposit's dApp is its source Router's ``commitment_log`` entry. The Mixer
+takes only a deposit event that its source chain ``published``.
 """
 
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from .errors import (
     Unauthorized,
     UnknownCommitment,
     UnknownDapp,
+    UnknownDeposit,
     UnknownRoot,
     WindowActive,
     WindowExpired,
@@ -101,10 +103,10 @@ class MixerState:
 
 
 class Chain:
-    """One blockchain: block clock, event log, Router, the Mixer on the
-    multiplexer, and ``dapps``, its deployed dApp contracts by address.
-    The Router's ``verifier`` and ``revert_window`` are fixed at
-    deployment, next to ``oracle_auth``; no contract call supplies them."""
+    """One blockchain: block clock, event log and what it ``published``,
+    Router, the Mixer on the multiplexer, and ``dapps``, its dApp contracts
+    by address. The Router's ``verifier`` and ``revert_window`` are fixed
+    at deployment, next to ``oracle_auth``; no contract call supplies them."""
 
     def __init__(self, chain_id: int, depth: int = None, oracle_auth: bytes = b"",
                  verifier: circuit_mod.ProofSystem = None, revert_window: int = None):
@@ -112,6 +114,7 @@ class Chain:
         self.chain_id = chain_id
         self.height = 0
         self.event_log: list = []
+        self.published: set = set()        # (kind, payload) of every event emitted
         self.router = RouterState()
         self.mixer = MixerState(depth) if depth is not None else None
         self.oracle_auth = oracle_auth
@@ -122,6 +125,7 @@ class Chain:
     def emit(self, kind: str, payload: bytes) -> Event:
         ev = Event(kind, payload, self.height)
         self.event_log.append(ev)
+        self.published.add((kind, payload))
         return ev
 
 
@@ -170,11 +174,13 @@ def router_deposit(chain: Chain, req: DepositRequest) -> Event:
 
 # -- Mixer --------------------------------------------------------------------
 
-def mixer_submit(chain: Chain, event: Event) -> int:
-    """Relay a deposit event into the global tree; dedupe on commitment,
-    then record the commitment's leaf index in ``commitments``."""
+def mixer_submit(chain: Chain, event: Event, source: Chain) -> int:
+    """Relay a deposit event ``source`` published into the global tree;
+    dedupe on commitment, then record its leaf index in ``commitments``."""
     mixer = chain.mixer
     commitment, tpc, source_chain = decode_deposit_event(event.payload)
+    if source_chain != source.chain_id or ("deposit", event.payload) not in source.published:
+        raise UnknownDeposit(f"chain {source.chain_id} published no such deposit event")
     if commitment in mixer.commitments:
         raise DuplicateCommitment(f"commitment {commitment} already in the tree")
     leaf = make_leaf(commitment, tpc, source_chain)

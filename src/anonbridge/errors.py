@@ -102,6 +102,10 @@ class UnknownCommitment(SimError):
     pass
 
 
+class UnknownDeposit(SimError):
+    """The source chain published no such deposit event."""
+
+
 class AlreadyPending(SimError):
     pass
 

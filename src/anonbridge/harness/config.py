@@ -1,10 +1,12 @@
 """Scenario configuration: the replayable description of a run.
 
 A scenario is either a declarative script over the fixed action
-vocabulary (the keys of ``ACTION_FIELDS``) or a named builtin driver;
-both replay deterministically from (config, seed).
+vocabulary (the keys of ``ACTION_FIELDS``, read from the ``Simulation``
+method signatures) or a named builtin driver; both replay
+deterministically from (config, seed).
 """
 
+import inspect
 import json
 from dataclasses import dataclass, field, asdict, fields
 
@@ -12,39 +14,23 @@ from ..actors import ORACLE_MODES, OraclePolicy, ResilienceRules
 from ..dact import validate_chain_id
 from ..errors import ChainIdOutOfTier, ConfigInvalid
 from ..merkle import MAX_DEPTH
+from .simulation import Simulation
 
-# action -> the fields it takes besides "op" and "expect", with their types
-ACTION_FIELDS = {
-    "deposit": {"wallet": str, "source": int, "dest": int, "label": str,
-                "payload": str, "version": int, "value": int},
-    "sign": {},
-    "relay": {},
-    "push_root": {},
-    "withdraw": {"deposit": str, "chain": int, "claim_dest": int,
-                 "via_oracle": bool, "tamper_payload": bool, "reuse_proof": bool},
-    "forge_settlement": {},
-    "revert_mark": {"deposit": str, "chain": int},
-    "revert_init": {"deposit": str, "chain": int},
-    "halt": {},
-    "execute": {"deposit": str},
-    "advance": {"blocks": int, "chain": int},
-    "go_offline": {"actor": str},
-}
+_PARAMETERS = {op: inspect.signature(getattr(Simulation, op)).parameters for op in (
+    "deposit", "sign", "relay", "push_root", "withdraw", "forge_settlement",
+    "revert_mark", "revert_init", "halt", "execute", "advance", "go_offline")}
+# action -> its fields besides "op" and "expect", with their types: its
+# method's parameters before any ``*`` bar ``self``; a hex ``bytes`` is a ``str``
+ACTION_FIELDS = {op: {p.name: str if p.annotation is bytes else p.annotation
+                      for p in params.values() if p.kind is p.POSITIONAL_OR_KEYWORD
+                      and p.name not in ("self", "expect")}
+                 for op, params in _PARAMETERS.items()}
 ACTION_VOCABULARY = set(ACTION_FIELDS)
 
 # the fields the "dapp" and "oracle" sections take, with their types: those
 # of ResilienceRules and OraclePolicy
 DAPP_FIELDS = {f.name: f.type for f in fields(ResilienceRules)}
 ORACLE_FIELDS = {f.name: f.type for f in fields(OraclePolicy)}
-
-_REQUIRED = {
-    "deposit": ("wallet", "source", "dest"),
-    "withdraw": ("deposit",),
-    "revert_mark": ("deposit",),
-    "revert_init": ("deposit",),
-    "execute": ("deposit",),
-    "go_offline": ("actor",),
-}
 
 
 def _is_a(value, kind: type) -> bool:
@@ -76,8 +62,9 @@ def _check_action(i: int, action) -> None:
         if value is not None and not _is_a(value, types[name]):
             raise ConfigInvalid(f"{where}: field {name!r} must be "
                                 f"{types[name].__name__}, got {value!r}")
-    for name in _REQUIRED.get(op, ()):
-        if action.get(name) is None:
+    for name in ACTION_FIELDS[op]:
+        if _PARAMETERS[op][name].default is inspect.Parameter.empty \
+                and action.get(name) is None:
             raise ConfigInvalid(f"{where}: missing field {name!r}")
 
 

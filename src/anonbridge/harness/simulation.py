@@ -52,7 +52,6 @@ from ..dact import PayloadIntent
 from ..errors import Censored, ConfigInvalid, ConstraintViolation, SimError
 from ..field import to_bytes32
 from ..rng import SeededRng
-from .config import ScenarioConfig
 from .transcript import Transcript
 
 
@@ -84,7 +83,7 @@ def _error_name(exc: Exception) -> str:
 
 
 class Simulation:
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config):
         config.validate()
         self.config = config
         self.ops = ops.OpCounts()       # set-up and every call
@@ -267,7 +266,7 @@ class Simulation:
 
     def withdraw(self, deposit: str, expect=None, chain: int = None,
                  claim_dest: int = None, via_oracle: bool = False,
-                 tamper_payload: bool = False, reuse_proof: bool = False,
+                 tamper_payload: bool = False, reuse_proof: bool = False, *,
                  verifying_key: bytes = None, graft_key: bytes = None):
         """Withdraw the deposit with a settlement proof, built in the call
         against ``verifying_key`` (the dApp's by default) or the one kept

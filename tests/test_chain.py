@@ -14,6 +14,7 @@ from anonbridge.chain import (
     Event,
     advance_blocks,
     decode_deposit_event,
+    deposit_event_payload,
     mixer_store_signature,
     mixer_submit,
     router_deposit,
@@ -48,6 +49,7 @@ from anonbridge.errors import (
     Unauthorized,
     UnknownCommitment,
     UnknownDapp,
+    UnknownDeposit,
     UnknownRoot,
     WindowActive,
     WindowExpired,
@@ -114,7 +116,7 @@ class Harness:
         from anonbridge.hashing import nullifier_hash
 
         note, payload, req, event = self.deposit(dest, version)
-        index = mixer_submit(self.dst, event)
+        index = mixer_submit(self.dst, event, self.src)
         _, tpc, source = decode_deposit_event(event.payload)
         leaf = make_leaf(req.commitment, tpc, source)
         sig = self.key.sign(leaf_bytes(leaf))
@@ -221,14 +223,40 @@ class TestDepositAndMixer:
         note, payload, req, event = h.deposit()
         with pytest.raises(DuplicateCommitment):
             router_deposit(h.src, req)
-        mixer_submit(h.dst, event)
+        mixer_submit(h.dst, event, h.src)
         with pytest.raises(DuplicateCommitment):
-            mixer_submit(h.dst, event)
+            mixer_submit(h.dst, event, h.src)
+
+    @pytest.mark.parametrize("case", ["altered_tpc", "other_source_word", "wrong_source"])
+    def test_mixer_takes_only_a_published_deposit(self, case):
+        """The Mixer takes a deposit event only from the chain its source
+        word names, and only as that chain published it: an altered TPC, a
+        source word naming another chain (even one the source emitted) and
+        a real event handed with the wrong source are all UnknownDeposit,
+        refused before the dedupe, at no charge and with no leaf."""
+        h = Harness()
+        _, _, _, event = h.deposit()
+        c, tpc, src = decode_deposit_event(event.payload)
+        source = h.src
+        if case == "altered_tpc":
+            event = Event("deposit", deposit_event_payload(c, tpc + 1, src), event.block)
+        elif case == "other_source_word":
+            event = h.src.emit("deposit", deposit_event_payload(c, tpc, 1002))
+        else:
+            source = h.dst
+        events_before = list(h.dst.event_log)
+        with ops.counting() as spent:
+            with pytest.raises(UnknownDeposit):
+                mixer_submit(h.dst, event, source)
+        assert spent == ops.OpCounts()
+        assert h.dst.mixer.tree.next_index == 0
+        assert h.dst.mixer.commitments == {}
+        assert h.dst.event_log == events_before
 
     def test_signature_storage_rules(self):
         h = Harness()
         _, _, _, event = h.deposit()
-        index = mixer_submit(h.dst, event)
+        index = mixer_submit(h.dst, event, h.src)
         with pytest.raises(IndexUnknown):
             mixer_store_signature(h.dst, index + 1, b"s")
         mixer_store_signature(h.dst, index, b"s")
@@ -359,7 +387,7 @@ class TestRevert:
         h = Harness()
         h.settle_case()
         note, payload, req, event = h.deposit()
-        mixer_submit(h.dst, event)
+        mixer_submit(h.dst, event, h.src)
         _, tpc, _ = decode_deposit_event(event.payload)
         rproof = h.revert_proof(note, req, tpc)
         before = self._routers(h)

@@ -30,12 +30,7 @@ from anonbridge.harness import (
 )
 from anonbridge.harness import linkability, scenarios, simulation
 from anonbridge.harness.cli import main
-from anonbridge.harness.config import (
-    _REQUIRED,
-    ACTION_FIELDS,
-    DAPP_FIELDS,
-    ORACLE_FIELDS,
-)
+from anonbridge.harness.config import ACTION_FIELDS, DAPP_FIELDS, ORACLE_FIELDS
 from anonbridge.harness.linkability import oracle_view, source_view
 from anonbridge.harness.scenarios import standard_verdicts
 from anonbridge.harness.simulation import Simulation, UnexpectedOutcome
@@ -280,13 +275,23 @@ class TestConfig:
 class TestScriptInterpreter:
     @pytest.mark.parametrize("op", sorted(ACTION_FIELDS))
     def test_every_action_is_a_simulation_method(self, op):
-        """An action's fields are parameters of its method, and the fields
-        a script must give are exactly the parameters without a default."""
+        """An action's fields are read from its method's signature, so each
+        must be typed as a JSON value a script can give (an unannotated
+        parameter would refuse every value as "must be _empty"), and the
+        method must take ``expect=None`` (without it a script's ``expect``
+        would crash with TypeError, not ConfigInvalid)."""
         params = inspect.signature(getattr(Simulation, op)).parameters
-        assert set(ACTION_FIELDS[op]) | {"expect"} <= set(params)
-        required = [name for name, param in params.items()
-                    if name != "self" and param.default is inspect.Parameter.empty]
-        assert tuple(required) == _REQUIRED.get(op, ())
+        assert "expect" in params and params["expect"].default is None
+        assert set(ACTION_FIELDS[op].values()) <= {str, int, bool}
+
+    def test_all_actions_script_uses_every_action_and_field(self):
+        """``scenarios/all_actions.json`` uses every action and every field,
+        so a new action or parameter comes with a use there."""
+        path = next(p for p in SCENARIO_FILES if p.name == "all_actions.json")
+        script = json.loads(path.read_text())["script"]
+        used = {(action["op"], name) for action in script for name in action}
+        assert {action["op"] for action in script} == ACTION_VOCABULARY
+        assert {(op, name) for op, names in ACTION_FIELDS.items() for name in names} <= used
 
     def test_null_field_means_default(self):
         """A null field runs as if it were left out; only the header, which
@@ -1356,9 +1361,9 @@ class TestBuiltins:
     def test_oracle_replay_fails_when_the_mixer_takes_the_replay(self, monkeypatch):
         """A Mixer that forgets its commitments stores the replayed event
         again: the relay inserts it as a second leaf and both checks fail."""
-        def forgetful(chain, event):
+        def forgetful(chain, event, source):
             chain.mixer.commitments.pop(decode_deposit_event(event.payload)[0], None)
-            return mixer_submit(chain, event)
+            return mixer_submit(chain, event, source)
 
         monkeypatch.setattr(actors, "mixer_submit", forgetful)
         result = run_scenario(builtin_config("oracle_replay", seed=0))
@@ -1367,6 +1372,14 @@ class TestBuiltins:
         ops_logged = [r.get("op") for r in result.transcript.records]
         assert ops_logged.count("leaf_inserted_event") == 2
         assert "relay_rejected" not in ops_logged
+
+    def test_published_is_every_event_emitted(self):
+        """``Chain.published``, which the Mixer's inclusion check reads, is
+        kept as each event is emitted: after every builtin it holds exactly
+        the (kind, payload) of each chain's event log."""
+        for name in sorted(BUILTINS):
+            for chain in run_scenario(builtin_config(name, seed=0)).sim.chains.values():
+                assert chain.published == {(ev.kind, ev.payload) for ev in chain.event_log}
 
     def test_attack_matrix_has_nine(self):
         assert len(ATTACK_MATRIX) == 9

@@ -1,9 +1,11 @@
 """Ways an honest deposit still strands, measured in ROADMAP ("Measured at
 this re-anchor"). Each test runs the measured script and asserts the
-honest outcome. It is a strict xfail that names today's error, so the
-change that fixes its ROADMAP item must remove the marker, and any other
-failure shows as a failure. An attacker's direct contract call is
-wrapped in ``suppress(SimError)``, since it may raise once the item lands.
+honest outcome. A strand still open is a strict xfail that names today's
+error, so the change that fixes its ROADMAP item must remove the marker,
+and any other failure shows as a failure; a closed strand, (e1) since the
+Mixer's event-inclusion check, passes unmarked and keeps its fix. An
+attacker's direct contract call is wrapped in ``suppress(SimError)``,
+since it may raise once the item lands.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ from anonbridge.chain import (
     mixer_store_signature,
     mixer_submit,
 )
-from anonbridge.errors import ConstraintViolation, SimError, UnknownCommitment, UnknownRoot
+from anonbridge.errors import ConstraintViolation, SimError, UnknownRoot
 from anonbridge.harness import ScenarioConfig, Simulation
 
 
@@ -30,16 +32,18 @@ def settle(sim, label):
     assert sim.settled(label)
 
 
-@pytest.mark.xfail(strict=True, raises=UnknownCommitment,
-                   reason="ROADMAP item 12: the Mixer takes an altered deposit event (e1)")
 def test_altered_relay_does_not_strand_the_deposit():
+    """(e1): an event altered on the way to the Mixer is refused there, as
+    the source never published it, so the honest relay still inserts the
+    deposit (ROADMAP item 12's inclusion check)."""
     sim = make_sim()
     d = sim.deposit("alice", 1001, 1003)
     ev = sim.chains[1001].event_log[-1]
     c, tpc, src = decode_deposit_event(ev.payload)
     with contextlib.suppress(SimError):
         mixer_submit(sim.mixer_chain,
-                     Event("deposit", deposit_event_payload(c, tpc + 1, src), ev.block))
+                     Event("deposit", deposit_event_payload(c, tpc + 1, src), ev.block),
+                     sim.chains[1001])
     sim.relay()
     sim.sign()
     sim.push_root()

@@ -142,17 +142,15 @@ def cmd_attacks(args) -> int:
 
 def cmd_replay(args) -> int:
     try:
-        records = Transcript.load_records(args.transcript)
+        original = Transcript.load(args.transcript)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
         raise ConfigInvalid(f"cannot read {args.transcript!r}: {exc}") from None
-    header = records[0] if records else None
+    header = original.records[0] if original.records else None
     if not (isinstance(header, dict) and header.get("kind") == "header"
             and isinstance(header.get("config"), str)):
         raise ConfigInvalid(f"{args.transcript!r} has no header record")
     config = ScenarioConfig.from_json(header["config"])
     result = run_scenario(config)
-    original = Transcript()
-    original.records = records
     match = result.transcript.digest() == original.digest()
     print(f"[{'PASS' if match else 'FAIL'}] replay: transcript digest "
           f"{'matches' if match else 'differs'}")

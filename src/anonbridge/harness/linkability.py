@@ -17,7 +17,7 @@ sensitive encodings the protocol promises to hide:
 An event record's payload is a list of 64-character hex words. A deposit
 event's last word is its emitting chain's public id, and the last word of
 a ``leaf_inserted`` or ``signature_stored`` event is a public Mixer leaf
-index, so those words are stripped before either view is scanned. The
+index, so neither view counts those words (see Exactness). The
 encoder puts ``","`` between words, so event payloads are searched only at
 32-byte word boundaries: a value split across two words is not one hex
 run and is not counted.
@@ -26,17 +26,19 @@ Revert scenarios legitimately reveal the commitment on the source chain;
 the analyzer reports that linkage as expected leakage rather than a
 violation.
 
-The scan is one pass over the transcript. Each record is classified by
-the views that hold it (``_views``), which reads only its kind, op and
-chain; one call asks ``_views`` once per distinct triple and keeps the
-answers for that call only. Records of the same class are serialized
-together, once, and records no view holds are skipped. Each class's blob
-is then searched for its maximal runs of at least 64 lowercase hex
-characters. A run of exactly 64 is one lookup in the set of secret
-words; a longer run is cut into the list of its 64-character windows,
-one per offset, and that list is intersected with the set. A word found
-in a run is counted with ``run.count``. The cost is linear in the
-transcript, not in deposits times transcript.
+The scan is one pass over the transcript's ``lines``, each record's
+encoding made when it was logged, so the scan encodes nothing; a record
+without a line raises ``ValueError`` rather than going unscanned. Each
+record is classified by the views that hold it (``_views``), which reads
+only its kind, op and chain; one call asks ``_views`` once per distinct
+triple and keeps the answers for that call only. The lines of one class
+are joined into one blob, and records no view holds are skipped. Each
+class's blob is then searched for its maximal runs of at least 64
+lowercase hex characters. A run of exactly 64 is one lookup in the set
+of secret words; a longer run is cut into the list of its 64-character
+windows, one per offset, and that list is intersected with the set. A
+word found in a run is counted with ``run.count``. The cost is linear in
+the transcript, not in deposits times transcript.
 
 Precondition: every hidden field and commitment is encoded as a
 64-character lowercase hex word (a 32-byte value; ``secrets_for_analysis``
@@ -49,12 +51,13 @@ is greedy and non-overlapping from the left, and within a run it proceeds
 exactly as ``run.count`` does, so the sum of the per-run counts over a
 view's records equals ``count`` on that view's whole blob: hits at odd
 offsets, between hex neighbours and of self-overlapping words count as
-they would there.
+they would there. A public last word is a quoted string of at most 64 hex
+characters (a payload is cut into 32-byte words), so it is a lone run: a
+64-character one was counted exactly once, and taking that hit back
+leaves its class's count without it; a shorter one holds no word.
 """
 
 from collections import defaultdict
-
-from .transcript import RECORD_ENCODER
 
 # destination-side calls the user submits itself; everything else is
 # observable by the oracle network in the course of relaying
@@ -99,14 +102,6 @@ def source_view(records: list, source_chain: int) -> list:
     return [r for r in records if source_chain in _views(r, (source_chain,))]
 
 
-def _scanned(record: dict) -> dict:
-    """Drop the last payload word of an event in ``_PUBLIC_LAST_WORD``. No
-    revert record is one of them, so revert records stay whole."""
-    if record.get("op") in _PUBLIC_LAST_WORD:
-        return dict(record, payload=record["payload"][:-1])
-    return record
-
-
 def _word(value: str) -> bytes:
     word = value.encode()
     if word.translate(_HEX_MASK) != _WORD_RUN:
@@ -137,8 +132,8 @@ def _word_counts(blob: bytes, words: frozenset) -> dict:
     return counts
 
 
-def analyze_linkability(records: list, deposit_secrets: list) -> dict:
-    """Scan observer views for sensitive encodings.
+def analyze_linkability(transcript, deposit_secrets: list) -> dict:
+    """Scan observer views of ``transcript`` for sensitive encodings.
 
     ``deposit_secrets`` is the per-deposit sensitive material, provided
     out-of-band by the harness (it never appears in the transcript
@@ -151,17 +146,20 @@ def analyze_linkability(records: list, deposit_secrets: list) -> dict:
     # linkage that matters is its reappearance in revert records
     commitments = frozenset(_word(sec["commitment"]) for sec in deposit_secrets)
     source_chains = {sec["source_chain"] for sec in deposit_secrets}
-    classes = defaultdict(list)
+    classes = defaultdict(list)      # views -> lines of the records they hold
+    public_last = defaultdict(list)  # views -> public last words among them
     views_of = {}  # (kind, op, chain) -> _views answer, for this call only
-    for record in records:
+    for record, line in zip(transcript.records, transcript.lines, strict=True):
         key = (record.get("kind"), record.get("op"), record.get("chain"))
         views = views_of.get(key)
         if views is None:
             views = views_of[key] = _views(record, source_chains)
         if views:
-            classes[views].append(_scanned(record))
+            classes[views].append(line)
+            if key[1] in _PUBLIC_LAST_WORD and record["payload"]:
+                public_last[views].append(record["payload"][-1].encode())
     hits = {}  # view -> word -> occurrences
-    for views, members in classes.items():
+    for views, lines in classes.items():
         # hidden fields are sought in the oracle and source views,
         # commitments in revert records
         if _REVERT not in views:
@@ -170,9 +168,12 @@ def analyze_linkability(records: list, deposit_secrets: list) -> dict:
             words = commitments
         else:
             words = hidden | commitments
-        # one JSON array per class: no hex run crosses the "},{" between
-        # two records, so the counts are those of the records apart
-        counts = _word_counts(RECORD_ENCODER.encode(members).encode(), words)
+        # no hex run crosses the "}\n{" between two records, so the counts
+        # are those of the records apart
+        counts = _word_counts("\n".join(lines).encode(), words)
+        for word in public_last[views]:
+            if word in counts:  # its one lone run was counted
+                counts[word] -= 1
         for view in views:
             view_hits = hits.setdefault(view, {})
             for word, n in counts.items():

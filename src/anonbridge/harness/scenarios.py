@@ -57,7 +57,7 @@ def _check_deposit_minimality(sim: Simulation) -> Verdict:
 def _check_linkability(sim: Simulation) -> Verdict:
     """No hidden field in the oracle or source-chain view; a failure names
     the first deposit and field that leaked and its count in each view."""
-    report = analyze_linkability(sim.transcript.records, sim.secrets_for_analysis())
+    report = analyze_linkability(sim.transcript, sim.secrets_for_analysis())
     detail = f"violations={report['violations']}"
     for entry in report["deposits"]:
         oracle, source = entry["oracle_view"], entry["source_view"]

@@ -1,4 +1,7 @@
-"""Ordered, replayable transcript of every actor action and contract call."""
+"""Ordered, replayable transcript of every actor action and contract call.
+
+Each record is encoded once, when it is logged, into ``lines``, which the
+transcript file, its digest and the leakage scan read."""
 
 import json
 
@@ -12,15 +15,17 @@ RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 class Transcript:
     def __init__(self):
         self.records: list = []
+        self.lines: list = []  # RECORD_ENCODER's line of each record
 
     def log(self, kind: str, **fields) -> dict:
         rec = {"i": len(self.records), "kind": kind}
         rec.update(fields)
         self.records.append(rec)
+        self.lines.append(RECORD_ENCODER.encode(rec))
         return rec
 
     def to_jsonl(self) -> bytes:
-        return ("\n".join(map(RECORD_ENCODER.encode, self.records)) + "\n").encode()
+        return ("\n".join(self.lines) + "\n").encode()
 
     def digest(self) -> str:
         # transcript identity, not a protocol hash; sha256 keeps it off the
@@ -30,7 +35,12 @@ class Transcript:
         h.update(self.to_jsonl())
         return h.finalize().hex()
 
-    @staticmethod
-    def load_records(path) -> list:
+    @classmethod
+    def load(cls, path) -> "Transcript":
+        """The transcript a ``to_jsonl`` file holds, each record encoded
+        again canonically, so other JSON whitespace gives the same digest."""
+        transcript = cls()
         with open(path, "rb") as fh:
-            return [json.loads(line) for line in fh.read().splitlines() if line]
+            transcript.records = [json.loads(line) for line in fh.read().splitlines() if line]
+        transcript.lines = list(map(RECORD_ENCODER.encode, transcript.records))
+        return transcript

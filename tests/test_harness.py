@@ -976,7 +976,20 @@ class TestTranscript:
         assert [r["i"] for r in t.records] == [0, 1]
         path = tmp_path / "t.jsonl"
         path.write_bytes(t.to_jsonl())
-        assert Transcript.load_records(path) == t.records
+        loaded = Transcript.load(path)
+        assert (loaded.records, loaded.lines) == (t.records, t.lines)
+
+    def test_lines_are_the_records_encoded(self):
+        """Each record's line is its canonical encoding, made as it was
+        logged, in every builtin at seeds 0-2 and every scenario file."""
+        configs = [builtin_config(name, seed=seed)
+                   for name in sorted(BUILTINS) for seed in (0, 1, 2)]
+        configs += [ScenarioConfig.from_json(path.read_text())
+                    for path in SCENARIO_FILES]
+        for config in configs:
+            transcript = run_scenario(config).transcript
+            encoded = [RECORD_ENCODER.encode(r) for r in transcript.records]
+            assert transcript.lines == encoded, (config.name, config.seed)
 
     def test_digest_sensitive_to_content(self):
         t1, t2 = Transcript(), Transcript()
@@ -1072,6 +1085,14 @@ def naive_linkability(records, secrets):
     return report
 
 
+def transcript_of(records):
+    """A transcript that logs each of ``records`` in turn."""
+    transcript = Transcript()
+    for record in records:
+        transcript.log(**record)
+    return transcript
+
+
 def traffic_script(n):
     """``n`` deposits alternating 1001 -> 1003 and 1003 -> 1001, all settled."""
     deposits = [{"op": "deposit", "wallet": "alice", "source": 1001 + 2 * (k % 2),
@@ -1101,20 +1122,18 @@ def bytes_count_calls(fn) -> int:
 
 class TestLinkability:
     def test_empty_transcript_empty_report(self):
-        report = analyze_linkability([], [])
+        report = analyze_linkability(Transcript(), [])
         assert report == {"deposits": [], "violations": 0, "expected_leakage": []}
 
     def test_happy_path_clean(self):
         result = run_scenario(builtin_config("settlement_happy_path", seed=2))
-        report = analyze_linkability(result.transcript.records,
-                                     result.sim.secrets_for_analysis())
+        report = analyze_linkability(result.transcript, result.sim.secrets_for_analysis())
         assert report["violations"] == 0
         assert report["expected_leakage"] == []
 
     def test_revert_reports_expected_commitment_leakage(self):
         result = run_scenario(builtin_config("custody_total_outage", seed=2))
-        report = analyze_linkability(result.transcript.records,
-                                     result.sim.secrets_for_analysis())
+        report = analyze_linkability(result.transcript, result.sim.secrets_for_analysis())
         assert report["violations"] == 0
         assert [e["label"] for e in report["expected_leakage"]] == ["d0"]
 
@@ -1130,18 +1149,32 @@ class TestLinkability:
                    ("signature_stored_event", ["22" * 32, "33" * 32, index])]
 
         def report(words_of):
-            records = list(result.transcript.records)
-            for op, words in planted:
-                records.append({"i": len(records), "kind": "event", "op": op,
-                                "chain": result.sim.mixer_chain.chain_id, "block": 0,
-                                "payload": words_of(words)})
-            got = analyze_linkability(records, secrets)
-            assert got == naive_linkability(records, secrets)
+            transcript = transcript_of(result.transcript.records + [
+                {"kind": "event", "op": op, "chain": result.sim.mixer_chain.chain_id,
+                 "block": 0, "payload": words_of(words)} for op, words in planted])
+            got = analyze_linkability(transcript, secrets)
+            assert got == naive_linkability(transcript.records, secrets)
             return got
 
         assert report(lambda words: words)["violations"] == 0
         moved = report(lambda words: words[-1:] + words[:-1])
         assert moved["deposits"][0]["oracle_view"]["dest_chain_id"] == 2
+
+    def test_public_last_word_elsewhere_in_its_class_is_counted(self):
+        """A public last word takes back only its own hit: the same word
+        elsewhere in records of the same class, the same record included,
+        still counts."""
+        result = run_scenario(builtin_config("settlement_happy_path", seed=2))
+        secrets = result.sim.secrets_for_analysis()
+        d = secrets[0]["dest_chain_id"]
+        transcript = transcript_of(result.transcript.records + [
+            {"kind": "event", "op": op, "chain": 1002, "block": 0, "payload": words}
+            for op, words in [("leaf_inserted_event", ["11" * 32, d]),
+                              ("settled_event", [d]),
+                              ("signature_stored_event", [d, d])]])
+        report = analyze_linkability(transcript, secrets)
+        assert report == naive_linkability(transcript.records, secrets)
+        assert report["deposits"][0]["oracle_view"]["dest_chain_id"] == 2
 
     def test_event_payloads_are_scanned_at_word_boundaries(self):
         """An event payload is a list of 32-byte words, so a 64-character
@@ -1152,11 +1185,11 @@ class TestLinkability:
         salt = secrets[0]["salt"]
 
         def salt_hits(words):
-            records = list(result.transcript.records) + [
-                {"i": len(result.transcript.records), "kind": "event",
-                 "op": "settled_event", "chain": 1002, "block": 0, "payload": words}]
-            report = analyze_linkability(records, secrets)
-            assert report == naive_linkability(records, secrets)
+            transcript = transcript_of(result.transcript.records + [
+                {"kind": "event", "op": "settled_event", "chain": 1002, "block": 0,
+                 "payload": words}])
+            report = analyze_linkability(transcript, secrets)
+            assert report == naive_linkability(transcript.records, secrets)
             return report["deposits"][0]["oracle_view"]["salt"]
 
         assert salt_hits(["e" * 32 + salt[:32], salt[32:] + "e" * 32]) == 0
@@ -1165,10 +1198,9 @@ class TestLinkability:
     def test_planted_leak_is_caught(self):
         result = run_scenario(builtin_config("settlement_happy_path", seed=2))
         secrets = result.sim.secrets_for_analysis()
-        records = list(result.transcript.records)
-        records.append({"i": len(records), "kind": "event", "op": "oracle_relay",
-                        "chain": 1002, "oops": secrets[0]["salt"]})
-        report = analyze_linkability(records, secrets)
+        transcript = result.transcript
+        transcript.log("event", op="oracle_relay", chain=1002, oops=secrets[0]["salt"])
+        report = analyze_linkability(transcript, secrets)
         assert report["violations"] > 0
 
     TWO_WAY_SCRIPT = [
@@ -1206,22 +1238,22 @@ class TestLinkability:
     def test_planted_dest_id_is_caught(self, record, view):
         result = run_scenario(script_config(self.TWO_WAY_SCRIPT))
         secrets = result.sim.secrets_for_analysis()
-        records = list(result.transcript.records)
-        records.append(dict(record, i=len(records), oops=secrets[0]["dest_chain_id"]))
-        report = analyze_linkability(records, secrets)
+        result.transcript.log(**record, oops=secrets[0]["dest_chain_id"])
+        report = analyze_linkability(result.transcript, secrets)
         assert report["deposits"][0][view]["dest_chain_id"] > 0
 
     @pytest.mark.parametrize("name", sorted(BUILTINS))
     def test_matches_per_secret_count(self, name):
         result = run_scenario(builtin_config(name, seed=0))
-        records, secrets = result.transcript.records, result.sim.secrets_for_analysis()
-        assert analyze_linkability(records, secrets) == naive_linkability(records, secrets)
+        transcript, secrets = result.transcript, result.sim.secrets_for_analysis()
+        assert (analyze_linkability(transcript, secrets)
+                == naive_linkability(transcript.records, secrets))
 
     def test_planted_words_count_as_bytes_count_does(self):
         result = run_scenario(script_config(self.TWO_WAY_SCRIPT))
         secrets = result.sim.secrets_for_analysis()
         s0, s1 = secrets
-        records = list(result.transcript.records) + [
+        transcript = transcript_of(result.transcript.records + [
             # odd offset inside a longer hex run
             {"kind": "event", "op": "oracle_relay", "chain": 1002,
              "oops": "abc" + s0["salt"] + s1["payload"][:9]},
@@ -1231,9 +1263,9 @@ class TestLinkability:
             # a revert record repeating a commitment inside one run
             {"kind": "event", "op": "revert_relay", "chain": 1003,
              "x": "d" + s1["commitment"] * 3, "y": s0["commitment"][:63]},
-        ]
-        report = analyze_linkability(records, secrets)
-        assert report == naive_linkability(records, secrets)
+        ])
+        report = analyze_linkability(transcript, secrets)
+        assert report == naive_linkability(transcript.records, secrets)
         d0 = report["deposits"][0]
         assert d0["oracle_view"]["salt"] == 1
         assert d0["source_view"]["secret"] == 2
@@ -1243,10 +1275,10 @@ class TestLinkability:
         result = run_scenario(builtin_config("settlement_happy_path", seed=0))
         secret = dict(result.sim.secrets_for_analysis()[0], payload="ab" * 32,
                       source_chain=1001)
-        records = [{"i": 0, "kind": "event", "op": "oracle_relay", "chain": 1001,
-                    "p": "ab" * 64}]
-        report = analyze_linkability(records, [secret])
-        assert report == naive_linkability(records, [secret])
+        transcript = transcript_of([{"kind": "event", "op": "oracle_relay",
+                                     "chain": 1001, "p": "ab" * 64}])
+        report = analyze_linkability(transcript, [secret])
+        assert report == naive_linkability(transcript.records, [secret])
         assert report["deposits"][0]["oracle_view"]["payload"] == 2
 
     @pytest.mark.parametrize("length", [65, 127, 128])
@@ -1257,14 +1289,14 @@ class TestLinkability:
         for offset in range(length - 64 + 1):
             def planted(word):  # ``word`` at ``offset`` of a hex run
                 return "e" * offset + word + "e" * (length - 64 - offset)
-            records = list(result.transcript.records) + [
+            transcript = transcript_of(result.transcript.records + [
                 {"kind": "event", "op": "oracle_relay", "chain": 1002,
                  "oops": planted(s0["salt"])},
                 {"kind": "event", "op": "revert_relay", "chain": 1003,
                  "x": planted(s1["commitment"])},
-            ]
-            report = analyze_linkability(records, secrets)
-            assert report == naive_linkability(records, secrets), offset
+            ])
+            report = analyze_linkability(transcript, secrets)
+            assert report == naive_linkability(transcript.records, secrets), offset
             assert report["deposits"][0]["oracle_view"]["salt"] == 1
             assert report["expected_leakage"] == [{"label": "d1", "commitment_hits": 1}]
 
@@ -1278,39 +1310,38 @@ class TestLinkability:
         result = run_scenario(builtin_config("settlement_happy_path", seed=0))
         secret = dict(result.sim.secrets_for_analysis()[0], **{field: value})
         with pytest.raises(ValueError, match="64-character lowercase hex word"):
-            analyze_linkability(result.transcript.records, [secret])
+            analyze_linkability(result.transcript, [secret])
 
     @pytest.mark.parametrize("deposits", [1, 6])
     def test_each_observed_record_encoded_once(self, monkeypatch, deposits):
-        encoded = []
+        """Each record is encoded once, as it is logged: a second verdict
+        pass, the transcript file and its digest encode nothing again."""
+        encode, encoded = RECORD_ENCODER.encode, []
 
-        class CountingEncoder:
-            def encode(self, obj):
-                encoded.extend(obj if isinstance(obj, list) else [obj])
-                return RECORD_ENCODER.encode(obj)
+        def counting_encode(obj):
+            encoded.append(obj)
+            return encode(obj)
 
+        monkeypatch.setattr(RECORD_ENCODER, "encode", counting_encode)
         result = run_scenario(script_config(traffic_script(deposits)))
-        records, secrets = result.transcript.records, result.sim.secrets_for_analysis()
-        monkeypatch.setattr(linkability, "RECORD_ENCODER", CountingEncoder())
-        analyze_linkability(records, secrets)
-        observed = {r["i"] for r in oracle_view(records)}
-        observed |= {r["i"] for r in records if "revert" in str(r.get("op", ""))}
-        for source in {sec["source_chain"] for sec in secrets}:
-            observed |= {r["i"] for r in source_view(records, source)}
-        assert sorted(r["i"] for r in encoded) == sorted(observed)
+        standard_verdicts(result.sim)
+        result.transcript.to_jsonl()
+        result.transcript.digest()
+        assert encoded == result.transcript.records
 
     def test_count_calls_do_not_grow_with_deposits(self):
         calls = []
         for deposits in (1, 6):
             result = run_scenario(script_config(traffic_script(deposits)))
-            records = result.transcript.records
+            transcript = result.transcript
             secrets = result.sim.secrets_for_analysis()
-            assert analyze_linkability(records, secrets)["violations"] == 0
-            calls.append(bytes_count_calls(lambda: analyze_linkability(records, secrets)))
+            assert analyze_linkability(transcript, secrets)["violations"] == 0
+            calls.append(bytes_count_calls(lambda: analyze_linkability(transcript, secrets)))
         assert calls[0] == calls[1]
         # the profile sees the calls a leak makes
-        leaked = list(records) + [{"kind": "event", "op": "oracle_relay",
-                                   "chain": 1002, "oops": "a" + secrets[0]["salt"]}]
+        leaked = transcript_of(transcript.records + [
+            {"kind": "event", "op": "oracle_relay", "chain": 1002,
+             "oops": "a" + secrets[0]["salt"]}])
         assert bytes_count_calls(lambda: analyze_linkability(leaked, secrets)) > calls[0]
 
     def test_classification_does_not_grow_with_records(self, monkeypatch):
@@ -1325,7 +1356,7 @@ class TestLinkability:
         calls = []
         for result in runs:
             classified.clear()
-            analyze_linkability(result.transcript.records, result.sim.secrets_for_analysis())
+            analyze_linkability(result.transcript, result.sim.secrets_for_analysis())
             calls.append(len(classified))
         assert len(runs[0].transcript.records) < len(runs[1].transcript.records)
         assert calls[0] == calls[1]
@@ -1334,11 +1365,20 @@ class TestLinkability:
         result = run_scenario(builtin_config("settlement_happy_path", seed=2))
         sim = result.sim
         salt = sim.secrets_for_analysis()[0]["salt"]
-        sim.transcript.records.append({"i": len(sim.transcript.records), "kind": "event",
-                                       "op": "oracle_relay", "chain": 1002, "oops": salt})
+        sim.transcript.log("event", op="oracle_relay", chain=1002, oops=salt)
         verdict = {v.name: v for v in standard_verdicts(sim)}["no_hidden_field_leakage"]
         assert not verdict.passed
         assert verdict.detail == "violations=1; d0.salt oracle_view=1 source_view=0"
+
+    def test_record_without_a_line_raises(self):
+        """A record appended to ``records`` alone has no line to scan: the
+        verdict raises rather than passing it unscanned."""
+        sim = run_scenario(builtin_config("settlement_happy_path", seed=2)).sim
+        salt = sim.secrets_for_analysis()[0]["salt"]
+        sim.transcript.records.append({"i": len(sim.transcript.records), "kind": "event",
+                                       "op": "oracle_relay", "chain": 1002, "oops": salt})
+        with pytest.raises(ValueError):
+            standard_verdicts(sim)
 
     @pytest.mark.parametrize("payload,detail", [
         (bytes(95), "payload length 95"),
@@ -1489,6 +1529,18 @@ class TestCli:
         assert main(["run", "double_spend", "--seed", "9", "--out", str(out)]) == 0
         assert main(["replay", str(out / "transcript.jsonl")]) == 0
         assert "digest matches" in capsys.readouterr().out
+
+    def test_replay_reencodes_other_json_whitespace(self, tmp_path, capsys):
+        """A transcript file written with other JSON whitespace and key
+        order holds the same records, so it replays to the same digest."""
+        out = tmp_path / "out"
+        assert main(["run", "double_spend", "--seed", "9", "--out", str(out)]) == 0
+        path = out / "transcript.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(json.dumps(dict(reversed(r.items()))) + "\n\n"
+                                for r in records))
+        assert main(["replay", str(path)]) == 0
+        assert "[PASS] replay: transcript digest matches" in capsys.readouterr().out
 
     def test_replay_detects_tampering(self, tmp_path, capsys):
         out = tmp_path / "out"

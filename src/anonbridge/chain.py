@@ -7,8 +7,9 @@ is no consensus or mempool: the scenario scheduler serializes every call,
 and a block clock advances only through ``advance_blocks``.
 
 An ``Event`` carries its canonical payload and block height only; a
-deposit's dApp is its source Router's ``commitment_log`` entry. The Mixer
-takes only a deposit event that its source chain ``published``.
+deposit's dApp is its source Router's ``commitment_log`` entry. A contract
+reads another chain only in what it ``published`` (the stand-in for an
+inclusion proof): deposit events for the Mixer, revert marks for a Router.
 """
 
 from dataclasses import dataclass
@@ -253,8 +254,8 @@ def router_revert_mark_destination(chain: Chain, proof, payload: bytes, salt: in
     The call carries (payload, salt, version, global hash) so the Router
     can recompute the TPC with itself as the destination and compare it
     with the proof's public TPC, which the circuit bound into the leaf --
-    the withdraw check. Revert already reveals the commitment, and the
-    deposit event its TPC, so the call discloses nothing new.
+    the withdraw check. The mark event publishes nullifier hash ||
+    commitment; a revert reveals both anyway, and the deposit the TPC.
     """
     router = chain.router
     public = proof.public
@@ -271,13 +272,13 @@ def router_revert_mark_destination(chain: Chain, proof, payload: bytes, salt: in
         raise TpcMismatch("this chain is not the destination bound in the intent")
     router.nullifier_spent.add(public.nullifier_hash)
     router.nullifier_reverted[public.nullifier_hash] = public.commitment
-    chain.emit("revert_marked", to_bytes32(public.nullifier_hash))
+    chain.emit("revert_marked", to_bytes32(public.nullifier_hash) + to_bytes32(public.commitment))
 
 
 def router_revert_initiate_source(chain: Chain, dest: Chain, proof) -> int:
-    """Open the revert window on the source chain over ``dest``'s revert
-    mark of this commitment; returns window end. The cross-chain read
-    stands in for a state proof of the mark."""
+    """Open the revert window on the source chain over the revert mark of
+    this commitment that ``dest`` published; returns window end. Like the
+    Mixer's, the check is one of event inclusion, and it charges nothing."""
     router = chain.router
     public = proof.public
     if not chain.verifier.verify(circuit_mod.REVERT, proof):
@@ -292,7 +293,8 @@ def router_revert_initiate_source(chain: Chain, dest: Chain, proof) -> int:
         raise AlreadyPending(f"revert for {public.nullifier_hash} already pending")
     if public.nullifier_hash in router.nullifier_reverted:
         raise AlreadyPending(f"revert for {public.nullifier_hash} already executed")
-    if dest.router.nullifier_reverted.get(public.nullifier_hash) != public.commitment:
+    if ("revert_marked", to_bytes32(public.nullifier_hash)
+            + to_bytes32(public.commitment)) not in dest.published:
         raise NotMarked(f"no revert mark for {public.commitment} on {dest.chain_id}")
     window_end = chain.height + chain.revert_window
     router.pending_reverts[public.nullifier_hash] = PendingRevert(public.commitment, window_end)

@@ -22,9 +22,9 @@ encoder puts ``","`` between words, so event payloads are searched only at
 32-byte word boundaries: a value split across two words is not one hex
 run and is not counted.
 
-Revert scenarios legitimately reveal the commitment on the source chain;
-the analyzer reports that linkage as expected leakage rather than a
-violation.
+A revert legitimately reveals the commitment, in the destination's mark
+event and on the source chain; the analyzer reports that linkage as
+expected leakage rather than a violation.
 
 The scan is one pass over the transcript's ``lines``, each record's
 encoding made when it was logged, so the scan encodes nothing; a record

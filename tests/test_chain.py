@@ -333,10 +333,14 @@ class TestWithdraw:
 
 
 class TestRevert:
-    def _pending(self, h):
+    def _marked(self, h):
         note, payload, req, proof, tpc = h.settle_case()
         rproof = h.revert_proof(note, req, tpc)
         router_revert_mark_destination(h.dst, rproof, payload, note.salt, 1, h.ghash)
+        return note, payload, req, rproof
+
+    def _pending(self, h):
+        note, payload, req, rproof = self._marked(h)
         end = router_revert_initiate_source(h.src, h.dst, rproof)
         return note, payload, req, rproof, end
 
@@ -413,6 +417,9 @@ class TestRevert:
         nh = rproof.public.nullifier_hash
         assert nh in h.dst.router.nullifier_spent
         assert h.dst.router.nullifier_reverted[nh] == req.commitment
+        # the mark event publishes nullifier hash || commitment
+        assert (h.dst.event_log[-1].kind, h.dst.event_log[-1].payload) == (
+            "revert_marked", nh.to_bytes(32, "big") + req.commitment.to_bytes(32, "big"))
 
     def test_mark_rejects_wrong_destination(self):
         """A chain whose id is not bound in the intent refuses the mark."""
@@ -486,6 +493,30 @@ class TestRevert:
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
         rproof = h.revert_proof(note, req, tpc)
+        with pytest.raises(NotMarked):
+            router_revert_initiate_source(h.src, h.dst, rproof)
+        assert h.src.router.pending_reverts == {}
+
+    def test_initiate_reads_the_published_mark_not_the_dest_router(self):
+        """With the destination's flag gone but its mark event published,
+        the window still opens: the source reads only what ``dest``
+        published."""
+        h = Harness()
+        _, _, req, rproof = self._marked(h)
+        del h.dst.router.nullifier_reverted[rproof.public.nullifier_hash]
+        end = router_revert_initiate_source(h.src, h.dst, rproof)
+        pending = h.src.router.pending_reverts[rproof.public.nullifier_hash]
+        assert (pending.commitment, pending.window_end) == (req.commitment, end)
+
+    def test_initiate_without_the_published_mark_is_not_marked(self):
+        """With the destination's flag set but no mark event published, no
+        window opens."""
+        h = Harness()
+        _, _, req, rproof = self._marked(h)
+        marks = {entry for entry in h.dst.published if entry[0] == "revert_marked"}
+        assert len(marks) == 1
+        h.dst.published -= marks
+        assert h.dst.router.nullifier_reverted[rproof.public.nullifier_hash] == req.commitment
         with pytest.raises(NotMarked):
             router_revert_initiate_source(h.src, h.dst, rproof)
         assert h.src.router.pending_reverts == {}
@@ -581,6 +612,28 @@ class TestRevert:
         advance_blocks(h.src, 10)
         with pytest.raises(AlreadyPending):
             router_revert_initiate_source(h.src, h.dst, rproof)
+
+
+def test_no_contract_reads_another_chains_state():
+    """A contract learns about another chain only through what that chain
+    ``published``: every ``.router``, ``.mixer`` or ``.dapps`` read in
+    ``chain.py`` is of the function's own chain -- its ``chain`` parameter,
+    or ``self`` in a ``Chain`` method."""
+    state = {"router", "mixer", "dapps"}
+    tree = ast.parse(Path(chain_mod.__file__).read_text())
+    own = {}  # function -> the name its own chain goes by in it
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and "chain" in [a.arg for a in node.args.args]:
+            own[node] = "chain"
+        elif isinstance(node, ast.ClassDef) and node.name == "Chain":
+            own.update((fn, "self") for fn in node.body if isinstance(fn, ast.FunctionDef))
+    allowed = {node for fn, name in own.items() for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == name}
+    foreign = [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in state
+               and node not in allowed]
+    assert foreign == []
 
 
 class TestClock:

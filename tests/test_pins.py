@@ -65,7 +65,15 @@ moved: ``oracle_censorship/0-2`` and ``oracle_replay/0-2`` in
 script gained ``"expect": "Censored"``, in ``script_pins.json``. The
 grafted withdraw became ``withdraw(graft_key=...)`` with
 ``wrong_dapp_call/0-2`` byte-identical. No op count, verdict or sweep row
-moved. A host-side optimisation or a refactor
+moved. Both were regenerated a tenth time, when the destination Router's
+``revert_marked`` event came to publish nullifier hash || commitment
+(64 bytes, was the nullifier hash alone) and the source Router came to
+open a revert window only over that published event, no longer reading
+the destination Router's ``nullifier_reverted``. Exactly the 14 digests of
+the runs that mark moved: ``custody_total_outage/0-2``,
+``oracle_censorship/0-2``, ``withdraw_revert_race/0`` and ``/2``,
+``all_actions.json/0-2`` and ``revert_after_censorship.json/0-2``. No op
+count, verdict or sweep row moved. A host-side optimisation or a refactor
 must leave every figure unchanged. The fixtures are regenerated only by hand, after
 a deliberate protocol change:
 

@@ -17,9 +17,8 @@ def test_every_readme_json_example_runs_and_passes():
         assert result.passed, [v for v in result.verdicts if not v.passed]
 
 
-def test_proof_wire_sizes_are_those_of_real_proofs():
-    documented = dict(re.findall(r"Serialized (settlement|revert) proof \((\d+) bytes\)",
-                                 README.read_text()))
+def _settled_and_marked():
+    """One deposit settled and one marked for revert, 1001 -> 1003."""
     sim = Simulation(ScenarioConfig(seed=0, name="readme", script=[]))
     settled, reverted = sim.deposit("alice", 1001, 1003), sim.deposit("alice", 1001, 1003)
     sim.relay()
@@ -27,6 +26,25 @@ def test_proof_wire_sizes_are_those_of_real_proofs():
     sim.push_root()
     sim.withdraw(settled)
     sim.revert_mark(reverted)
+    return sim, settled, reverted
+
+
+def test_proof_wire_sizes_are_those_of_real_proofs():
+    documented = dict(re.findall(r"Serialized (settlement|revert) proof \((\d+) bytes\)",
+                                 README.read_text()))
+    sim, settled, reverted = _settled_and_marked()
     proofs = {"settlement": sim.deposits[settled].settlement,
               "revert": sim.deposits[reverted].revert}
     assert documented == {kind: str(len(proof.serialize())) for kind, proof in proofs.items()}
+
+
+def test_event_wire_sizes_are_those_of_real_events():
+    kinds = {"Deposit": "deposit", "Mixer signature": "signature_stored",
+             "Revert mark": "revert_marked"}
+    documented = {kinds[name]: int(size) for name, size in re.findall(
+        r"^(Deposit|Mixer signature|Revert mark) event \((\d+) bytes", README.read_text(), re.M)}
+    assert set(documented) == set(kinds.values())
+    sim, _, _ = _settled_and_marked()
+    sizes = {(ev.kind, len(ev.payload)) for c in sim.chains.values() for ev in c.event_log
+             if ev.kind in documented}
+    assert sizes == set(documented.items())

@@ -215,6 +215,7 @@ class Oracle:
     reports each dropped deposit as a ``relay_censored`` action; a dropped
     withdraw is its call's ``Censored`` error. In ``replay`` mode ``relay``
     submits each deposit event twice, and the second is ``relay_rejected``.
+    In ``forge_root`` mode it pushes the root of the tree it forged once.
     """
 
     def __init__(self, policy: OraclePolicy, auth: bytes, rng: SeededRng,
@@ -225,7 +226,8 @@ class Oracle:
         self.rng = rng
         self.offline = False
         self._cursors: dict = {}     # chain id -> next event index to scan
-        self.forged_root = 0         # the root of the last forged tree
+        self._forgery = None         # the forged note's public parts and witness
+        self.forged_root = 0         # the root of the forged tree, once forged
 
     def relay(self, chains: dict, mixer_chain: Chain) -> list:
         """Push each new deposit event of every chain into the mixer with
@@ -280,25 +282,26 @@ class Oracle:
                                   source_chain: int, victim_vk: bytes):
         """The network-abuse move: forge a root, then try to prove.
 
-        The oracle fabricates its own note and tree, injects the forged
-        root, and attempts a settlement proof against the victim dApp's
-        verifying key. It can only sign with its own key, so proving
-        must fail at the signature constraint.
+        The first call forges and keeps a note, its one-leaf tree (of the
+        first ``depth`` and ``source_chain``) and a leaf signature by its
+        own key; a ``forge_root`` oracle's ``push_root`` injects that root,
+        ``forged_root``. Each call (a later one draws no rng and hashes
+        nothing afresh) proves against it for ``victim_vk``; lacking the
+        dApp's signature, proving must fail at the signature constraint.
         """
-        secret = random_field_31(self.rng)
-        nullifier = random_field_31(self.rng)
-        c = commit(secret, nullifier)
-        tpc = int.from_bytes(self.rng.bytes(9), "big") & TPC_MASK
-        leaf = make_leaf(c, tpc, source_chain)
-        tree = MerkleTree(depth)
-        index = tree.insert(leaf)
-        path = tree.path(index)
-        self.forged_root = tree.root
-        forged_sig = KeyPair.generate(self.rng).sign(leaf_bytes(leaf))
-        public = SettlementPublic(
-            nullifier_hash(nullifier), tree.root, tpc, victim_vk
-        )
-        witness = SettlementWitness(nullifier, secret, path, source_chain, forged_sig)
+        if self._forgery is None:
+            secret = random_field_31(self.rng)
+            nullifier = random_field_31(self.rng)
+            tpc = int.from_bytes(self.rng.bytes(9), "big") & TPC_MASK
+            leaf = make_leaf(commit(secret, nullifier), tpc, source_chain)
+            tree = MerkleTree(depth)
+            path = tree.path(tree.insert(leaf))
+            self.forged_root = tree.root
+            forged_sig = KeyPair.generate(self.rng).sign(leaf_bytes(leaf))
+            self._forgery = (nullifier_hash(nullifier), tpc, SettlementWitness(
+                nullifier, secret, path, source_chain, forged_sig))
+        nh, tpc, witness = self._forgery
+        public = SettlementPublic(nh, self.forged_root, tpc, victim_vk)
         # raises ConstraintViolation("signature")
         return proofs.prove(circuit_mod.SETTLEMENT, witness, public)
 

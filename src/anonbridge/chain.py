@@ -91,7 +91,7 @@ class RouterState:
         self.dapp_ghash: dict = {}         # local dApp address -> its first global hash
         self.known_roots: list = []        # latest two, oldest first
         self.nullifier_spent: set = set()
-        self.nullifier_reverted: dict = {}  # nullifier_hash -> reverted commitment
+        self.nullifier_reverted: dict = {}  # nullifier_hash -> commitment marked or refunded here
         self.pending_reverts: dict = {}    # nullifier_hash -> PendingRevert
         self.commitment_log: dict = {}     # commitment -> dApp address (source side)
 
@@ -276,9 +276,9 @@ def router_revert_mark_destination(chain: Chain, proof, payload: bytes, salt: in
 
 
 def router_revert_initiate_source(chain: Chain, dest: Chain, proof) -> int:
-    """Open the revert window on the source chain over the revert mark of
-    this commitment that ``dest`` published; returns window end. Like the
-    Mixer's, the check is one of event inclusion, and it charges nothing."""
+    """Open the revert window on the source chain, once per commitment, over
+    the revert mark of it that ``dest`` published; returns window end. Like
+    the Mixer's, both checks are of event inclusion, and charge nothing."""
     router = chain.router
     public = proof.public
     if not chain.verifier.verify(circuit_mod.REVERT, proof):
@@ -291,8 +291,9 @@ def router_revert_initiate_source(chain: Chain, dest: Chain, proof) -> int:
         raise UnknownCommitment(f"commitment {public.commitment} never deposited here")
     if public.nullifier_hash in router.pending_reverts:
         raise AlreadyPending(f"revert for {public.nullifier_hash} already pending")
-    if public.nullifier_hash in router.nullifier_reverted:
-        raise AlreadyPending(f"revert for {public.nullifier_hash} already executed")
+    if ("revert_initiated", to_bytes32(public.commitment)
+            + to_bytes32(public.nullifier_hash)) in chain.published:
+        raise AlreadyPending(f"revert of {public.commitment} already executed")
     if ("revert_marked", to_bytes32(public.nullifier_hash)
             + to_bytes32(public.commitment)) not in dest.published:
         raise NotMarked(f"no revert mark for {public.commitment} on {dest.chain_id}")

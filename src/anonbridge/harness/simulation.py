@@ -256,9 +256,10 @@ class Simulation:
                           expect=expect)
 
     def forge_settlement(self, expect=None):
-        """The oracle's network-abuse move: forge a note and a tree, whose
-        root a ``forge_root`` oracle pushes next, then attempt a settlement
-        proof against this scenario's dApp; it fails at the signature."""
+        """The oracle's network-abuse move: forge a note and a tree once,
+        whose root a ``forge_root`` oracle pushes next, and at each call
+        attempt a settlement proof against that root and this scenario's
+        dApp; it fails at the signature."""
         return self._call(
             "forged_settlement_attempt", None, self.oracle.attempt_forged_settlement,
             self.proofs, self.config.merkle_depth, self.config.chains[0],

@@ -574,6 +574,38 @@ class TestPermutationTable:
         assert (mark.permutations, mark.constraint_evals) == (depth + 4, depth + 2)
         assert sim.chains[1003].router.nullifier_reverted
 
+    @pytest.mark.parametrize("depth", [8, 16])
+    def test_forged_settlement_forges_once(self, depth):
+        # the first attempt commits (2), inserts (d), takes the path (d),
+        # hashes the nullifier (1) and proves (d + 3); every later one only
+        # proves, against the root the first forged
+        sim = Simulation(script_config([], seed=0, merkle_depth=depth,
+                                       oracle={"mode": "forge_root"}))
+        expected = {"permutations": 3 * depth + 6, "constraint_evals": depth + 3,
+                    "sig_verifies": 1, "keccak_blocks": 0}
+        for _ in range(3):
+            before = sim.metrics.get("forged_settlement_attempt", ops.OpCounts()).as_dict()
+            sim.forge_settlement(expect="ConstraintViolation:signature")
+            after = sim.metrics["forged_settlement_attempt"].as_dict()
+            assert {kind: after[kind] - before[kind] for kind in expected} == expected
+            expected["permutations"] = depth + 3
+
+    def test_forged_settlement_after_push_root_proves_against_the_pushed_root(self):
+        sim = Simulation(script_config([], seed=0, merkle_depth=16,
+                                       oracle={"mode": "forge_root"}))
+        sim.deposit("alice", 1001, 1003)
+        sim.relay()
+        sim.sign()
+        sim.forge_settlement(expect="ConstraintViolation:signature")
+        sim.push_root()
+        entries = len(sim.hash_table)
+        permutations = sim.metrics["forged_settlement_attempt"].permutations
+        sim.forge_settlement(expect="ConstraintViolation:signature")
+        assert len(sim.hash_table) == entries
+        assert sim.metrics["forged_settlement_attempt"].permutations - permutations == 19
+        assert all(sim.oracle.forged_root in c.router.known_roots
+                   for c in sim.chains.values())
+
     def test_tampered_witness_fails_with_warm_table(self):
         sim, label = _settled()
         rec = sim.deposits[label]

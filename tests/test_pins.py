@@ -73,8 +73,17 @@ the destination Router's ``nullifier_reverted``. Exactly the 14 digests of
 the runs that mark moved: ``custody_total_outage/0-2``,
 ``oracle_censorship/0-2``, ``withdraw_revert_race/0`` and ``/2``,
 ``all_actions.json/0-2`` and ``revert_after_censorship.json/0-2``. No op
-count, verdict or sweep row moved. A host-side optimisation or a refactor
-must leave every figure unchanged. The fixtures are regenerated only by hand, after
+count, verdict or sweep row moved. The builtin pins alone were
+regenerated an eleventh time, when the forging oracle came to forge its
+note and tree once: each later ``forge_settlement`` proves against the
+root the first forged, the root a ``forge_root`` oracle pushed. That is
+a deliberate change of an attacker's behaviour, not a host-side
+optimisation. Exactly 6 figures moved, all in ``oracle_forged_root/0-2``:
+``per_op.forged_settlement_attempt.permutations`` 108 -> 73 and
+``total.permutations`` 142 -> 107 (the first attempt costs 3d+6 = 54, a
+later one d+3 = 19, at d = 16). No digest, verdict, sweep row or
+``script_pins.json`` entry moved: ``all_actions.json`` forges only once.
+A host-side optimisation or a refactor must leave every figure unchanged. The fixtures are regenerated only by hand, after
 a deliberate protocol change:
 
     PYTHONPATH=src:tests python -c "import json, test_pins; \\

@@ -49,17 +49,31 @@ def test_settled_deposit_is_not_refunded_with_its_dapp_offline():
     assert sim.chains[1001].router.pending_reverts == {}
 
 
+def _deposit_sharing(sim: Simulation, shared: str, source: int, dest: int,
+                     label: str, **fields) -> None:
+    """Deposit a fresh note that takes the nullifier of deposit ``shared``."""
+    nullifier = sim.deposits[shared].note.nullifier
+    fresh_note = actors.note_new
+    with mock.patch.object(actors, "note_new", lambda rng: replace(
+            fresh_note(rng), nullifier=nullifier)):
+        sim.deposit("alice", source, dest, label=label, **fields)
+
+
+def _refund(sim: Simulation, *labels: str) -> None:
+    for label in labels:
+        sim.revert_init(label)
+    sim.advance(sim.config.window)
+    for label in labels:
+        sim.execute(label)
+
+
 def _shared_nullifier_sim() -> Simulation:
     """Two notes share a nullifier: a decoy of value 0 goes to 1002 and the
     real note to 1003. The decoy is marked on 1002, then the real note
     settles on 1003."""
     sim = Simulation(ScenarioConfig(seed=3, name="shared-nullifier", script=[]))
     sim.deposit("alice", 1001, 1003, label="real")
-    real = sim.deposits["real"]
-    fresh_note = actors.note_new
-    with mock.patch.object(actors, "note_new", lambda rng: replace(
-            fresh_note(rng), nullifier=real.note.nullifier)):
-        sim.deposit("alice", 1001, 1002, label="decoy", value=0)
+    _deposit_sharing(sim, "real", 1001, 1002, "decoy", value=0)
     sim.relay()
     sim.sign()
     sim.push_root()
@@ -85,9 +99,7 @@ def test_a_mark_of_a_note_sharing_the_nullifier_refunds_no_settled_note():
     assert sim.chains[1001].router.pending_reverts == {}
 
     # the decoy's own refund still goes through its own mark
-    sim.revert_init("decoy")
-    sim.advance(sim.config.window)
-    sim.execute("decoy")
+    _refund(sim, "decoy")
     assert sim.settled("real") and not sim.reverted("real")
     assert sim.reverted("decoy") and not sim.settled("decoy")
     assert real.commitment in sim.dapp.contracts[1001].escrow
@@ -97,12 +109,51 @@ def test_a_shared_nullifier_with_one_outcome_per_deposit_passes_the_verdict():
     """The real note settled and the decoy was refunded: one outcome each,
     under one nullifier hash."""
     sim = _shared_nullifier_sim()
-    sim.revert_init("decoy")
-    sim.advance(sim.config.window)
-    sim.execute("decoy")
+    _refund(sim, "decoy")
     assert sim.settled("real") and sim.reverted("decoy")
     verdict = next(v for v in standard_verdicts(sim) if v.name == "settle_xor_revert")
     assert verdict.passed, verdict.detail
+
+
+def test_a_destination_mark_sharing_the_nullifier_strands_no_refund():
+    """A goes 1001 -> 1003 and B, under A's nullifier, 1003 -> 1002. A's
+    mark on 1003 writes the nullifier hash into 1003's ``nullifier_reverted``;
+    B's window on 1003 still opens, and both notes come back."""
+    sim = Simulation(ScenarioConfig(seed=3, name="shared-nullifier", script=[]))
+    sim.deposit("alice", 1001, 1003, label="A")
+    _deposit_sharing(sim, "A", 1003, 1002, "B")
+    sim.relay()
+    sim.sign()
+    sim.push_root()
+    sim.revert_mark("A")
+    sim.revert_mark("B")
+    _refund(sim, "A", "B")
+    assert sim.reverted("A") and sim.reverted("B")
+    assert sim.wallets["alice"].balance == START_BALANCE
+    sim.revert_init("A", expect="AlreadyPending")
+    sim.revert_init("B", expect="AlreadyPending")
+
+
+def test_a_mark_sharing_the_nullifier_after_a_refund_reopens_no_window():
+    """A goes 1001 -> 1003 and is refunded on 1001; C, under A's nullifier,
+    goes 1002 -> 1001 and is marked there after, overwriting 1001's
+    ``nullifier_reverted`` entry with C's commitment. A refunded note stays
+    refunded: its window does not open again."""
+    sim = Simulation(ScenarioConfig(seed=3, name="shared-nullifier", script=[]))
+    sim.deposit("alice", 1001, 1003, label="A")
+    _deposit_sharing(sim, "A", 1002, 1001, "C")
+    sim.relay()
+    sim.sign()
+    sim.push_root()
+    sim.revert_mark("A")
+    _refund(sim, "A")
+    sim.revert_mark("C")
+    nh = sim.deposits["A"].revert.public.nullifier_hash
+    assert sim.chains[1001].router.nullifier_reverted[nh] == sim.deposits["C"].commitment
+    sim.revert_init("A", expect="AlreadyPending")
+    assert sim.chains[1001].router.pending_reverts == {}
+    _refund(sim, "C")
+    assert sim.wallets["alice"].balance == START_BALANCE
 
 
 def _initiate_without_mark_check():

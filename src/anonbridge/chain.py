@@ -91,7 +91,8 @@ class RouterState:
         self.dapp_ghash: dict = {}         # local dApp address -> its first global hash
         self.known_roots: list = []        # latest two, oldest first
         self.nullifier_spent: set = set()
-        self.nullifier_reverted: dict = {}  # nullifier_hash -> commitment marked or refunded here
+        # nullifier_hash -> commitment marked or refunded here; only the benchmark reads it
+        self.nullifier_reverted: dict = {}
         self.pending_reverts: dict = {}    # nullifier_hash -> PendingRevert
         self.commitment_log: dict = {}     # commitment -> dApp address (source side)
 

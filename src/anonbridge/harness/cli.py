@@ -143,9 +143,9 @@ def cmd_attacks(args) -> int:
 def cmd_replay(args) -> int:
     try:
         original = Transcript.load(args.transcript)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+    except (OSError, ValueError, TypeError) as exc:  # not JSON objects of hashable class
         raise ConfigInvalid(f"cannot read {args.transcript!r}: {exc}") from None
-    header = original.records[0] if original.records else None
+    header = json.loads(original.lines[0]) if original.lines else None
     if not (isinstance(header, dict) and header.get("kind") == "header"
             and isinstance(header.get("config"), str)):
         raise ConfigInvalid(f"{args.transcript!r} has no header record")

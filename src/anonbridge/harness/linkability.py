@@ -26,19 +26,19 @@ A revert legitimately reveals the commitment, in the destination's mark
 event and on the source chain; the analyzer reports that linkage as
 expected leakage rather than a violation.
 
-The scan is one pass over the transcript's ``lines``, each record's
-encoding made when it was logged, so the scan encodes nothing; a record
-without a line raises ``ValueError`` rather than going unscanned. Each
-record is classified by the views that hold it (``_views``), which reads
-only its kind, op and chain; one call asks ``_views`` once per distinct
-triple and keeps the answers for that call only. The lines of one class
-are joined into one blob, and records no view holds are skipped. Each
-class's blob is then searched for its maximal runs of at least 64
-lowercase hex characters. A run of exactly 64 is one lookup in the set
-of secret words; a longer run is cut into the list of its 64-character
-windows, one per offset, and that list is intersected with the set. A
-word found in a run is counted with ``run.count``. The cost is linear in
-the transcript, not in deposits times transcript.
+The scan reads the transcript's ``classes``: each record's line, encoded
+when it was logged, grouped by the record's kind, op and chain, so the
+scan encodes nothing. ``_views`` is asked once per class for the views
+that hold it; the lines of the classes with the same views are joined
+into one blob, and classes no view holds are skipped. Each blob is then
+searched for its maximal runs of at least 64 lowercase hex characters. A
+public last word is read off the end of its line, which holds it just
+before the closing ``"]}``: ``payload`` sorts last among an event
+record's keys. A run of exactly 64 is one lookup in the set of secret
+words; a longer run is cut into the list of its 64-character windows,
+one per offset, and that list is intersected with the set. A word found
+in a run is counted with ``run.count``. The cost is linear in the
+transcript, not in deposits times transcript.
 
 Precondition: every hidden field and commitment is encoded as a
 64-character lowercase hex word (a 32-byte value; ``secrets_for_analysis``
@@ -54,7 +54,7 @@ offsets, between hex neighbours and of self-overlapping words count as
 they would there. A public last word is a quoted string of at most 64 hex
 characters (a payload is cut into 32-byte words), so it is a lone run: a
 64-character one was counted exactly once, and taking that hit back
-leaves its class's count without it; a shorter one holds no word.
+leaves its blob's count without it; a shorter one holds no word.
 """
 
 from collections import defaultdict
@@ -83,7 +83,7 @@ def _views(record: dict, source_chains) -> tuple:
     """The views that hold ``record``: the oracle's, its chain's if that is
     one of ``source_chains``, and the revert records' (where a deposit's
     commitment is expected). It reads no field but ``kind``, ``op`` and
-    ``chain``: ``analyze_linkability`` reuses one answer per triple."""
+    ``chain``: ``analyze_linkability`` asks once per transcript class."""
     views = []
     if record.get("kind") != "header" and record.get("op") not in _USER_DIRECT_OPS:
         views.append(_ORACLE)
@@ -146,20 +146,17 @@ def analyze_linkability(transcript, deposit_secrets: list) -> dict:
     # linkage that matters is its reappearance in revert records
     commitments = frozenset(_word(sec["commitment"]) for sec in deposit_secrets)
     source_chains = {sec["source_chain"] for sec in deposit_secrets}
-    classes = defaultdict(list)      # views -> lines of the records they hold
+    blobs = defaultdict(list)        # views -> lines of the records they hold
     public_last = defaultdict(list)  # views -> public last words among them
-    views_of = {}  # (kind, op, chain) -> _views answer, for this call only
-    for record, line in zip(transcript.records, transcript.lines, strict=True):
-        key = (record.get("kind"), record.get("op"), record.get("chain"))
-        views = views_of.get(key)
-        if views is None:
-            views = views_of[key] = _views(record, source_chains)
+    for (kind, op, chain), lines in transcript.classes.items():
+        views = _views({"kind": kind, "op": op, "chain": chain}, source_chains)
         if views:
-            classes[views].append(line)
-            if key[1] in _PUBLIC_LAST_WORD and record["payload"]:
-                public_last[views].append(record["payload"][-1].encode())
+            blobs[views] += lines
+            if op in _PUBLIC_LAST_WORD:  # a payload's last word ends its line
+                public_last[views] += [line[line.rfind('"', 0, -3) + 1:-3].encode()
+                                       for line in lines if line.endswith('"]}')]
     hits = {}  # view -> word -> occurrences
-    for views, lines in classes.items():
+    for views, lines in blobs.items():
         # hidden fields are sought in the oracle and source views,
         # commitments in revert records
         if _REVERT not in views:

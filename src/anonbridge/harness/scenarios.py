@@ -275,11 +275,10 @@ def wrong_dapp_call(sim: Simulation):
 def oracle_replay(sim: Simulation):
     """Replayed deposit events bounce off the mixer's commitment dedupe."""
     sim.deposit("alice", SOURCE, DEST)
-    sim.relay()  # policy replay: submits each event twice
-    rejected = [r for r in sim.transcript.records
-                if r.get("op") == "relay_rejected"]
+    actions = sim.relay()  # policy replay: submits each event twice
+    rejected = [act for act in actions if act[0] == "relay_rejected"]
     sim.check("replay_rejected",
-              bool(rejected) and "DuplicateCommitment" in rejected[0]["detail"])
+              bool(rejected) and "DuplicateCommitment" in rejected[0])
     sim.check("single_leaf", sim.mixer_chain.mixer.tree.next_index == 1)
 
 

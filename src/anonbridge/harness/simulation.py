@@ -391,14 +391,12 @@ class Simulation:
 
     def settled(self, deposit: str) -> bool:
         """Whether this deposit's own nullifier hash settled on its
-        destination: spent there, and not by a revert mark, which flags it
-        reverted too. An executed revert flags only the source chain."""
+        destination: that chain published its ``settled`` event."""
         rec = self._record(deposit)
         if rec.settlement is None:
             return False
-        router = self.chains[rec.dest].router
         nh = rec.settlement.public.nullifier_hash
-        return nh in router.nullifier_spent and nh not in router.nullifier_reverted
+        return ("settled", to_bytes32(nh)) in self.chains[rec.dest].published
 
     def reverted(self, deposit: str) -> bool:
         rec = self._record(deposit)

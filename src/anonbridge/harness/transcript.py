@@ -1,7 +1,8 @@
 """Ordered, replayable transcript of every actor action and contract call.
 
-Each record is encoded once, when it is logged, into ``lines``, which the
-transcript file, its digest and the leakage scan read."""
+Each record is kept only as its line, encoded once when it is logged:
+``lines`` holds them for the transcript file and its digest, ``classes``
+the same lines by (kind, op, chain) for the leakage scan."""
 
 import json
 
@@ -14,15 +15,23 @@ RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 class Transcript:
     def __init__(self):
-        self.records: list = []
-        self.lines: list = []  # RECORD_ENCODER's line of each record
+        self.lines: list = []    # RECORD_ENCODER's line of each record
+        self.classes: dict = {}  # (kind, op, chain) -> its records' lines
 
     def log(self, kind: str, **fields) -> dict:
-        rec = {"i": len(self.records), "kind": kind}
-        rec.update(fields)
-        self.records.append(rec)
-        self.lines.append(RECORD_ENCODER.encode(rec))
+        return self._add({"i": len(self.lines), "kind": kind, **fields})
+
+    def _add(self, rec: dict) -> dict:
+        line = RECORD_ENCODER.encode(rec)
+        self.lines.append(line)
+        key = (rec.get("kind"), rec.get("op"), rec.get("chain"))
+        self.classes.setdefault(key, []).append(line)
         return rec
+
+    @property
+    def records(self) -> list:
+        # one JSON document, so the records share their key strings
+        return json.loads("[" + ",".join(self.lines) + "]")
 
     def to_jsonl(self) -> bytes:
         return ("\n".join(self.lines) + "\n").encode()
@@ -38,9 +47,12 @@ class Transcript:
     @classmethod
     def load(cls, path) -> "Transcript":
         """The transcript a ``to_jsonl`` file holds, each record encoded
-        again canonically, so other JSON whitespace gives the same digest."""
+        again canonically, so other JSON whitespace gives the same digest,
+        and added as it is: no ``i`` is given to a record that lacks one."""
         transcript = cls()
         with open(path, "rb") as fh:
-            transcript.records = [json.loads(line) for line in fh.read().splitlines() if line]
-        transcript.lines = list(map(RECORD_ENCODER.encode, transcript.records))
+            for rec in map(json.loads, filter(None, fh.read().splitlines())):
+                if not isinstance(rec, dict):
+                    raise ValueError(f"not a JSON object: {rec!r:.40}")
+                transcript._add(rec)
         return transcript

@@ -1022,6 +1022,21 @@ class TestTranscript:
             transcript = run_scenario(config).transcript
             encoded = [RECORD_ENCODER.encode(r) for r in transcript.records]
             assert transcript.lines == encoded, (config.name, config.seed)
+            decoded = [json.loads(line) for line in transcript.lines]
+            assert transcript.records == decoded, (config.name, config.seed)
+
+    def test_each_record_is_kept_once_as_its_line(self):
+        """After a full run the transcript keeps no record dict: it holds
+        ``lines`` and ``classes`` alone, and the classes hold the very
+        ``str`` objects of ``lines``, each line in one class, its own."""
+        transcript = run_scenario(script_config(traffic_script(6))).transcript
+        assert set(vars(transcript)) == {"lines", "classes"}
+        grouped = [line for lines in transcript.classes.values() for line in lines]
+        assert sorted(map(id, grouped)) == sorted(map(id, transcript.lines))
+        for (kind, op, chain), lines in transcript.classes.items():
+            for record in map(json.loads, lines):
+                assert (record["kind"], record.get("op"), record.get("chain")) \
+                    == (kind, op, chain)
 
     def test_digest_sensitive_to_content(self):
         t1, t2 = Transcript(), Transcript()
@@ -1191,6 +1206,33 @@ class TestLinkability:
         assert report(lambda words: words)["violations"] == 0
         moved = report(lambda words: words[-1:] + words[:-1])
         assert moved["deposits"][0]["oracle_view"]["dest_chain_id"] == 2
+
+    def test_public_last_word_is_read_off_its_line(self):
+        """The analyzer reads a public last word off the end of its line:
+        for every such event in every builtin at seeds 0-2 and every
+        scenario file, taking that word for a secret finds it once fewer
+        than its line holds it."""
+        configs = [builtin_config(name, seed=seed)
+                   for name in sorted(BUILTINS) for seed in (0, 1, 2)]
+        configs += [ScenarioConfig.from_json(path.read_text())
+                    for path in SCENARIO_FILES]
+        public_last = {"deposit_event", "leaf_inserted_event", "signature_stored_event"}
+        read = set()
+        for config in configs:
+            for line in run_scenario(config).transcript.lines:
+                record = json.loads(line)
+                if record.get("op") not in public_last:
+                    continue
+                word = record["payload"][-1]
+                secret = dict.fromkeys(HIDDEN_FIELDS + ("commitment",), word)
+                secret.update(label="d", source_chain=record["chain"])
+                report = analyze_linkability(transcript_of([record]), [secret])
+                want = dict.fromkeys(HIDDEN_FIELDS, line.count(word) - 1)
+                got = report["deposits"][0]
+                assert (got["oracle_view"], got["source_view"]) == (want, want), \
+                    (config.name, config.seed, line)
+                read.add(record["op"])
+        assert read == public_last
 
     def test_public_last_word_elsewhere_in_its_class_is_counted(self):
         """A public last word takes back only its own hit: the same word
@@ -1402,16 +1444,6 @@ class TestLinkability:
         assert not verdict.passed
         assert verdict.detail == "violations=1; d0.salt oracle_view=1 source_view=0"
 
-    def test_record_without_a_line_raises(self):
-        """A record appended to ``records`` alone has no line to scan: the
-        verdict raises rather than passing it unscanned."""
-        sim = run_scenario(builtin_config("settlement_happy_path", seed=2)).sim
-        salt = sim.secrets_for_analysis()[0]["salt"]
-        sim.transcript.records.append({"i": len(sim.transcript.records), "kind": "event",
-                                       "op": "oracle_relay", "chain": 1002, "oops": salt})
-        with pytest.raises(ValueError):
-            standard_verdicts(sim)
-
     @pytest.mark.parametrize("payload,detail", [
         (bytes(95), "payload length 95"),
         (bytes(64) + (1002).to_bytes(32, "big"), "source chain field mismatch"),
@@ -1574,6 +1606,18 @@ class TestCli:
         assert main(["replay", str(path)]) == 0
         assert "[PASS] replay: transcript digest matches" in capsys.readouterr().out
 
+    def test_replay_of_records_without_indices_fails(self, tmp_path, capsys):
+        """A loaded record is kept as the file holds it: one whose ``i`` was
+        stripped is not given one again, so the digest differs."""
+        out = tmp_path / "out"
+        assert main(["run", "double_spend", "--seed", "9", "--out", str(out)]) == 0
+        path = out / "transcript.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(json.dumps({k: v for k, v in r.items() if k != "i"}) + "\n"
+                                for r in records))
+        assert main(["replay", str(path)]) == 1
+        assert "[FAIL] replay: transcript digest differs" in capsys.readouterr().out
+
     def test_replay_detects_tampering(self, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", "settlement_happy_path", "--seed", "9", "--out", str(out)])
@@ -1584,13 +1628,17 @@ class TestCli:
 
     @pytest.mark.parametrize("content,named", [
         (None, ""), ("not json\n", ""), ("", ""), ("[1]\n", ""),
+        ('{"i":0,"kind":"header","config":"{}"}\n[1]\n', "not a JSON object"),
+        ('{"i":0,"kind":"header","config":"{}"}\n{"i":1,"kind":"call","chain":[1]}\n',
+         "unhashable"),
         ('{"i":0,"kind":"call"}\n', ""),
         ('{"i":0,"kind":"header","config":"5"}\n', ""),
         (OLD_TRANSCRIPT, f"unknown config fields: {REMOVED_FIELDS}"),
         (json.dumps({"i": 0, "kind": "header", "config": json.dumps({
             "script": [{"op": "withdraw", "actor": "oracle"}]})}) + "\n",
          "action 0 (withdraw): unknown field 'actor'"),
-    ], ids=["missing", "not_json", "empty", "not_a_record", "no_header",
+    ], ids=["missing", "not_json", "empty", "not_a_record", "not_a_record_after_header",
+            "unhashable_chain", "no_header",
             "config_not_an_object", "config_with_removed_field",
             "withdraw_with_an_actor"])
     def test_replay_of_unreadable_transcript_exits_two(self, tmp_path, capsys,

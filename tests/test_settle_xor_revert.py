@@ -156,6 +156,31 @@ def test_a_mark_sharing_the_nullifier_after_a_refund_reopens_no_window():
     assert sim.wallets["alice"].balance == START_BALANCE
 
 
+def test_a_settlement_after_a_refund_under_the_same_nullifier_is_settled():
+    """A goes 1001 -> 1003 and is refunded on 1001; B, under A's nullifier,
+    goes 1003 -> 1001 and settles there. 1001 published B's ``settled``
+    event, so B is settled, though A's refund left its nullifier hash in
+    1001's ``nullifier_reverted``."""
+    sim = Simulation(ScenarioConfig(seed=3, name="shared-nullifier", script=[]))
+    sim.deposit("alice", 1001, 1003, label="A")
+    sim.relay()
+    sim.sign()
+    sim.push_root()
+    sim.revert_mark("A")
+    _refund(sim, "A")
+    _deposit_sharing(sim, "A", 1003, 1001, "B")
+    sim.relay()
+    sim.sign()
+    sim.push_root()
+    sim.withdraw("B")
+    nh = sim.deposits["B"].settlement.public.nullifier_hash
+    assert nh in sim.chains[1001].router.nullifier_reverted  # A's refund
+    assert sim.reverted("A") and not sim.settled("A")
+    assert sim.settled("B") and not sim.reverted("B")
+    verdict = next(v for v in standard_verdicts(sim) if v.name == "settle_xor_revert")
+    assert verdict.passed, verdict.detail
+
+
 def _initiate_without_mark_check():
     """A copy of ``router_revert_initiate_source`` that lacks its
     ``NotMarked`` check: it opens a window over a deposit never marked."""

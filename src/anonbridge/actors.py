@@ -11,13 +11,12 @@ from dataclasses import dataclass
 from . import circuit as circuit_mod
 from .chain import (
     Chain,
-    decode_deposit_event,
-    decode_revert_initiated,
     mixer_store_signature,
     mixer_submit,
     router_deposit,
     router_revert_halt,
     router_update_root,
+    unwords,
 )
 from .circuit import (
     Proof,
@@ -132,7 +131,7 @@ class Wallet:
         od = obfuscate(intent, note.salt)
         req = DepositRequest(c, od, version, dapp_contract.address)
         event = dapp_contract.forward_deposit(chain, self, req, value)
-        _, tpc, source = decode_deposit_event(event.payload)
+        _, tpc, source = unwords(event.payload)
         self.notes[c] = rec = NoteRecord(
             self.name, c, note, intent.payload, source, intent.dest_chain_id,
             version, ghash, tpc, make_leaf(c, tpc, source))
@@ -351,7 +350,7 @@ class DappSigner:
         if self.offline:
             return []
         for chain, ev in new_events(chains, self._deposit_cursors, "deposit"):
-            commitment, tpc, src = decode_deposit_event(ev.payload)
+            commitment, tpc, src = unwords(ev.payload)
             if chain.router.commitment_log[commitment] == self.contracts[chain.chain_id].address:
                 self._pending.add((commitment, make_leaf(commitment, tpc, src)))
         mixer = mixer_chain.mixer
@@ -377,7 +376,7 @@ class DappSigner:
             return []
         halts = []
         for chain, ev in new_events(chains, self._revert_cursors, "revert_initiated"):
-            _, nh = decode_revert_initiated(ev.payload)
+            _, nh = unwords(ev.payload)
             pending = chain.router.pending_reverts.get(nh)
             contract = self.contracts[chain.chain_id]
             if pending is None or chain.height >= pending.window_end \

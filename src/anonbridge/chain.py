@@ -58,23 +58,14 @@ class Event:
     block: int
 
 
-def deposit_event_payload(commitment: int, tpc: int, source_chain: int) -> bytes:
-    return to_bytes32(commitment) + to_bytes32(tpc) + to_bytes32(source_chain)
+def words(*values: int) -> bytes:
+    """An event payload: each value as one 32-byte big-endian word."""
+    return b"".join(map(to_bytes32, values))
 
 
-def decode_deposit_event(payload: bytes) -> tuple:
-    assert len(payload) == 96, "deposit event carries exactly three words"
-    return (
-        int.from_bytes(payload[:32], "big"),
-        int.from_bytes(payload[32:64], "big"),
-        int.from_bytes(payload[64:96], "big"),
-    )
-
-
-def decode_revert_initiated(payload: bytes) -> tuple:
-    """The (commitment, nullifier hash) a ``revert_initiated`` event carries."""
-    assert len(payload) == 64, "revert initiation carries exactly two words"
-    return int.from_bytes(payload[:32], "big"), int.from_bytes(payload[32:64], "big")
+def unwords(payload: bytes) -> list:
+    """The values of a payload's 32-byte words, in order."""
+    return [int.from_bytes(payload[i:i + 32], "big") for i in range(0, len(payload), 32)]
 
 
 @dataclass
@@ -171,7 +162,7 @@ def router_deposit(chain: Chain, req: DepositRequest) -> Event:
         raise DuplicateCommitment(f"commitment {req.commitment} already submitted")
     tpc = trustless_public_commitment(ghash, req.version, req.obfuscated_data)
     router.commitment_log[req.commitment] = req.dapp_address
-    return chain.emit("deposit", deposit_event_payload(req.commitment, tpc, chain.chain_id))
+    return chain.emit("deposit", words(req.commitment, tpc, chain.chain_id))
 
 
 # -- Mixer --------------------------------------------------------------------
@@ -180,15 +171,16 @@ def mixer_submit(chain: Chain, event: Event, source: Chain) -> int:
     """Relay a deposit event ``source`` published into the global tree;
     dedupe on commitment, then record its leaf index in ``commitments``."""
     mixer = chain.mixer
-    commitment, tpc, source_chain = decode_deposit_event(event.payload)
-    if source_chain != source.chain_id or ("deposit", event.payload) not in source.published:
+    payload = event.payload
+    if ("deposit", payload) not in source.published or payload[64:] != words(source.chain_id):
         raise UnknownDeposit(f"chain {source.chain_id} published no such deposit event")
+    commitment, tpc, source_chain = unwords(payload)
     if commitment in mixer.commitments:
         raise DuplicateCommitment(f"commitment {commitment} already in the tree")
     leaf = make_leaf(commitment, tpc, source_chain)
     index = mixer.tree.insert(leaf)
     mixer.commitments[commitment] = index
-    chain.emit("leaf_inserted", to_bytes32(leaf) + to_bytes32(index))
+    chain.emit("leaf_inserted", words(leaf, index))
     return index
 
 
@@ -201,7 +193,7 @@ def mixer_store_signature(chain: Chain, leaf_index: int, signature: bytes) -> No
     if leaf_index in mixer.leaf_signatures:
         raise Unauthorized(f"signature for leaf {leaf_index} already stored")
     mixer.leaf_signatures[leaf_index] = signature
-    chain.emit("signature_stored", signature + to_bytes32(leaf_index))
+    chain.emit("signature_stored", signature + words(leaf_index))
 
 
 # -- Router: root sync and withdrawal ----------------------------------------
@@ -213,7 +205,7 @@ def router_update_root(chain: Chain, root: int, oracle_auth: bytes) -> None:
     chain.router.known_roots.append(root)
     if len(chain.router.known_roots) > ROUTER_ROOT_WINDOW:
         del chain.router.known_roots[:-ROUTER_ROOT_WINDOW]
-    chain.emit("root_update", to_bytes32(root))
+    chain.emit("root_update", words(root))
 
 
 def router_withdraw(chain: Chain, proof, payload: bytes, salt: int,
@@ -242,7 +234,7 @@ def router_withdraw(chain: Chain, proof, payload: bytes, salt: int,
     # 5. resolve and invoke the destination dApp
     dapp_address = router.dapp_registry[ghash]
     router.nullifier_spent.add(public.nullifier_hash)
-    chain.emit("settled", to_bytes32(public.nullifier_hash))
+    chain.emit("settled", words(public.nullifier_hash))
     chain.dapps[dapp_address].on_settle(payload)
 
 
@@ -273,7 +265,7 @@ def router_revert_mark_destination(chain: Chain, proof, payload: bytes, salt: in
         raise TpcMismatch("this chain is not the destination bound in the intent")
     router.nullifier_spent.add(public.nullifier_hash)
     router.nullifier_reverted[public.nullifier_hash] = public.commitment
-    chain.emit("revert_marked", to_bytes32(public.nullifier_hash) + to_bytes32(public.commitment))
+    chain.emit("revert_marked", words(public.nullifier_hash, public.commitment))
 
 
 def router_revert_initiate_source(chain: Chain, dest: Chain, proof) -> int:
@@ -292,16 +284,14 @@ def router_revert_initiate_source(chain: Chain, dest: Chain, proof) -> int:
         raise UnknownCommitment(f"commitment {public.commitment} never deposited here")
     if public.nullifier_hash in router.pending_reverts:
         raise AlreadyPending(f"revert for {public.nullifier_hash} already pending")
-    if ("revert_initiated", to_bytes32(public.commitment)
-            + to_bytes32(public.nullifier_hash)) in chain.published:
+    initiated = words(public.commitment, public.nullifier_hash)
+    if ("revert_initiated", initiated) in chain.published:
         raise AlreadyPending(f"revert of {public.commitment} already executed")
-    if ("revert_marked", to_bytes32(public.nullifier_hash)
-            + to_bytes32(public.commitment)) not in dest.published:
+    if ("revert_marked", words(public.nullifier_hash, public.commitment)) not in dest.published:
         raise NotMarked(f"no revert mark for {public.commitment} on {dest.chain_id}")
     window_end = chain.height + chain.revert_window
     router.pending_reverts[public.nullifier_hash] = PendingRevert(public.commitment, window_end)
-    chain.emit("revert_initiated",
-               to_bytes32(public.commitment) + to_bytes32(public.nullifier_hash))
+    chain.emit("revert_initiated", initiated)
     return window_end
 
 
@@ -320,7 +310,7 @@ def router_revert_halt(chain: Chain, nullifier_hash: int, caller: bytes) -> None
         raise Halted("revert was already halted once")
     pending.halted = True
     pending.window_end += chain.revert_window
-    chain.emit("revert_halted", to_bytes32(nullifier_hash))
+    chain.emit("revert_halted", words(nullifier_hash))
 
 
 def router_revert_execute(chain: Chain, nullifier_hash: int) -> None:
@@ -334,7 +324,7 @@ def router_revert_execute(chain: Chain, nullifier_hash: int) -> None:
     router.nullifier_reverted[nullifier_hash] = pending.commitment
     dapp_address = router.commitment_log[pending.commitment]
     del router.pending_reverts[nullifier_hash]
-    chain.emit("revert_executed", to_bytes32(nullifier_hash))
+    chain.emit("revert_executed", words(nullifier_hash))
     chain.dapps[dapp_address].on_revert(pending.commitment)
 
 

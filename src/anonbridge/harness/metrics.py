@@ -8,6 +8,7 @@ from .. import circuit as circuit_mod
 from .. import ops
 from ..circuit import ProofSystem, SettlementPublic, SettlementWitness
 from ..dact import TPC_MASK, make_leaf
+from ..errors import InvalidProof
 from ..hashing import commit, nullifier_hash
 from ..merkle import MerkleTree
 from ..rng import SeededRng, random_field_31
@@ -46,7 +47,8 @@ def measure_depth(depth: int, seed: int = 0) -> dict:
             proof = proofs.prove(circuit_mod.SETTLEMENT, witness, public)
 
         with ops.counting() as verify:
-            assert proofs.verify(circuit_mod.SETTLEMENT, proof)
+            if not proofs.verify(circuit_mod.SETTLEMENT, proof):
+                raise InvalidProof(f"the depth-{depth} sweep proof does not verify")
 
         return {
             "depth": depth,

@@ -4,6 +4,7 @@ import copy
 from dataclasses import dataclass
 
 from ..actors import START_BALANCE
+from ..chain import words
 from ..errors import ConfigInvalid, SimError
 from .config import ScenarioConfig
 from .linkability import analyze_linkability
@@ -37,18 +38,16 @@ def _check_settle_xor_revert(sim: Simulation) -> Verdict:
 
 
 def _check_deposit_minimality(sim: Simulation) -> Verdict:
-    """Deposit events decode to exactly (commitment, tpc, source chain)."""
-    from ..chain import decode_deposit_event
-
+    """Deposit events are exactly the words (commitment, tpc, source chain)."""
     for chain in sim.chains.values():
+        source_word = words(chain.chain_id)
         for ev in chain.event_log:
             if ev.kind != "deposit":
                 continue
             if len(ev.payload) != 96:
                 return Verdict("deposit_minimality", False,
                                f"payload length {len(ev.payload)}")
-            _, _, src = decode_deposit_event(ev.payload)
-            if src != chain.chain_id:
+            if ev.payload[64:] != source_word:
                 return Verdict("deposit_minimality", False,
                                "source chain field mismatch")
     return Verdict("deposit_minimality", True)

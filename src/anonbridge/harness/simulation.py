@@ -46,6 +46,7 @@ from ..chain import (
     router_revert_initiate_source,
     router_revert_mark_destination,
     router_withdraw,
+    words,
 )
 from ..circuit import Proof, ProofSystem
 from ..dact import PayloadIntent
@@ -396,7 +397,7 @@ class Simulation:
         if rec.settlement is None:
             return False
         nh = rec.settlement.public.nullifier_hash
-        return ("settled", to_bytes32(nh)) in self.chains[rec.dest].published
+        return ("settled", words(nh)) in self.chains[rec.dest].published
 
     def reverted(self, deposit: str) -> bool:
         rec = self._record(deposit)

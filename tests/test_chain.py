@@ -13,8 +13,6 @@ from anonbridge.chain import (
     Chain,
     Event,
     advance_blocks,
-    decode_deposit_event,
-    deposit_event_payload,
     mixer_store_signature,
     mixer_submit,
     router_deposit,
@@ -25,6 +23,8 @@ from anonbridge.chain import (
     router_revert_mark_destination,
     router_update_root,
     router_withdraw,
+    unwords,
+    words,
 )
 from anonbridge.circuit import ProofSystem
 from anonbridge.dact import (
@@ -117,7 +117,7 @@ class Harness:
 
         note, payload, req, event = self.deposit(dest, version)
         index = mixer_submit(self.dst, event, self.src)
-        _, tpc, source = decode_deposit_event(event.payload)
+        _, tpc, source = unwords(event.payload)
         leaf = make_leaf(req.commitment, tpc, source)
         sig = self.key.sign(leaf_bytes(leaf))
         mixer_store_signature(self.dst, index, sig)
@@ -207,7 +207,7 @@ class TestDepositAndMixer:
         h = Harness()
         note, payload, req, event = h.deposit()
         assert event.kind == "deposit" and len(event.payload) == 96
-        c, tpc, src = decode_deposit_event(event.payload)
+        c, tpc, src = unwords(event.payload)
         assert c == req.commitment and src == 1001
         od = obfuscate(PayloadIntent(payload, 1002), note.salt)
         assert tpc == trustless_public_commitment(h.ghash, 1, od)
@@ -227,21 +227,27 @@ class TestDepositAndMixer:
         with pytest.raises(DuplicateCommitment):
             mixer_submit(h.dst, event, h.src)
 
-    @pytest.mark.parametrize("case", ["altered_tpc", "other_source_word", "wrong_source"])
+    @pytest.mark.parametrize("case", ["altered_tpc", "other_source_word", "wrong_source",
+                                      "short_payload", "long_payload"])
     def test_mixer_takes_only_a_published_deposit(self, case):
         """The Mixer takes a deposit event only from the chain its source
         word names, and only as that chain published it: an altered TPC, a
-        source word naming another chain (even one the source emitted) and
-        a real event handed with the wrong source are all UnknownDeposit,
-        refused before the dedupe, at no charge and with no leaf."""
+        source word naming another chain, a payload of two or four words
+        (even ones the source emitted) and a real event handed with the
+        wrong source are all UnknownDeposit, refused before the dedupe, at
+        no charge and with no leaf."""
         h = Harness()
         _, _, _, event = h.deposit()
-        c, tpc, src = decode_deposit_event(event.payload)
+        c, tpc, src = unwords(event.payload)
         source = h.src
         if case == "altered_tpc":
-            event = Event("deposit", deposit_event_payload(c, tpc + 1, src), event.block)
+            event = Event("deposit", words(c, tpc + 1, src), event.block)
         elif case == "other_source_word":
-            event = h.src.emit("deposit", deposit_event_payload(c, tpc, 1002))
+            event = h.src.emit("deposit", words(c, tpc, 1002))
+        elif case == "short_payload":
+            event = h.src.emit("deposit", words(c, tpc))
+        elif case == "long_payload":
+            event = h.src.emit("deposit", words(c, tpc, src, 0))
         else:
             source = h.dst
         events_before = list(h.dst.event_log)
@@ -392,7 +398,7 @@ class TestRevert:
         h.settle_case()
         note, payload, req, event = h.deposit()
         mixer_submit(h.dst, event, h.src)
-        _, tpc, _ = decode_deposit_event(event.payload)
+        _, tpc, _ = unwords(event.payload)
         rproof = h.revert_proof(note, req, tpc)
         before = self._routers(h)
         with pytest.raises(UnknownRoot):

@@ -13,7 +13,7 @@ import pytest
 import anonbridge
 import anonbridge.harness
 from anonbridge import actors, hashing, keccak, ops
-from anonbridge.chain import decode_deposit_event, mixer_submit
+from anonbridge.chain import mixer_submit, unwords
 from anonbridge.circuit import SETTLEMENT, SettlementWitness
 from anonbridge.errors import ConfigInvalid, ConstraintViolation
 from anonbridge.field import P
@@ -1466,7 +1466,7 @@ class TestBuiltins:
         """A Mixer that forgets its commitments stores the replayed event
         again: the relay inserts it as a second leaf and both checks fail."""
         def forgetful(chain, event, source):
-            chain.mixer.commitments.pop(decode_deposit_event(event.payload)[0], None)
+            chain.mixer.commitments.pop(unwords(event.payload)[0], None)
             return mixer_submit(chain, event, source)
 
         monkeypatch.setattr(actors, "mixer_submit", forgetful)

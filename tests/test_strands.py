@@ -14,10 +14,10 @@ import pytest
 
 from anonbridge.chain import (
     Event,
-    decode_deposit_event,
-    deposit_event_payload,
     mixer_store_signature,
     mixer_submit,
+    unwords,
+    words,
 )
 from anonbridge.errors import ConstraintViolation, SimError, UnknownRoot
 from anonbridge.harness import ScenarioConfig, Simulation
@@ -39,10 +39,10 @@ def test_altered_relay_does_not_strand_the_deposit():
     sim = make_sim()
     d = sim.deposit("alice", 1001, 1003)
     ev = sim.chains[1001].event_log[-1]
-    c, tpc, src = decode_deposit_event(ev.payload)
+    c, tpc, src = unwords(ev.payload)
     with contextlib.suppress(SimError):
         mixer_submit(sim.mixer_chain,
-                     Event("deposit", deposit_event_payload(c, tpc + 1, src), ev.block),
+                     Event("deposit", words(c, tpc + 1, src), ev.block),
                      sim.chains[1001])
     sim.relay()
     sim.sign()

@@ -188,7 +188,7 @@ def mixer_store_signature(chain: Chain, leaf_index: int, signature: bytes) -> No
     """First-write-wins signature storage by leaf index; the stored
     signature is public state, published as signature || leaf index."""
     mixer = chain.mixer
-    if not 0 <= leaf_index < mixer.tree.next_index:
+    if not 0 <= leaf_index < len(mixer.tree.leaves):
         raise IndexUnknown(f"no leaf at index {leaf_index}")
     if leaf_index in mixer.leaf_signatures:
         raise Unauthorized(f"signature for leaf {leaf_index} already stored")

@@ -278,7 +278,7 @@ def oracle_replay(sim: Simulation):
     rejected = [act for act in actions if act[0] == "relay_rejected"]
     sim.check("replay_rejected",
               bool(rejected) and "DuplicateCommitment" in rejected[0])
-    sim.check("single_leaf", sim.mixer_chain.mixer.tree.next_index == 1)
+    sim.check("single_leaf", len(sim.mixer_chain.mixer.tree.leaves) == 1)
 
 
 BUILTINS = {

@@ -9,9 +9,10 @@ its zero nodes when it is built.
 
 An insert is charged exactly ``depth`` hash calls but hashes nothing; the
 next read of ``root`` or ``path()`` hashes the right spine those inserts
-changed, once. The tree keeps its nodes, one list per level, and nothing
-else, so a path is read from the stored nodes and costs no hashing; where
-a deposit's leaf sits is the Mixer's record (``MixerState.commitments``).
+changed, once. The tree keeps ``levels`` (its nodes, one list per level,
+the root level last), ``zeros`` and ``_folded``, and nothing else, so a
+path is read from the stored nodes and costs no hashing; where a
+deposit's leaf sits is the Mixer's record (``MixerState.commitments``).
 """
 
 from dataclasses import dataclass
@@ -46,32 +47,27 @@ def zero_node(level: int) -> int:
 @dataclass
 class MerklePath:
     elements: list  # sibling node per level, leaf level first
-    indices: list   # 0 = our node is the left child at that level
-
-    def __post_init__(self):
-        assert len(self.elements) == len(self.indices)
-        assert all(b in (0, 1) for b in self.indices)
+    index: int      # the leaf's; bit l set = our node is the right child at level l
 
 
 class MerkleTree:
-    """A tree's levels of nodes, leaves first; it keeps no leaf lookup."""
+    """``levels`` (root level last), ``zeros`` and ``_folded``; no leaf lookup."""
 
     def __init__(self, depth: int):
         if not 1 <= depth <= MAX_DEPTH:
             raise DepthOutOfRange(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
         self.depth = depth
-        self.next_index = 0
-        # levels[l]: the nodes of level l, leftmost first, the rightmost one
-        # zero-padded; above the leaves they cover the first `_folded` leaves
-        self.levels: list = [[] for _ in range(depth)]
-        self.leaves: list = self.levels[0]
-        self._folded = 0
         # zero node per level: zeros[0] = empty leaf, zeros[i+1] = H(z, z).
         # Per-process constants, hashed at most once by zero_node; every
         # tree is still charged for them here, `depth` permutations.
         ops.charge("permutations", depth)
         self.zeros = [zero_node(level) for level in range(depth + 1)]
-        self._top = [self.zeros[depth]]  # level `depth`: the root alone
+        # levels[l]: the nodes of level l, leftmost first, the rightmost one
+        # zero-padded; above the leaves they cover the first `_folded`
+        # leaves, and levels[depth] holds the root alone
+        self.levels: list = [[] for _ in range(depth)] + [[self.zeros[depth]]]
+        self.leaves: list = self.levels[0]
+        self._folded = 0
 
     @property
     def capacity(self) -> int:
@@ -80,54 +76,52 @@ class MerkleTree:
     @property
     def root(self) -> int:
         self._fold()
-        return self._top[0]
+        return self.levels[-1][0]
 
     def insert(self, leaf: int) -> int:
         """Insert a leaf; returns its index. Charged ``depth`` permutations."""
-        if self.next_index == self.capacity:
+        if len(self.leaves) == self.capacity:
             raise TreeFull(f"tree of depth {self.depth} is full")
         check(leaf)
         ops.charge("permutations", self.depth)
         self.leaves.append(leaf)
-        self.next_index += 1
-        return self.next_index - 1
+        return len(self.leaves) - 1
 
     def _fold(self) -> None:
         """Re-hash, level by level, the nodes above the leaves inserted
         since the last fold, as eager inserts would have left them."""
-        if self._folded == self.next_index:
+        if self._folded == len(self.leaves):
             return
         first = self._folded >> 1  # first stale parent
         with ops.counting():  # the inserts were charged for this work
-            for nodes, parents, zero in zip(self.levels, self.levels[1:] + [self._top],
-                                            self.zeros):
+            for nodes, parents, zero in zip(self.levels, self.levels[1:], self.zeros):
                 n = len(nodes)
                 parents[first:] = [mimc_hash2(nodes[i], nodes[i + 1] if i + 1 < n else zero)
                                    for i in range(2 * first, n, 2)]
                 first >>= 1
-        self._folded = self.next_index
+        self._folded = len(self.leaves)
 
     def path(self, index: int) -> MerklePath:
         """Sibling path for the leaf at ``index`` against the current root."""
-        if not 0 <= index < self.next_index:
+        if not 0 <= index < len(self.leaves):
             raise IndexUnknown(f"no leaf at index {index}")
         self._fold()
-        elements, indices = [], []
+        elements = []
         idx = index
-        for nodes, zero in zip(self.levels, self.zeros):
+        for nodes, zero in zip(self.levels[:-1], self.zeros):
             sib = idx ^ 1
             elements.append(nodes[sib] if sib < len(nodes) else zero)
-            indices.append(idx % 2)
-            idx //= 2
-        return MerklePath(elements, indices)
+            idx >>= 1
+        return MerklePath(elements, index)
 
 
 def verify_path(root: int, leaf: int, path: MerklePath) -> bool:
     """Fold ``leaf`` through the path and compare against ``root``."""
-    current = leaf % P
-    for sibling, bit in zip(path.elements, path.indices):
-        if bit == 0:
-            current = mimc_hash2(current, sibling)
-        else:
+    current, index = leaf % P, path.index
+    for sibling in path.elements:
+        if index & 1:
             current = mimc_hash2(sibling, current)
+        else:
+            current = mimc_hash2(current, sibling)
+        index >>= 1
     return current == root

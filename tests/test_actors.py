@@ -145,7 +145,7 @@ class TestOracle:
         sim = make_sim(oracle={"mode": "censor_chain", "censor_chain": 1001})
         sim.deposit("alice", 1001, 1003)
         assert sim.relay() == [("relay_censored", 1001)]
-        assert sim.mixer_chain.mixer.tree.next_index == 0
+        assert len(sim.mixer_chain.mixer.tree.leaves) == 0
         event = sim.transcript.records[-1]
         assert (event["kind"], event["op"], event["chain"]) == (
             "action", "relay_censored", 1002)
@@ -163,7 +163,7 @@ class TestOracle:
                     if r.get("op") == "relay_censored"]
 
         assert [r["detail"] for r in censored()] == ["(1001,)", "(1001,)"]
-        assert sim.mixer_chain.mixer.tree.next_index == 1
+        assert len(sim.mixer_chain.mixer.tree.leaves) == 1
         sim.relay()
         assert len(censored()) == 2
         leakage = standard_verdicts(sim)[-1]

@@ -255,7 +255,7 @@ class TestDepositAndMixer:
             with pytest.raises(UnknownDeposit):
                 mixer_submit(h.dst, event, source)
         assert spent == ops.OpCounts()
-        assert h.dst.mixer.tree.next_index == 0
+        assert len(h.dst.mixer.tree.leaves) == 0
         assert h.dst.mixer.commitments == {}
         assert h.dst.event_log == events_before
 

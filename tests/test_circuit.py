@@ -102,6 +102,19 @@ class TestConstraints:
         sw, sp, _, _, _ = build_case(3)
         assert not constraints_hold(SETTLEMENT, replace(sw, source_chain=1002), sp)
 
+    @pytest.mark.parametrize("resize", [lambda e: e[:-1], lambda e: e + [0]],
+                             ids=["short", "long"])
+    def test_a_resized_path_is_refused_at_merkle_path(self, resize):
+        circuits, rng = _circuits(5)
+        proofs = ProofSystem(rng.child("keys"))
+        for circuit_id, witness, public in circuits:
+            path = replace(witness.path, elements=resize(witness.path.elements))
+            with ops.counting() as c, pytest.raises(ConstraintViolation) as err:
+                proofs.prove(circuit_id, replace(witness, path=path), public)
+            assert err.value.constraint == "merkle_path"
+            # the two constraints before the path, then one per sibling
+            assert c.constraint_evals == 2 + len(path.elements)
+
 
 class TestProver:
     def test_prove_verify_round_trip(self):

@@ -618,7 +618,7 @@ class TestPermutationTable:
                                     sim.mixer_chain.mixer.leaf_signatures[index])
         elements = list(path.elements)
         elements[3] = (elements[3] + 1) % P
-        bad_path = replace(witness, path=MerklePath(elements, path.indices))
+        bad_path = replace(witness, path=MerklePath(elements, path.index))
         bad_nullifier = replace(witness, nullifier=note.nullifier + 1)
         with ops.hash_table(sim.hash_table):
             sim.proofs.prove(SETTLEMENT, witness, public)

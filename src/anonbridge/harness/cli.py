@@ -11,14 +11,12 @@ Exit status is 0 iff every verdict passed, and 2 when a scenario file or
 a transcript to replay cannot be read, a scenario is neither a file nor
 a builtin, ``attacks`` names no scenario, the config, a script action,
 a sweep depth or a seed is malformed (a seed must be in [0, 2^256), for
-``sweep`` too), a transcript has no header, or ``--out`` cannot be
-written (it names an existing file, say). ANONBRIDGE_SEED overrides the
-scenario seed.
+``sweep`` and ``attacks`` too), a transcript has no header, or ``--out``
+cannot be written (it names an existing file, say).
 """
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -28,16 +26,6 @@ from .config import ScenarioConfig, check_seed
 from .metrics import sweep_depths
 from .scenarios import ATTACK_MATRIX, BUILTINS, builtin_config, run_scenario
 from .transcript import Transcript
-
-
-def _env_seed(default):
-    raw = os.environ.get("ANONBRIDGE_SEED")
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigInvalid(f"ANONBRIDGE_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_config(target: str, seed) -> ScenarioConfig:
@@ -97,7 +85,7 @@ def _print_verdicts(name: str, verdicts) -> bool:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args.scenario, _env_seed(args.seed))
+    config = _load_config(args.scenario, args.seed)
     result = run_scenario(config)
     if args.out:
         _write_outputs(result, args.out)
@@ -111,12 +99,10 @@ def cmd_sweep(args) -> int:
     except ValueError:
         depths = []
     if not depths or not all(1 <= d <= MAX_DEPTH for d in depths):
-        print(f"error: --depths must list integers in 1..{MAX_DEPTH}, "
-              f"got {args.depths!r}", file=sys.stderr)
-        return 2
-    seed = _env_seed(args.seed) or 0
-    check_seed(seed)
-    rows = sweep_depths(depths, seed=seed)
+        raise ConfigInvalid(f"field 'depths' must list integers in 1..{MAX_DEPTH}, "
+                            f"got {args.depths!r}")
+    check_seed(args.seed)
+    rows = sweep_depths(depths, seed=args.seed)
     cols = list(rows[0])
     print("  ".join(f"{c:>20}" for c in cols))
     for row in rows:
@@ -127,13 +113,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_attacks(args) -> int:
-    seed = _env_seed(args.seed) or 0
     names = ATTACK_MATRIX if args.all else args.names
     if not names:
         raise ConfigInvalid("pass --all or scenario names")
     ok = True
     for name in names:
-        result = run_scenario(builtin_config(name, seed=seed))
+        result = run_scenario(builtin_config(name, seed=args.seed))
         ok &= _print_verdicts(name, result.verdicts)
         if args.out:
             _write_outputs(result, Path(args.out) / name)
@@ -174,14 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="cost/capacity sweep over tree depths")
     p.add_argument("--depths", required=True, help="comma-separated, e.g. 4,8,16")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("attacks", help="run builtin attack scenarios")
     p.add_argument("--all", action="store_true")
     p.add_argument("names", nargs="*")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_attacks)
 

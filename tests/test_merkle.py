@@ -142,6 +142,19 @@ def test_no_source_module_asserts():
     assert asserts == []
 
 
+ENVIRONMENT_READERS = {"environ", "getenv"}
+
+
+def test_no_source_module_reads_the_environment():
+    # a run depends on its (config, seed) and its command-line flags alone
+    reads = [f"{module}:{node.lineno}" for module, tree in _modules()
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS)
+             or (isinstance(node, (ast.Import, ast.ImportFrom))
+                 and any(alias.name in ENVIRONMENT_READERS for alias in node.names))]
+    assert reads == []
+
+
 def _keccak_uses(node, scope: str) -> list:
     """The scope of every read of ``keccak256`` under ``node``, or import
     of it under another name: the enclosing function or class, or the

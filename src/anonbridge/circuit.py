@@ -136,15 +136,6 @@ def _check_revert(w: RevertWitness, p: RevertPublic) -> None:
 _CONSTRAINTS = {SETTLEMENT: _check_settlement, REVERT: _check_revert}
 
 
-def constraints_hold(circuit_id: int, witness, public) -> bool:
-    """Whether every constraint of ``circuit_id`` holds, as a boolean."""
-    try:
-        _CONSTRAINTS[circuit_id](witness, public)
-        return True
-    except ConstraintViolation:
-        return False
-
-
 class ProofSystem:
     """Holds the per-circuit deity keys; one instance per scenario."""
 

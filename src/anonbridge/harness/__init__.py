@@ -1,7 +1,7 @@
 """Scenario harness: configuration, simulation driver, builtin attack
 library, transcripts, cost metrics, and linkability analysis."""
 
-from .config import ACTION_VOCABULARY, ScenarioConfig
+from .config import ScenarioConfig
 from .linkability import analyze_linkability
 from .metrics import measure_depth, sweep_depths
 from .scenarios import (
@@ -15,7 +15,6 @@ from .simulation import Simulation, Verdict
 from .transcript import Transcript
 
 __all__ = [
-    "ACTION_VOCABULARY",
     "ScenarioConfig",
     "Simulation",
     "Verdict",

@@ -3,16 +3,17 @@
 Subcommands:
     run <scenario.json | builtin-name>   execute one scenario
     sweep --depths 4,8,16                cost/capacity sweep over tree depths
-    attacks --all                        run the builtin attack matrix
+    attacks (--all | NAME...)            run the attack matrix or each NAME
     replay <transcript.jsonl>            re-execute a transcript's config and
                                          confirm the digest matches
 
 Exit status is 0 iff every verdict passed, and 2 when a scenario file or
 a transcript to replay cannot be read, a scenario is neither a file nor
-a builtin, ``attacks`` names no scenario, the config, a script action,
-a sweep depth or a seed is malformed (a seed must be in [0, 2^256), for
-``sweep`` and ``attacks`` too), a transcript has no header, or ``--out``
-cannot be written (it names an existing file, say).
+a builtin, ``attacks`` gets neither or both of ``--all`` and names, the
+config, a script action, a sweep depth or a seed is malformed (a seed
+must be in [0, 2^256), for ``sweep`` and ``attacks`` too), a transcript
+has no header, or ``--out`` cannot be written (it names an existing
+file, say).
 """
 
 import argparse
@@ -113,15 +114,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_attacks(args) -> int:
-    names = ATTACK_MATRIX if args.all else args.names
-    if not names:
-        raise ConfigInvalid("pass --all or scenario names")
+    if args.all == bool(args.names):
+        raise ConfigInvalid("pass either --all or scenario names")
+    # every name is resolved before any scenario runs or writes
+    configs = [builtin_config(name, seed=args.seed)
+               for name in (ATTACK_MATRIX if args.all else args.names)]
     ok = True
-    for name in names:
-        result = run_scenario(builtin_config(name, seed=args.seed))
-        ok &= _print_verdicts(name, result.verdicts)
+    for config in configs:
+        result = run_scenario(config)
+        ok &= _print_verdicts(config.name, result.verdicts)
         if args.out:
-            _write_outputs(result, Path(args.out) / name)
+            _write_outputs(result, Path(args.out) / config.name)
     return 0 if ok else 1
 
 
@@ -187,7 +190,3 @@ def main(argv=None) -> int:
     except OutputUnwritable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -25,7 +25,6 @@ ACTION_FIELDS = {op: {p.name: str if p.annotation is bytes else p.annotation
                       for p in params.values() if p.kind is p.POSITIONAL_OR_KEYWORD
                       and p.name not in ("self", "expect")}
                  for op, params in _PARAMETERS.items()}
-ACTION_VOCABULARY = set(ACTION_FIELDS)
 
 # the fields the "dapp" and "oracle" sections take, with their types: those
 # of ResilienceRules and OraclePolicy

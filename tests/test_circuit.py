@@ -14,7 +14,6 @@ from anonbridge.circuit import (
     RevertWitness,
     SettlementPublic,
     SettlementWitness,
-    constraints_hold,
 )
 from anonbridge.dact import leaf_bytes, make_leaf
 from anonbridge.errors import ConstraintViolation, InvalidProof
@@ -61,9 +60,10 @@ def _circuits(seed):
 class TestConstraints:
     def test_honest_cases_satisfy_both_circuits(self):
         for seed in range(5):
-            sw, sp, rw, rp, _ = build_case(seed)
-            assert constraints_hold(SETTLEMENT, sw, sp)
-            assert constraints_hold(REVERT, rw, rp)
+            sw, sp, rw, rp, rng = build_case(seed)
+            proofs = ProofSystem(rng)
+            assert isinstance(proofs.prove(SETTLEMENT, sw, sp), Proof)
+            assert isinstance(proofs.prove(REVERT, rw, rp), Proof)
 
     def test_settlement_failure_names(self):
         sw, sp, rw, rp, _ = build_case(1)
@@ -76,7 +76,6 @@ class TestConstraints:
             (sp, replace(sw, leaf_signature=bytes(64)), "signature"),
         ]
         for public, witness, name in cases:
-            assert not constraints_hold(SETTLEMENT, witness, public)
             with pytest.raises(ConstraintViolation) as err:
                 proofs.prove(SETTLEMENT, witness, public)
             assert err.value.constraint == name
@@ -93,14 +92,14 @@ class TestConstraints:
             (replace(rp, tpc=build_case(3)[3].tpc), rw, "merkle_path"),  # another deposit's
         ]
         for public, witness, name in cases:
-            assert not constraints_hold(REVERT, witness, public)
             with pytest.raises(ConstraintViolation) as err:
                 proofs.prove(REVERT, witness, public)
             assert err.value.constraint == name
 
     def test_wrong_source_chain_rejected(self):
-        sw, sp, _, _, _ = build_case(3)
-        assert not constraints_hold(SETTLEMENT, replace(sw, source_chain=1002), sp)
+        sw, sp, _, _, rng = build_case(3)
+        with pytest.raises(ConstraintViolation):
+            ProofSystem(rng).prove(SETTLEMENT, replace(sw, source_chain=1002), sp)
 
     @pytest.mark.parametrize("resize", [lambda e: e[:-1], lambda e: e + [0]],
                              ids=["short", "long"])

@@ -38,3 +38,25 @@ def test_a_full_run_loads_no_second_openssl():
     out = subprocess.run([sys.executable, "-c", PROGRAM], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == ""
+
+
+def _loaded_after(statement: str) -> set:
+    """The ``anonbridge`` and ``cryptography`` modules a fresh interpreter
+    holds after running ``statement``."""
+    program = (f"import sys\n{statement}\n"
+               "print(*(m for m in sys.modules if m.split('.')[0] in "
+               "('anonbridge', 'cryptography')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return set(subprocess.run([sys.executable, "-c", program], env=env, check=True,
+                              capture_output=True, text=True, timeout=60).stdout.split())
+
+
+def test_a_leaf_module_loads_only_what_it_imports():
+    # the package itself imports nothing, so a leaf module comes alone
+    assert _loaded_after("import anonbridge.field") == {
+        "anonbridge", "anonbridge.errors", "anonbridge.field"}
+
+
+def test_the_merkle_tree_needs_no_cryptography():
+    assert not any(m.startswith("cryptography")
+                   for m in _loaded_after("import anonbridge.merkle"))

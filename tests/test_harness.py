@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import anonbridge
 import anonbridge.harness
 from anonbridge import actors, hashing, keccak, ops
 from anonbridge.chain import mixer_submit, unwords
@@ -19,7 +18,6 @@ from anonbridge.circuit import SETTLEMENT, SettlementWitness
 from anonbridge.errors import ConfigInvalid, ConstraintViolation
 from anonbridge.field import P
 from anonbridge.harness import (
-    ACTION_VOCABULARY,
     ATTACK_MATRIX,
     BUILTINS,
     ScenarioConfig,
@@ -47,10 +45,10 @@ SCENARIO_FILES = sorted(
     (Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 
 
-@pytest.mark.parametrize("package", [anonbridge, anonbridge.harness])
+@pytest.mark.parametrize("package", [anonbridge.harness])
 def test_every_export_resolves(package):
     # a deletion that leaves its name in ``__all__`` fails here, not on
-    # a user's ``from anonbridge import *``
+    # a user's ``from anonbridge.harness import *``
     missing = [name for name in package.__all__ if not hasattr(package, name)]
     assert not missing, missing
 
@@ -74,7 +72,7 @@ HAPPY_SCRIPT = [
 
 class TestConfig:
     def test_vocabulary_is_closed(self):
-        assert ACTION_VOCABULARY == {
+        assert set(ACTION_FIELDS) == {
             "deposit", "sign", "relay", "push_root", "withdraw", "forge_settlement",
             "revert_mark", "revert_init", "halt", "execute", "advance", "go_offline",
         }
@@ -291,7 +289,7 @@ class TestScriptInterpreter:
         path = next(p for p in SCENARIO_FILES if p.name == "all_actions.json")
         script = json.loads(path.read_text())["script"]
         used = {(action["op"], name) for action in script for name in action}
-        assert {action["op"] for action in script} == ACTION_VOCABULARY
+        assert {action["op"] for action in script} == set(ACTION_FIELDS)
         assert {(op, name) for op, names in ACTION_FIELDS.items() for name in names} <= used
 
     def test_null_field_means_default(self):
@@ -1600,6 +1598,21 @@ class TestCli:
             digests.append(hashlib.sha256(written).hexdigest())
         expected = run_scenario(builtin_config("double_spend", seed=9)).transcript.digest()
         assert digests[0] == expected != digests[1]
+
+    def test_attacks_all_with_names_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["attacks", "--all", "double_spend", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("error: ConfigInvalid: "
+                                "pass either --all or scenario names\n")
+
+    def test_attacks_unknown_name_runs_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["attacks", "double_spend", "nosuch", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: ConfigInvalid: unknown builtin scenario 'nosuch'\n"
 
     def test_attacks_bad_seed_exits_two(self, capsys):
         assert main(["attacks", "double_spend", "--seed", "-1"]) == 2

@@ -155,6 +155,29 @@ def test_no_source_module_reads_the_environment():
     assert reads == []
 
 
+def _compares_name_with_main(node) -> bool:
+    operands = [node.left, *node.comparators]
+    return (any(isinstance(n, ast.Name) and n.id == "__name__" for n in operands)
+            and any(isinstance(n, ast.Constant) and n.value == "__main__"
+                    for n in operands))
+
+
+def test_only_dunder_main_is_a_script():
+    # a command runs through harness.cli.main, reached by the console script
+    # or ``python -m anonbridge``, and by no third entry
+    scripts = [module for module, tree in _modules() if any(
+        isinstance(node, ast.Compare) and _compares_name_with_main(node)
+        for node in ast.walk(tree))]
+    assert scripts == ["__main__"]
+
+
+def test_the_package_is_its_docstring_alone():
+    # each name is imported from the module that defines it, so importing
+    # one module loads only what that module imports
+    package = dict(_modules())["__init__"]
+    assert len(package.body) == 1 and ast.get_docstring(package)
+
+
 def _keccak_uses(node, scope: str) -> list:
     """The scope of every read of ``keccak256`` under ``node``, or import
     of it under another name: the enclosing function or class, or the

@@ -214,14 +214,14 @@ class Oracle:
     reports each dropped deposit as a ``relay_censored`` action; a dropped
     withdraw is its call's ``Censored`` error. In ``replay`` mode ``relay``
     submits each deposit event twice, and the second is ``relay_rejected``.
-    In ``forge_root`` mode it pushes the root of the tree it forged once.
+    In ``forge_root`` mode it offers the root of the tree it forged once. It
+    holds no key, as a Router takes any root the Mixer holds: ``auth`` is unread.
     """
 
     def __init__(self, policy: OraclePolicy, auth: bytes, rng: SeededRng,
                  censored_dapp: bytes = b""):
         self.policy = policy
         self.censored_dapp = censored_dapp
-        self.auth = auth
         self.rng = rng
         self.offline = False
         self._cursors: dict = {}     # chain id -> next event index to scan
@@ -254,17 +254,17 @@ class Oracle:
         return actions
 
     def push_root(self, chains: dict, mixer_chain: Chain):
-        """Push the latest (or forged) root into every Router and return
-        it; an offline oracle pushes nothing and returns None."""
+        """Push the Mixer's root to its own chain's Router, then to the others,
+        and return it; a ``forge_root`` oracle offers its root to the others only."""
         if self.offline:
             return None
-        root = (
-            self.forged_root
-            if self.policy.mode == "forge_root"
-            else mixer_chain.mixer.tree.root
-        )
-        for cid in sorted(chains):
-            router_update_root(chains[cid], root, self.auth)
+        others = [chains[cid] for cid in sorted(chains) if chains[cid] is not mixer_chain]
+        if self.policy.mode == "forge_root":
+            root, routers = self.forged_root, others
+        else:
+            root, routers = mixer_chain.mixer.tree.root, [mixer_chain, *others]
+        for chain in routers:
+            router_update_root(chain, root, mixer_chain)
         return root
 
     def route_withdraw(self, ghash: bytes, dest_chain: int) -> bool:
@@ -283,10 +283,10 @@ class Oracle:
 
         The first call forges and keeps a note, its one-leaf tree (of the
         first ``depth`` and ``source_chain``) and a leaf signature by its
-        own key; a ``forge_root`` oracle's ``push_root`` injects that root,
-        ``forged_root``. Each call (a later one draws no rng and hashes
-        nothing afresh) proves against it for ``victim_vk``; lacking the
-        dApp's signature, proving must fail at the signature constraint.
+        own key; a ``forge_root`` oracle's ``push_root`` offers that root,
+        ``forged_root``, which no Router takes. Each call (a later one draws
+        no rng and hashes nothing afresh) proves against it for ``victim_vk``;
+        lacking the dApp's signature, proving must fail at the signature constraint.
         """
         if self._forgery is None:
             secret = random_field_31(self.rng)

@@ -1,15 +1,15 @@
 """In-process ledgers and the three contract state machines.
 
 One ``Chain`` per supported blockchain, each carrying a Router contract
-deployed with its oracle key, proof verifier and revert window, so a call
-carries only calldata; the multiplexer chain also carries the Mixer. There
-is no consensus or mempool: the scenario scheduler serializes every call,
-and a block clock advances only through ``advance_blocks``.
+deployed with its proof verifier and revert window, so a call carries
+only calldata; the multiplexer chain also carries the Mixer. There is no
+consensus or mempool: the scenario scheduler serializes every call, and a
+block clock advances only through ``advance_blocks``.
 
 An ``Event`` carries its canonical payload and block height only; a
 deposit's dApp is its source Router's ``commitment_log`` entry. A contract
 reads another chain only in what it ``published`` (the stand-in for an
-inclusion proof): deposit events for the Mixer, revert marks for a Router.
+inclusion proof): deposits for the Mixer, roots and revert marks for a Router.
 """
 
 from dataclasses import dataclass
@@ -99,9 +99,9 @@ class Chain:
     """One blockchain: block clock, event log and what it ``published``,
     Router, the Mixer on the multiplexer, and ``dapps``, its dApp contracts
     by address. The Router's ``verifier`` and ``revert_window`` are fixed
-    at deployment, next to ``oracle_auth``; no contract call supplies them."""
+    at deployment; no contract call supplies them."""
 
-    def __init__(self, chain_id: int, depth: int = None, oracle_auth: bytes = b"",
+    def __init__(self, chain_id: int, depth: int = None,
                  verifier: circuit_mod.ProofSystem = None, revert_window: int = None):
         validate_chain_id(chain_id)
         self.chain_id = chain_id
@@ -110,7 +110,6 @@ class Chain:
         self.published: set = set()        # (kind, payload) of every event emitted
         self.router = RouterState()
         self.mixer = MixerState(depth) if depth is not None else None
-        self.oracle_auth = oracle_auth
         self.verifier = verifier
         self.revert_window = revert_window
         self.dapps: dict = {}              # address -> deployed dApp contract
@@ -198,10 +197,11 @@ def mixer_store_signature(chain: Chain, leaf_index: int, signature: bytes) -> No
 
 # -- Router: root sync and withdrawal ----------------------------------------
 
-def router_update_root(chain: Chain, root: int, oracle_auth: bytes) -> None:
-    """Oracle-authenticated root push; keeps only the latest two roots."""
-    if oracle_auth != chain.oracle_auth:
-        raise Unauthorized("root update requires oracle network authentication")
+def router_update_root(chain: Chain, root: int, mixer_chain: Chain) -> None:
+    """Anyone's push of a root the Mixer holds; keeps the latest two roots."""
+    if not (root == chain.mixer.tree.root if chain is mixer_chain
+            else ("root_update", words(root)) in mixer_chain.published):
+        raise UnknownRoot(f"the Mixer on {mixer_chain.chain_id} holds no root {root}")
     chain.router.known_roots.append(root)
     if len(chain.router.known_roots) > ROUTER_ROOT_WINDOW:
         del chain.router.known_roots[:-ROUTER_ROOT_WINDOW]

@@ -117,17 +117,17 @@ def double_spend(sim: Simulation):
 
 
 def oracle_forged_root(sim: Simulation):
-    """Forged roots are accepted by routers yet settle nothing: the proof
-    cannot be built without the dApp's leaf signature."""
+    """A forged root settles nothing: no Router takes a root the Mixer never
+    held, and the proof cannot be built without the dApp's leaf signature."""
     sim.deposit("alice", SOURCE, DEST)
     sim.relay()
     sim.sign()
     sim.forge_settlement(expect="ConstraintViolation:signature")
     forged = sim.oracle.forged_root
-    sim.push_root()  # policy forge_root: injects the forged root everywhere
+    sim.push_root(expect="UnknownRoot")  # policy forge_root: offers the forged root
     sim.forge_settlement(expect="ConstraintViolation:signature")
-    sim.check("forged_root_accepted_by_router",
-              all(forged in c.router.known_roots for c in sim.chains.values()))
+    sim.check("forged_root_refused_by_router",
+              all(forged not in c.router.known_roots for c in sim.chains.values()))
     settled_events = [ev for c in sim.chains.values()
                       for ev in c.event_log if ev.kind == "settled"]
     sim.check("no_forged_settlement", not settled_events)

@@ -99,11 +99,10 @@ class Simulation:
             self.rng = SeededRng(config.seed)
             self.proofs = ProofSystem(self.rng.child("deity-keys"))
 
-            oracle_auth = self.rng.child("oracle-auth").bytes(32)
             self.chains = {}
             for cid in config.chains:
                 depth = config.merkle_depth if cid == config.multiplexer else None
-                self.chains[cid] = Chain(cid, depth, oracle_auth, self.proofs, config.window)
+                self.chains[cid] = Chain(cid, depth, self.proofs, config.window)
             self.mixer_chain = self.chains[config.multiplexer]
 
             self.transcript.log("header", config=config.to_json())
@@ -113,7 +112,7 @@ class Simulation:
             self._deploy_and_register(self.dapp, "dapp")
 
             # a censoring oracle censors this scenario's dApp
-            self.oracle = Oracle(OraclePolicy(**config.oracle), oracle_auth,
+            self.oracle = Oracle(OraclePolicy(**config.oracle), b"",
                                  self.rng.child("oracle"), censored_dapp=self.dapp.ghash)
 
             self.wallets = {
@@ -258,7 +257,7 @@ class Simulation:
 
     def forge_settlement(self, expect=None):
         """The oracle's network-abuse move: forge a note and a tree once,
-        whose root a ``forge_root`` oracle pushes next, and at each call
+        whose root a ``forge_root`` oracle offers next, and at each call
         attempt a settlement proof against that root and this scenario's
         dApp; it fails at the signature."""
         return self._call(

@@ -55,11 +55,11 @@ from anonbridge.errors import (
     WindowExpired,
     WrongChain,
 )
+from anonbridge.harness import ScenarioConfig, Simulation
 from anonbridge.hashing import commit
 from anonbridge.rng import SeededRng, random_field_31
 from anonbridge.signing import KeyPair
 
-AUTH = b"\xaa" * 32
 WINDOW = 100
 
 
@@ -83,9 +83,8 @@ class Harness:
     def __init__(self, seed=0, depth=8):
         self.rng = SeededRng(seed)
         self.proofs = ProofSystem(self.rng.child("keys"))
-        self.src = Chain(1001, oracle_auth=AUTH, verifier=self.proofs, revert_window=WINDOW)
-        self.dst = Chain(1002, depth=depth, oracle_auth=AUTH, verifier=self.proofs,
-                         revert_window=WINDOW)
+        self.src = Chain(1001, verifier=self.proofs, revert_window=WINDOW)
+        self.dst = Chain(1002, depth=depth, verifier=self.proofs, revert_window=WINDOW)
         self.addr_src = self.rng.bytes(20)
         self.addr_dst = self.rng.bytes(20)
         for chain, addr in ((self.src, self.addr_src), (self.dst, self.addr_dst)):
@@ -109,28 +108,45 @@ class Harness:
         event = router_deposit(self.src, req)
         return note, payload, req, event
 
+    def push_root(self):
+        """Anyone pushes the Mixer's current root: to the Mixer's chain
+        first, whose ``root_update`` the other Router then takes."""
+        root = self.dst.mixer.tree.root
+        router_update_root(self.dst, root, self.dst)
+        router_update_root(self.src, root, self.dst)
+        return root
+
+    def next_root(self):
+        """Relay a fresh deposit and push the root it makes."""
+        _, _, _, event = self.deposit()
+        mixer_submit(self.dst, event, self.src)
+        return self.push_root()
+
     def settle_case(self, dest=1002, version=1):
         """Deposit, relay, sign, push root; returns everything a withdraw needs."""
-        from anonbridge.circuit import SETTLEMENT, SettlementPublic, SettlementWitness
         from anonbridge.dact import leaf_bytes, make_leaf
-        from anonbridge.hashing import nullifier_hash
 
         note, payload, req, event = self.deposit(dest, version)
         index = mixer_submit(self.dst, event, self.src)
         _, tpc, source = unwords(event.payload)
         leaf = make_leaf(req.commitment, tpc, source)
-        sig = self.key.sign(leaf_bytes(leaf))
-        mixer_store_signature(self.dst, index, sig)
+        mixer_store_signature(self.dst, index, self.key.sign(leaf_bytes(leaf)))
+        self.push_root()
+        return note, payload, req, self.settlement_proof(note, req, tpc), tpc
+
+    def settlement_proof(self, note, req, tpc):
+        """The note's settlement proof against the Mixer's current root."""
+        from anonbridge.circuit import SETTLEMENT, SettlementPublic, SettlementWitness
+        from anonbridge.hashing import nullifier_hash
+
         tree = self.dst.mixer.tree
-        router_update_root(self.src, tree.root, AUTH)
-        router_update_root(self.dst, tree.root, AUTH)
+        index = self.dst.mixer.commitments[req.commitment]
         public = SettlementPublic(
             nullifier_hash(note.nullifier), tree.root, tpc, self.key.verifying_key
         )
         witness = SettlementWitness(note.nullifier, note.secret, tree.path(index),
-                                    source, sig)
-        proof = self.proofs.prove(SETTLEMENT, witness, public)
-        return note, payload, req, proof, tpc
+                                    1001, self.dst.mixer.leaf_signatures[index])
+        return self.proofs.prove(SETTLEMENT, witness, public)
 
     def revert_proof(self, note, req, tpc):
         from anonbridge.circuit import REVERT, RevertPublic, RevertWitness
@@ -272,17 +288,51 @@ class TestDepositAndMixer:
 
 
 class TestRootSync:
-    def test_requires_oracle_auth(self):
+    def test_an_unpublished_root_is_unknown_on_every_chain(self):
+        """No key gates a push: a Router refuses, at no charge, a root the
+        Mixer never held, on the Mixer's chain and off it."""
         h = Harness()
-        with pytest.raises(Unauthorized):
-            router_update_root(h.src, 1, b"\xbb" * 32)
+        for chain in (h.dst, h.src):
+            with ops.counting() as spent, pytest.raises(UnknownRoot):
+                router_update_root(chain, 1, h.dst)
+            assert spent == ops.OpCounts()
+            assert chain.router.known_roots == [] and chain.event_log == []
+        # the Mixer's current root too, off its chain, until its chain takes it
+        with pytest.raises(UnknownRoot):
+            router_update_root(h.src, h.dst.mixer.tree.root, h.dst)
 
     def test_window_of_two(self):
         h = Harness()
-        for root in (11, 22, 33, 44):
-            router_update_root(h.src, root, AUTH)
-        assert h.src.router.known_roots == [33, 44]
+        roots = [h.next_root() for _ in range(4)]
+        assert len(set(roots)) == 4
+        for chain in (h.src, h.dst):
+            assert chain.router.known_roots == roots[2:]
         assert len(h.src.router.known_roots) == ROUTER_ROOT_WINDOW
+
+
+def test_a_stale_root_delays_but_blocks_no_one():
+    """Anyone may re-push a root the Mixer's chain published and so evict
+    the root a wallet proves against; that delays the withdraw but blocks
+    it for no one, as anyone may then push the Mixer's current root."""
+    sim = Simulation(ScenarioConfig(seed=0, name="stale-root", wallets=["alice"], script=[]))
+    roots = []
+    for _ in range(3):
+        label = sim.deposit("alice", 1001, 1003)
+        sim.relay()
+        sim.sign()
+        roots.append(sim.push_root())
+    r1, r2, r3 = roots
+    dest, mixer = sim.chains[1003], sim.mixer_chain
+    for root in (r1, r2):
+        router_update_root(dest, root, mixer)
+    assert dest.router.known_roots == [r1, r2]
+    sim.withdraw(label, expect="UnknownRoot")
+    with pytest.raises(UnknownRoot):
+        router_update_root(mixer, r1, mixer)
+    assert mixer.mixer.tree.root == r3
+    router_update_root(dest, r3, mixer)
+    sim.withdraw(label)
+    assert sim.settled(label)
 
 
 class TestWithdraw:
@@ -297,12 +347,12 @@ class TestWithdraw:
         """Each rejection fires before later checks get a chance."""
         h = Harness()
         note, payload, req, proof, tpc = h.settle_case()
-        # unknown root (push two fresh roots to evict)
-        router_update_root(h.dst, 1, AUTH)
-        router_update_root(h.dst, 2, AUTH)
+        # unknown root (push two later published roots to evict)
+        h.next_root()
+        h.next_root()
         with pytest.raises(UnknownRoot):
             router_withdraw(h.dst, proof, payload, note.salt, 1002, 1)
-        router_update_root(h.dst, h.dst.mixer.tree.root, AUTH)
+        proof = h.settlement_proof(note, req, tpc)  # against the current root
         # wrong destination claim
         with pytest.raises(WrongChain):
             router_withdraw(h.dst, proof, payload, note.salt, 1001, 1)

@@ -12,6 +12,12 @@ change; CHANGES.md says what each regeneration moved:
     PYTHONPATH=src:tests python -c "import json, test_pins; \\
         print(json.dumps(test_pins.compute_script_pins(), indent=1, sort_keys=True))" \\
         > tests/fixtures/script_pins.json
+
+The last regeneration followed the Router's root check: a Router takes
+only a root the Mixer holds, so ``oracle_forged_root``'s push is refused
+with ``UnknownRoot`` and its check became ``forged_root_refused_by_router``.
+Only that builtin's ``digest`` and ``verdicts`` moved, at each seed; every
+``metrics`` entry, every sweep row and every script pin stayed the same.
 """
 
 import json

@@ -134,6 +134,30 @@ def test_a_destination_mark_sharing_the_nullifier_strands_no_refund():
     sim.revert_init("B", expect="AlreadyPending")
 
 
+def test_a_pending_revert_keeps_a_second_window_from_its_nullifier():
+    """A goes 1001 -> 1003 and B, under A's nullifier, 1001 -> 1002; both are
+    marked. A pending revert is keyed by its nullifier hash, so while A's is
+    pending on 1001, B's initiation is ``AlreadyPending``: a window opened
+    over A's entry would make A's execute refund B and strand A. Once A is
+    refunded, B's own window opens, and both notes come back."""
+    sim = Simulation(ScenarioConfig(seed=3, name="shared-nullifier", script=[]))
+    sim.deposit("alice", 1001, 1003, label="A")
+    _deposit_sharing(sim, "A", 1001, 1002, "B")
+    sim.relay()
+    sim.sign()
+    sim.push_root()
+    sim.revert_mark("A")
+    sim.revert_mark("B")
+    sim.revert_init("A")
+    sim.revert_init("B", expect="AlreadyPending")
+    sim.advance(sim.config.window)
+    sim.execute("A")
+    assert sim.reverted("A") and not sim.reverted("B")
+    _refund(sim, "B")
+    assert sim.reverted("B")
+    assert sim.wallets["alice"].balance == START_BALANCE
+
+
 def test_a_mark_sharing_the_nullifier_after_a_refund_reopens_no_window():
     """A goes 1001 -> 1003 and is refunded on 1001; C, under A's nullifier,
     goes 1002 -> 1001 and is marked there after, overwriting 1001's

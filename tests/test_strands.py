@@ -2,8 +2,9 @@
 this re-anchor"). Each test runs the measured script and asserts the
 honest outcome. A strand still open is a strict xfail that names today's
 error, so the change that fixes its ROADMAP item must remove the marker,
-and any other failure shows as a failure; a closed strand, (e1) since the
-Mixer's event-inclusion check, passes unmarked and keeps its fix. An
+and any other failure shows as a failure; a closed strand passes unmarked
+and keeps its fix: (e1) since the Mixer's event-inclusion check, (e4) since
+a Router takes a root from anyone, if the Mixer holds it. An
 attacker's direct contract call is wrapped in ``suppress(SimError)``,
 since it may raise once the item lands.
 """
@@ -16,6 +17,7 @@ from anonbridge.chain import (
     Event,
     mixer_store_signature,
     mixer_submit,
+    router_update_root,
     unwords,
     words,
 )
@@ -47,6 +49,23 @@ def test_altered_relay_does_not_strand_the_deposit():
     sim.relay()
     sim.sign()
     sim.push_root()
+    settle(sim, d)
+
+
+def test_oracle_outage_before_the_push_does_not_strand_the_deposit():
+    """(e4): the oracle goes offline between relay and push, so no Router
+    holds the root the wallet proves against; the user pushes the Mixer's
+    current root, to the Mixer's chain first, and settles (ROADMAP item 18)."""
+    sim = make_sim()
+    d = sim.deposit("alice", 1001, 1003)
+    sim.relay()
+    sim.sign()
+    sim.go_offline("oracle")
+    assert sim.push_root() is None
+    sim.withdraw(d, expect="UnknownRoot")
+    root = sim.mixer_chain.mixer.tree.root
+    for cid in (sim.config.multiplexer, 1003):
+        router_update_root(sim.chains[cid], root, sim.mixer_chain)
     settle(sim, d)
 
 
